@@ -36,53 +36,89 @@ class DenseSet:
         return len(self.points)
 
 
+# probes per matmul in _max_cos, and survivors per in-batch Gram block; keeps
+# the temporaries at (packing size) x 512 and 512 x 512
+_CHUNK = 512
+
+
+def _max_cos(points: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """For each probe, its largest inner product with a row of `points`.
+
+    For unit vectors ||x - s||^2 = 2 - 2 x.s, so this is the nearest-point
+    test; -inf where `points` is empty.
+    """
+    out = np.full(len(probes), -np.inf)
+    if len(points):
+        for lo in range(0, len(probes), _CHUNK):
+            out[lo:lo + _CHUNK] = (points @ probes[lo:lo + _CHUNK].T).max(axis=0)
+    return out
+
+
+def _greedy_block(cand: np.ndarray, cos_cut: float) -> np.ndarray:
+    """Mask of the rows a sequential greedy keeps: each row closer than the
+    cut to an earlier kept row is dropped, in row order."""
+    close = cand @ cand.T > cos_cut
+    keep = np.zeros(len(cand), dtype=bool)
+    free = np.ones(len(cand), dtype=bool)
+    while free.any():
+        i = int(free.argmax())
+        keep[i] = True
+        free &= ~close[i]
+        free[i] = False
+    return keep
+
+
 def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
                      batch: int = 4096) -> DenseSet:
     """Stream sphere points, keeping those >= eta from everything kept so far.
 
-    Stops once `audit_samples` consecutive candidates were rejected, then
-    audits with fresh samples that every sphere point has a kept neighbor
-    within eta.  Raises AuditFailed if the packing was not yet maximal.
+    The stream is drawn `batch` candidates at a time and each batch is
+    decided exactly as a one-candidate-at-a-time greedy would: candidates
+    within eta of the packing kept before the batch are rejected at once,
+    and the survivors are accepted or rejected in stream order against
+    the points accepted earlier in the same batch (a matmul against earlier
+    blocks, then a sequential greedy on a 512 x 512 closeness mask).
+
+    A rejection streak counts consecutive rejected candidates across
+    batches and restarts at every acceptance.  The stream stops at the
+    candidate where the streak reaches `audit_samples`; points accepted
+    later in that batch are dropped.  The packing is then audited with
+    fresh samples, which must all have a kept point within eta; AuditFailed
+    is raised if the packing was not yet maximal.
     """
     if not 0.0 < eta <= 2.0:
         raise ValueError("eta must be in (0, 2]")
     if d < 2:
         raise ValueError("d must be >= 2")
     gen = as_generator(rng)
-    kept: list[np.ndarray] = []
+    points = np.empty((0, d))
     streak = 0
-    # for unit vectors ||x - s||^2 = 2 - 2 x.s, so the nearest-member test is
-    # a max inner product; keeps the candidate stream cheap at large packings
     cos_cut = 1.0 - eta * eta / 2.0
     while streak < audit_samples:
         cand = uniform_sphere(gen, d, size=batch)
-        n_before = len(kept)
-        if n_before:
-            close = (cand @ np.array(kept).T).max(axis=1) > cos_cut
+        survivors = np.flatnonzero(_max_cos(points, cand) <= cos_cut)
+        taken = np.zeros(batch, dtype=bool)
+        for lo in range(0, len(survivors), _CHUNK):
+            block = survivors[lo:lo + _CHUNK]
+            block = block[_max_cos(cand[taken], cand[block]) <= cos_cut]
+            taken[block[_greedy_block(cand[block], cos_cut)]] = True
+        pos = np.flatnonzero(taken)
+        # rejections before each acceptance; the first run continues the
+        # streak carried over from earlier batches
+        runs = np.diff(pos, prepend=-1 - streak) - 1
+        stop = np.flatnonzero(runs >= audit_samples)
+        if len(stop):
+            pos = pos[:stop[0]]
+            streak = audit_samples
         else:
-            close = np.zeros(batch, dtype=bool)
-        for i in range(batch):
-            ok = not close[i]
-            if ok:
-                # points accepted inside this batch also exclude later candidates
-                for p in kept[n_before:]:
-                    if cand[i] @ p > cos_cut:
-                        ok = False
-                        break
-            if ok:
-                kept.append(cand[i])
-                streak = 0
-            else:
-                streak += 1
-                if streak >= audit_samples:
-                    break
-    points = np.array(kept)
+            streak = batch - 1 - pos[-1] if len(pos) else streak + batch
+        points = np.concatenate((points, cand[pos]))
     # audit: fresh samples must all be within eta of the packing
     remaining = audit_samples
     while remaining > 0:
         take = min(remaining, 16384)
         probes = uniform_sphere(gen, d, size=take)
-        worst = float((probes @ points.T).max(axis=1).min())
+        worst = float(_max_cos(points, probes).min())
         if worst < cos_cut:
             dist = math.sqrt(max(2.0 - 2.0 * worst, 0.0))
             raise AuditFailed(

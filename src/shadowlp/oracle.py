@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Optional
 
@@ -57,7 +57,7 @@ def enumerate_feasible_bases(inst, guard: int = ENUM_GUARD, tol: float = 1e-9) -
     out: list[Basis] = []
     combos = combinations(range(n), d)
     while True:
-        chunk = np.array(list(__import__("itertools").islice(combos, _CHUNK)), dtype=int)
+        chunk = np.array(list(islice(combos, _CHUNK)), dtype=int)
         if chunk.size == 0:
             break
         sub = A[chunk]  # (k, d, d)

@@ -140,12 +140,6 @@ def ratio_test(A: np.ndarray, b: np.ndarray, basis: Basis, leaving: int) -> Rati
 
 
 @dataclass(frozen=True)
-class Advanced:
-    basis: Basis
-    lam: float
-
-
-@dataclass(frozen=True)
 class Finished:
     basis: Basis
 
@@ -156,7 +150,7 @@ class UnboundedRay:
     basis: Basis  # basis at which the unbounded edge was found
     leaving: int
 
-PivotOutcome = Union[Advanced, Finished, UnboundedRay]
+PivotOutcome = Union[Finished, UnboundedRay]
 
 
 @dataclass
@@ -183,22 +177,6 @@ class ShadowPath:
     @property
     def pivots(self) -> int:
         return len(self.bases) - 1
-
-
-def pivot_step(
-    A: np.ndarray, b: np.ndarray, basis: Basis, y: np.ndarray, y2: np.ndarray, lam: float
-) -> PivotOutcome:
-    """One shadow-vertex step from `basis`, currently optimal at sweep `lam`."""
-    lam_new, leaving = max_lambda(basis, y, y2, lam)
-    if leaving is None:
-        return Finished(basis)
-    res = ratio_test(A, b, basis, leaving)
-    if res.entering is None:
-        return UnboundedRay(ray=-res.direction, basis=basis, leaving=leaving)
-    new_indices = set(basis.indices)
-    new_indices.remove(leaving)
-    new_indices.add(res.entering)
-    return Advanced(basis=make_basis(A, b, new_indices), lam=lam_new)
 
 
 def run_shadow_path(

@@ -332,13 +332,16 @@ def phase2_solve(
     unit_basis: Basis,
     z: np.ndarray,
     pivot_limit: int = DEFAULT_PIVOT_LIMIT,
+    stats: Optional[SolveStats] = None,
 ) -> Union[Phase2Result, Infeasible, Unbounded]:
     """Carry a z-optimal unit-system basis to a z-optimal input-system basis.
 
     Starts on the interpolation edge tight at the unit basis, then follows
     the combined shadow path toward maximizing t.  Stops at the first edge
     crossing t = 1; if the t-maximum is reached below 1 the input system is
-    empty and the optimal multipliers give a Farkas certificate.
+    empty and the optimal multipliers give a Farkas certificate.  The walk's
+    pivot count goes to `stats.pivots_phase2` whichever way it ends, since
+    an Infeasible or Unbounded outcome has no field for it.
     """
     gen = as_generator(rng)
     A, b = inst.A, inst.b
@@ -384,52 +387,56 @@ def phase2_solve(
     pivots = 0
     stalls = 0
     seen = {basis_hat.indices}
-    while True:
-        lam_new, leaving = max_lambda(basis_hat, y_start, y_target, lam)
-        if leaving is None:
-            t_star = float(basis_hat.x[d])
-            if t_star >= 1.0 + 1e-9:
+    try:
+        while True:
+            lam_new, leaving = max_lambda(basis_hat, y_start, y_target, lam)
+            if leaving is None:
+                t_star = float(basis_hat.x[d])
+                if t_star >= 1.0 + 1e-9:
+                    raise CertificateInvalid(
+                        f"t-maximum {t_star} above 1 without a detected crossing"
+                    )
+                y_cert = _farkas_from_lifted(ilp, basis_hat, n)
+                out = Infeasible(certificate=y_cert)
+                verify_outcome(inst, out)
+                return out
+            res = ratio_test(ilp.A, ilp.b, basis_hat, leaving)
+            t_cur = float(basis_hat.x[d])
+            remaining = tuple(i for i in basis_hat.indices if i != leaving)
+            if res.entering is None:
+                ray = -res.direction
+                if ray[d] > TOL_DIR:
+                    # the unbounded edge escapes through t = 1
+                    return Phase2Result(
+                        basis=_crossing_basis(A, b, remaining, z), pivots=pivots
+                    )
+                ray_x = ray[:d]
+                scale = max(1.0, float(np.linalg.norm(ray_x)))
+                if abs(ray[d]) <= TOL_DIR and (A @ ray_x).max() <= 1e-9 * scale:
+                    return Unbounded(ray=ray_x, improves_objective=False)
                 raise CertificateInvalid(
-                    f"t-maximum {t_star} above 1 without a detected crossing"
+                    "interpolation path unbounded away from the t = 1 slice"
                 )
-            y_cert = _farkas_from_lifted(ilp, basis_hat, n)
-            out = Infeasible(certificate=y_cert)
-            verify_outcome(inst, out)
-            return out
-        res = ratio_test(ilp.A, ilp.b, basis_hat, leaving)
-        t_cur = float(basis_hat.x[d])
-        remaining = tuple(i for i in basis_hat.indices if i != leaving)
-        if res.entering is None:
-            ray = -res.direction
-            if ray[d] > TOL_DIR:
-                # the unbounded edge escapes through t = 1
-                return Phase2Result(
-                    basis=_crossing_basis(A, b, remaining, z), pivots=pivots
-                )
-            ray_x = ray[:d]
-            scale = max(1.0, float(np.linalg.norm(ray_x)))
-            if abs(ray[d]) <= TOL_DIR and (A @ ray_x).max() <= 1e-9 * scale:
-                return Unbounded(ray=ray_x, improves_objective=False)
-            raise CertificateInvalid(
-                "interpolation path unbounded away from the t = 1 slice"
-            )
-        t_next = t_cur - res.step * res.direction[d]
-        if t_cur < 1.0 <= t_next + 1e-15:
-            return Phase2Result(basis=_crossing_basis(A, b, remaining, z), pivots=pivots)
-        if lam_new <= lam + 1e-12:
-            stalls += 1
-            if stalls >= 2:
-                raise NumericalStall("interpolation walk stalled for two pivots")
-        else:
-            stalls = 0
-        pivots += 1
-        if pivots > pivot_limit:
-            raise PivotLimitExceeded(f"exceeded {pivot_limit} pivots in phase 2")
-        basis_hat = make_basis(ilp.A, ilp.b, (*remaining, res.entering))
-        if basis_hat.indices in seen:
-            raise CycleDetected(f"lifted basis {basis_hat.indices} repeated")
-        seen.add(basis_hat.indices)
-        lam = lam_new
+            t_next = t_cur - res.step * res.direction[d]
+            if t_cur < 1.0 <= t_next + 1e-15:
+                return Phase2Result(basis=_crossing_basis(A, b, remaining, z), pivots=pivots)
+            if lam_new <= lam + 1e-12:
+                stalls += 1
+                if stalls >= 2:
+                    raise NumericalStall("interpolation walk stalled for two pivots")
+            else:
+                stalls = 0
+            pivots += 1
+            if pivots > pivot_limit:
+                raise PivotLimitExceeded(f"exceeded {pivot_limit} pivots in phase 2")
+            basis_hat = make_basis(ilp.A, ilp.b, (*remaining, res.entering))
+            if basis_hat.indices in seen:
+                raise CycleDetected(f"lifted basis {basis_hat.indices} repeated")
+            seen.add(basis_hat.indices)
+            lam = lam_new
+    finally:
+        if stats is not None:
+            stats.pivots_phase2 = pivots
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +496,11 @@ def _solve_once(gen, inst, art_sigma, max_restarts, pivot_limit, stats):
         return p1, None
     stats.restarts = p1.attempts
     stats.pivots_phase1 = p1.pivots
-    p2 = phase2_solve(gen, inst, p1.basis, p1.z, pivot_limit)
+    p2 = phase2_solve(gen, inst, p1.basis, p1.z, pivot_limit, stats=stats)
     if isinstance(p2, (Infeasible, Unbounded)):
         if isinstance(p2, Unbounded):
             stats.notes.append("unbounded-in-phase2")
         return p2, None
-    stats.pivots_phase2 = p2.pivots
     outcome, paths = phase3_solve(inst, p2.basis, p1.z, pivot_limit)
     stats.pivots_phase3 = sum(p.pivots for p in paths)
     return outcome, paths[-1]

@@ -139,7 +139,9 @@ def test_cli_solve_exit_codes(tmp_path):
     dump_instance(infeasible_instance(gen, 3, 9), infeas)
     res = _run_cli(["solve", str(infeas), "--seed", "3"])
     assert res.returncode == 2
-    assert "certificate" in json.loads(res.stdout)
+    doc = json.loads(res.stdout)
+    assert "certificate" in doc
+    assert doc["pivots"]["phase2"] > 0  # the lifted walk pivots before its Farkas stop
 
     unb = tmp_path / "unbounded.txt"
     dump_instance(unbounded_in_c_instance(gen, 3, 12), unb)

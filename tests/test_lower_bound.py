@@ -15,6 +15,7 @@ from shadowlp.lower_bound import (
     sandwich_check,
 )
 from shadowlp.oracle import discover_vertex_graph
+from shadowlp.rng import as_generator, uniform_sphere
 from shadowlp.simplex import make_basis
 
 
@@ -37,6 +38,71 @@ def test_eta_half_cardinality_bound():
 def test_audit_failure_on_tiny_streak():
     with pytest.raises(AuditFailed):
         greedy_dense_set(RngStream(70, 2), eta=0.05, d=3, audit_samples=60)
+
+
+def _greedy_one_at_a_time(rng, eta, d, audit_samples, batch=4096):
+    """The per-candidate greedy loop that greedy_dense_set must reproduce."""
+    gen = as_generator(rng)
+    kept = []
+    streak = 0
+    cos_cut = 1.0 - eta * eta / 2.0
+    while streak < audit_samples:
+        cand = uniform_sphere(gen, d, size=batch)
+        n_before = len(kept)
+        if n_before:
+            close = (cand @ np.array(kept).T).max(axis=1) > cos_cut
+        else:
+            close = np.zeros(batch, dtype=bool)
+        for i in range(batch):
+            ok = not close[i] and all(cand[i] @ p <= cos_cut for p in kept[n_before:])
+            if ok:
+                kept.append(cand[i])
+                streak = 0
+            else:
+                streak += 1
+                if streak >= audit_samples:
+                    break
+    points = np.array(kept)
+    remaining = audit_samples
+    while remaining > 0:
+        take = min(remaining, 16384)
+        probes = uniform_sphere(gen, d, size=take)
+        worst = float((probes @ points.T).max(axis=1).min())
+        if worst < cos_cut:
+            dist = math.sqrt(max(2.0 - 2.0 * worst, 0.0))
+            raise AuditFailed(
+                f"audit point at distance {dist:.4f} > eta={eta}; "
+                "increase the rejection streak"
+            )
+        remaining -= take
+    return points
+
+
+# (seed, eta, d, audit_samples); streaks below the 4096 batch stop partway
+# through a batch, and the first four of those drop points accepted after
+# the stop
+@pytest.mark.parametrize("seed,eta,d,audit_samples", [
+    (1, 0.1, 2, 60),
+    (4, 1.0, 3, 1000),
+    (8, 1.0, 4, 300),
+    (8, 0.2, 3, 60),      # audit fails
+    (2, 0.5, 2, 300),
+    (4, 0.5, 3, 20000),
+    (6, 0.8, 4, 20000),   # audit fails
+])
+def test_greedy_dense_set_matches_one_at_a_time(seed, eta, d, audit_samples):
+    def run(fn):
+        try:
+            return fn(RngStream(seed, 0), eta, d, audit_samples=audit_samples)
+        except AuditFailed as exc:
+            return str(exc)
+
+    ref = run(_greedy_one_at_a_time)
+    got = run(greedy_dense_set)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert np.array_equal(got.points, ref)
 
 
 def test_build_lb_instance_unperturbed():

@@ -201,6 +201,15 @@ def test_solve_infeasible_sandwich():
     verify_outcome(inst, out)
 
 
+def test_solve_infeasible_reports_phase2_pivots():
+    # the lifted walk pivots before it proves the input system empty
+    inst = infeasible_instance(RngStream(52, 0).generator(), 6, 40)
+    out, stats, path = solve(RngStream(52, 1), inst)
+    assert isinstance(out, Infeasible)
+    assert stats.pivots_phase2 > 0
+    assert stats.pivots_total == stats.pivots_phase1 + stats.pivots_phase2 + stats.pivots_phase3
+
+
 def test_solve_unbounded_in_c():
     gen = RngStream(53, 0).generator()
     inst = unbounded_in_c_instance(gen, 3, 12)
