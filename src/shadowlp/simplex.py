@@ -14,7 +14,7 @@ drives unit, interpolation, and input systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -84,14 +84,14 @@ def max_lambda(
             f"basis {basis.indices} is not optimal at lambda={lambda_lo} "
             f"(multiplier {mu_lo.min():.3e})"
         )
+    # only coordinates negative at lambda = 1 can block; all crossings at once
+    pos = (mu1 < 0.0).nonzero()[0]
+    lams = lambda_lo + (1.0 - lambda_lo) * mu_lo[pos] / (mu_lo[pos] - mu1[pos])
+    lams = np.minimum(np.maximum(lams, lambda_lo), 1.0)
     best_lam = 1.0
     leaving = None
-    for pos in range(len(mu_lo)):
-        if mu1[pos] >= 0.0:
-            continue  # nondecreasing or still nonnegative at 1: never blocks
-        lam = lambda_lo + (1.0 - lambda_lo) * mu_lo[pos] / (mu_lo[pos] - mu1[pos])
-        lam = min(max(lam, lambda_lo), 1.0)
-        row = basis.indices[pos]
+    for lam, p in zip(lams.tolist(), pos.tolist()):
+        row = basis.indices[p]
         if lam < best_lam - 1e-15 or (abs(lam - best_lam) <= 1e-15 and (leaving is None or row < leaving)):
             best_lam = lam
             leaving = row
@@ -121,15 +121,12 @@ def ratio_test(A: np.ndarray, b: np.ndarray, basis: Basis, leaving: int) -> Rati
     w = linalg.solve(basis.factorization, e)
     rates = A @ w
     slack = b - A @ basis.x
-    nonbasic = np.ones(A.shape[0], dtype=bool)
-    nonbasic[list(basis.indices)] = False
-    blocking = nonbasic & (rates < -TOL_DIR)
-    if not np.any(blocking):
+    rates.put(basis.indices, 0.0)  # basic rows never block
+    rows = (rates < -TOL_DIR).nonzero()[0]
+    if rows.size == 0:
         return RatioResult(step=np.inf, entering=None, direction=w)
-    rows = np.flatnonzero(blocking)
     steps = slack[rows] / (-rates[rows])
-    order = np.lexsort((rows, steps))
-    best = order[0]
+    best = int(steps.argmin())  # first minimum: ties go to the smallest row
     step = float(steps[best])
     if step < -1e-9:
         raise NegativeStep(
@@ -186,6 +183,7 @@ def run_shadow_path(
     y2: np.ndarray,
     start: Basis,
     limit: int = DEFAULT_PIVOT_LIMIT,
+    stop: Optional[Callable[[ShadowPath, int, RatioResult], Any]] = None,
 ) -> tuple[ShadowPath, PivotOutcome]:
     """Follow the shadow path from y to y2 starting at a y-optimal basis.
 
@@ -193,6 +191,11 @@ def run_shadow_path(
     UnboundedRay.  Raises PivotLimitExceeded past `limit` pivots,
     CycleDetected if a basis repeats, and NumericalStall when two
     consecutive pivots fail to advance lambda by at least 1e-12.
+
+    `stop(path, leaving, res)`, when given, sees every blocked edge before
+    the engine pivots along it: the edge leaves path.bases[-1] by relaxing
+    row `leaving`, and `res` is its ratio test.  A non-None return value
+    ends the walk and is returned in place of the engine's own outcome.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -209,6 +212,10 @@ def run_shadow_path(
         res = ratio_test(A, b, basis, leaving)
         if res.entering is None:
             return path, UnboundedRay(ray=-res.direction, basis=basis, leaving=leaving)
+        if stop is not None:
+            out = stop(path, leaving, res)
+            if out is not None:
+                return path, out
         if lam_new <= lam + 1e-12:
             stalls += 1
             if stalls >= 2:

@@ -27,7 +27,6 @@ from .errors import (
     CycleDetected,
     DimensionTooSmall,
     NumericalStall,
-    PivotLimitExceeded,
     RestartLimitExceeded,
     SingularError,
 )
@@ -42,9 +41,7 @@ from .simplex import (
     ShadowPath,
     UnboundedRay,
     make_basis,
-    max_lambda,
     multipliers,
-    ratio_test,
     run_shadow_path,
 )
 
@@ -235,6 +232,7 @@ def phase1_solve(
     sigma: float,
     max_restarts: int = DEFAULT_MAX_RESTARTS,
     pivot_limit: int = DEFAULT_PIVOT_LIMIT,
+    stats: Optional[SolveStats] = None,
 ) -> Union[Phase1Result, Unbounded]:
     """Solve max z^T x, Ax <= 1 for a fresh Gaussian z.
 
@@ -242,36 +240,44 @@ def phase1_solve(
     starting basis fails to materialize or the optimum leans on an
     artificial row (the artificial simplex cut off the true optimum).
     An unbounded shadow run propagates immediately: its ray certifies that
-    the feasible region of the input system is unbounded.
+    the feasible region of the input system is unbounded.  The pivot and
+    attempt counts go to `stats.pivots_phase1` and `stats.restarts` however
+    phase 1 ends, since an Unbounded outcome has no field for them.
     """
     gen = as_generator(rng)
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     pivots = 0
+    attempt = 0
     reasons: list[str] = []
-    for attempt in range(1, max_restarts + 1):
-        ulp = build_unit_lp_prime(gen, A, sigma)
-        start = _artificial_start(ulp)
-        if start is None:
-            reasons.append("start-construction")
-            continue
-        try:
-            path, out = run_shadow_path(
-                ulp.combined_A, ulp.combined_b,
-                ulp.start_objective, ulp.z, start, limit=pivot_limit,
-            )
-        except (NumericalStall, CycleDetected) as exc:
-            reasons.append(f"engine:{type(exc).__name__}")
-            continue
-        pivots += path.pivots
-        if isinstance(out, UnboundedRay):
-            return Unbounded(ray=out.ray, improves_objective=False)
-        assert isinstance(out, Finished)
-        if any(i >= n for i in out.basis.indices):
-            reasons.append("cut-off")
-            continue
-        basis = make_basis(A, np.ones(n), out.basis.indices)
-        return Phase1Result(basis=basis, z=ulp.z, attempts=attempt, pivots=pivots)
+    try:
+        for attempt in range(1, max_restarts + 1):
+            ulp = build_unit_lp_prime(gen, A, sigma)
+            start = _artificial_start(ulp)
+            if start is None:
+                reasons.append("start-construction")
+                continue
+            try:
+                path, out = run_shadow_path(
+                    ulp.combined_A, ulp.combined_b,
+                    ulp.start_objective, ulp.z, start, limit=pivot_limit,
+                )
+            except (NumericalStall, CycleDetected) as exc:
+                reasons.append(f"engine:{type(exc).__name__}")
+                continue
+            pivots += path.pivots
+            if isinstance(out, UnboundedRay):
+                return Unbounded(ray=out.ray, improves_objective=False)
+            assert isinstance(out, Finished)
+            if any(i >= n for i in out.basis.indices):
+                reasons.append("cut-off")
+                continue
+            basis = make_basis(A, np.ones(n), out.basis.indices)
+            return Phase1Result(basis=basis, z=ulp.z, attempts=attempt, pivots=pivots)
+    finally:
+        if stats is not None:
+            stats.pivots_phase1 = pivots
+            stats.restarts = attempt
     raise RestartLimitExceeded(
         f"phase 1 failed {max_restarts} times; failure reasons: {reasons}"
     )
@@ -337,11 +343,12 @@ def phase2_solve(
     """Carry a z-optimal unit-system basis to a z-optimal input-system basis.
 
     Starts on the interpolation edge tight at the unit basis, then follows
-    the combined shadow path toward maximizing t.  Stops at the first edge
-    crossing t = 1; if the t-maximum is reached below 1 the input system is
-    empty and the optimal multipliers give a Farkas certificate.  The walk's
-    pivot count goes to `stats.pivots_phase2` whichever way it ends, since
-    an Infeasible or Unbounded outcome has no field for it.
+    the combined shadow path toward maximizing t with `run_shadow_path`,
+    stopping at the first edge that crosses t = 1; if the t-maximum is
+    reached below 1 the input system is empty and the optimal multipliers
+    give a Farkas certificate.  The walk's pivot count goes to
+    `stats.pivots_phase2` whichever outcome it returns, since an Infeasible
+    or Unbounded outcome has no field for it.
     """
     gen = as_generator(rng)
     A, b = inst.A, inst.b
@@ -367,76 +374,57 @@ def phase2_solve(
     p0 = np.append(unit_basis.x, 0.0)
     rates = ilp.A @ v
     slack0 = ilp.b - ilp.A @ p0
-    nonbasic = np.ones(n, dtype=bool)
-    nonbasic[idx] = False
-    blocking = nonbasic & (rates > TOL_DIR)
-    if not np.any(blocking):
+    rates[idx] = 0.0  # the unit basis rows stay tight along the edge
+    rows = np.flatnonzero(rates > TOL_DIR)
+    if rows.size == 0:
         # t grows to 1 with nothing in the way; the unit basis rows are tight
         # at t = 1 where A_I x = b_I.
         return Phase2Result(basis=_crossing_basis(A, b, idx, z), pivots=0)
-    rows = np.flatnonzero(blocking)
     steps = slack0[rows] / rates[rows]
-    order = np.lexsort((rows, steps))
-    s_star = float(steps[order[0]])
-    entering = int(rows[order[0]])
-    if s_star >= 1.0:
+    first = int(np.argmin(steps))  # ties go to the smallest row, as in ratio_test
+    if float(steps[first]) >= 1.0:
         return Phase2Result(basis=_crossing_basis(A, b, idx, z), pivots=0)
+    entering = int(rows[first])
 
-    basis_hat = make_basis(ilp.A, ilp.b, (*unit_basis.indices, entering))
-    lam = 0.0
-    pivots = 0
-    stalls = 0
-    seen = {basis_hat.indices}
-    try:
-        while True:
-            lam_new, leaving = max_lambda(basis_hat, y_start, y_target, lam)
-            if leaving is None:
-                t_star = float(basis_hat.x[d])
-                if t_star >= 1.0 + 1e-9:
-                    raise CertificateInvalid(
-                        f"t-maximum {t_star} above 1 without a detected crossing"
-                    )
-                y_cert = _farkas_from_lifted(ilp, basis_hat, n)
-                out = Infeasible(certificate=y_cert)
-                verify_outcome(inst, out)
-                return out
-            res = ratio_test(ilp.A, ilp.b, basis_hat, leaving)
-            t_cur = float(basis_hat.x[d])
-            remaining = tuple(i for i in basis_hat.indices if i != leaving)
-            if res.entering is None:
-                ray = -res.direction
-                if ray[d] > TOL_DIR:
-                    # the unbounded edge escapes through t = 1
-                    return Phase2Result(
-                        basis=_crossing_basis(A, b, remaining, z), pivots=pivots
-                    )
-                ray_x = ray[:d]
-                scale = max(1.0, float(np.linalg.norm(ray_x)))
-                if abs(ray[d]) <= TOL_DIR and (A @ ray_x).max() <= 1e-9 * scale:
-                    return Unbounded(ray=ray_x, improves_objective=False)
-                raise CertificateInvalid(
-                    "interpolation path unbounded away from the t = 1 slice"
-                )
-            t_next = t_cur - res.step * res.direction[d]
-            if t_cur < 1.0 <= t_next + 1e-15:
-                return Phase2Result(basis=_crossing_basis(A, b, remaining, z), pivots=pivots)
-            if lam_new <= lam + 1e-12:
-                stalls += 1
-                if stalls >= 2:
-                    raise NumericalStall("interpolation walk stalled for two pivots")
-            else:
-                stalls = 0
-            pivots += 1
-            if pivots > pivot_limit:
-                raise PivotLimitExceeded(f"exceeded {pivot_limit} pivots in phase 2")
-            basis_hat = make_basis(ilp.A, ilp.b, (*remaining, res.entering))
-            if basis_hat.indices in seen:
-                raise CycleDetected(f"lifted basis {basis_hat.indices} repeated")
-            seen.add(basis_hat.indices)
-            lam = lam_new
-    finally:
-        if stats is not None:
-            stats.pivots_phase2 = pivots
+    def crossed(basis_hat, leaving, pivots):
+        # the rows of basis_hat other than `leaving` are tight at t = 1
+        remaining = [i for i in basis_hat.indices if i != leaving]
+        return Phase2Result(basis=_crossing_basis(A, b, remaining, z), pivots=pivots)
+
+    def crossing(path, leaving, res):
+        """Stop on the first edge that crosses the t = 1 slice."""
+        t_cur = float(path.bases[-1].x[d])
+        t_next = t_cur - res.step * res.direction[d]
+        if t_cur < 1.0 <= t_next + 1e-15:
+            return crossed(path.bases[-1], leaving, path.pivots)
+        return None
+
+    start = make_basis(ilp.A, ilp.b, (*unit_basis.indices, entering))
+    path, out = run_shadow_path(
+        ilp.A, ilp.b, y_start, y_target, start, limit=pivot_limit, stop=crossing
+    )
+    if stats is not None:
+        stats.pivots_phase2 = path.pivots
+    if isinstance(out, Phase2Result):
+        return out
+    if isinstance(out, Finished):
+        t_star = float(out.basis.x[d])
+        if t_star >= 1.0 + 1e-9:
+            raise CertificateInvalid(
+                f"t-maximum {t_star} above 1 without a detected crossing"
+            )
+        infeasible = Infeasible(certificate=_farkas_from_lifted(ilp, out.basis, n))
+        verify_outcome(inst, infeasible)
+        return infeasible
+    ray = out.ray
+    if ray[d] > TOL_DIR:
+        # the unbounded edge escapes through t = 1
+        return crossed(out.basis, out.leaving, path.pivots)
+    ray_x = ray[:d]
+    scale = max(1.0, float(np.linalg.norm(ray_x)))
+    if abs(ray[d]) <= TOL_DIR and (A @ ray_x).max() <= 1e-9 * scale:
+        return Unbounded(ray=ray_x, improves_objective=False)
+    raise CertificateInvalid("interpolation path unbounded away from the t = 1 slice")
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +478,10 @@ class SolveStats:
 
 
 def _solve_once(gen, inst, art_sigma, max_restarts, pivot_limit, stats):
-    p1 = phase1_solve(gen, inst.A, art_sigma, max_restarts, pivot_limit)
+    p1 = phase1_solve(gen, inst.A, art_sigma, max_restarts, pivot_limit, stats=stats)
     if isinstance(p1, Unbounded):
         stats.notes.append("unbounded-in-phase1")
         return p1, None
-    stats.restarts = p1.attempts
-    stats.pivots_phase1 = p1.pivots
     p2 = phase2_solve(gen, inst, p1.basis, p1.z, pivot_limit, stats=stats)
     if isinstance(p2, (Infeasible, Unbounded)):
         if isinstance(p2, Unbounded):

@@ -147,7 +147,9 @@ def test_cli_solve_exit_codes(tmp_path):
     dump_instance(unbounded_in_c_instance(gen, 3, 12), unb)
     res = _run_cli(["solve", str(unb), "--seed", "3"])
     assert res.returncode == 3
-    assert "ray" in json.loads(res.stdout)
+    doc = json.loads(res.stdout)
+    assert "ray" in doc
+    assert doc["pivots"]["phase1"] > 0  # phase 1 pivots before it finds the ray
 
     bad = tmp_path / "bad.txt"
     bad.write_text("2 3\n1 2\n")

@@ -90,3 +90,34 @@ def test_rejects_nonsquare_and_nonfinite():
         factorize(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(SingularError):
         factorize(np.zeros((3, 3)))
+
+
+def test_kernels_bit_equal_scipy_lu_wrappers():
+    # the direct getrf/getrs calls give exactly what scipy's wrappers give
+    from scipy.linalg import lu_factor, lu_solve
+
+    for d in range(2, 51):
+        gen = RngStream(6, d).generator()
+        m = gen.standard_normal((d, d))
+        rhs = gen.standard_normal(d)
+        f = factorize(m)
+        lu, piv = lu_factor(m, check_finite=False)
+        assert np.array_equal(f.lu, lu) and np.array_equal(f.piv, piv)
+        assert np.array_equal(f.pivots, np.abs(np.diag(lu)))
+        ref = lu_solve((lu, piv), rhs, check_finite=False)
+        assert np.array_equal(linsolve(f, rhs), ref)
+        ref_t = lu_solve((lu, piv), rhs, trans=1, check_finite=False)
+        assert np.array_equal(solve_transpose(f, rhs), ref_t)
+
+
+def test_exactly_singular_and_bad_rhs():
+    # getrf meets an exactly zero pivot; the pivot floor turns it into SingularError
+    with pytest.raises(SingularError):
+        factorize(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]))
+    with pytest.raises(SingularError):
+        factorize(np.array([[0.0, 1.0], [0.0, 2.0]]))
+    f = factorize(np.eye(3))
+    with pytest.raises(ValueError):
+        linsolve(f, np.ones(2))
+    with pytest.raises(ValueError):
+        solve_transpose(f, np.ones((3, 1, 1)))

@@ -193,3 +193,59 @@ def test_make_basis_rejects_duplicates():
     A, b = square_instance()
     with pytest.raises(ValueError):
         make_basis(A, b, (0, 0))
+
+
+def test_ratio_test_exact_tie_enters_smaller_row():
+    # from vertex (1, 1), relaxing x <= 1 moves along -x; rows 2 and 3 both
+    # block at step exactly 2, listed with the steeper rate first and last
+    for rows in ([[-2.0, 0.0], [-1.0, 0.0]], [[-1.0, 0.0], [-2.0, 0.0]]):
+        A = np.array([[1.0, 0.0], [0.0, 1.0], *rows, [-1.0, 0.0]])
+        b = np.array([1.0, 1.0, -A[2, 0], -A[3, 0], 5.0])
+        res = ratio_test(A, b, make_basis(A, b, (0, 1)), 0)
+        assert res.step == 2.0
+        assert res.entering == 2
+
+
+def _max_lambda_sequential(basis, y, y2, lambda_lo):
+    """max_lambda as a scan over the basis positions (the reference)."""
+    mu1 = multipliers(basis, y2)
+    mu_lo = multipliers(basis, (1.0 - lambda_lo) * y + lambda_lo * y2)
+    best_lam = 1.0
+    leaving = None
+    for pos in range(len(mu_lo)):
+        if mu1[pos] >= 0.0:
+            continue
+        lam = lambda_lo + (1.0 - lambda_lo) * mu_lo[pos] / (mu_lo[pos] - mu1[pos])
+        lam = min(max(lam, lambda_lo), 1.0)
+        row = basis.indices[pos]
+        if lam < best_lam - 1e-15 or (abs(lam - best_lam) <= 1e-15 and (leaving is None or row < leaving)):
+            best_lam = lam
+            leaving = row
+    if leaving is None or best_lam >= 1.0:
+        return 1.0, None
+    return best_lam, leaving
+
+
+def test_max_lambda_near_ties_match_sequential_scan():
+    # identity basis: the multipliers are y and y2 themselves, so coordinate
+    # i with y2_i = -1 and y_i = t / (1 - t) crosses zero at lambda ~ t
+    d = 8
+    basis = make_basis(np.eye(d), np.zeros(d), range(d))
+    gen = RngStream(7, 0).generator()
+    for _ in range(600):
+        lo = float(gen.choice([0.0, 0.1, 0.5, 0.9]))
+        t0 = float(gen.choice([lo, lo + 1e-15, 0.3, 0.95, 1.0 - 3e-15, 1.0 - 1e-15, 1.0]))
+        t0 = min(max(t0, lo), 1.0)
+        spacing = float(gen.choice([0.0, 2e-16, 5e-16, 1e-15, 1.5e-15, 5e-15, 1.2e-14, 3e-14, 1e-3]))
+        t = np.clip(t0 + spacing * gen.permutation(d), lo, 1.0)
+        y2 = np.where(gen.random(d) < 0.8, -1.0, 0.5)
+        with np.errstate(divide="ignore"):
+            y = np.where(t < 1.0, t / (1.0 - t), 1e300)
+        if gen.random() < 0.3:  # an exact duplicate of another coordinate
+            i, j = gen.choice(d, 2, replace=False)
+            y[i], y2[i] = y[j], y2[j]
+        # keep the basis optimal at lo: mu_lo = (1 - lo) y + lo y2 >= 0
+        y = np.maximum(y, lo / (1.0 - lo) + 1e-300) if lo < 1.0 else y
+        expected = _max_lambda_sequential(basis, y, y2, lo)
+        got = max_lambda(basis, y, y2, lo)
+        assert got == expected, (lo, t0, spacing)

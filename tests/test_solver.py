@@ -210,6 +210,21 @@ def test_solve_infeasible_reports_phase2_pivots():
     assert stats.pivots_total == stats.pivots_phase1 + stats.pivots_phase2 + stats.pivots_phase3
 
 
+def test_solve_unbounded_in_phase1_reports_phase1_pivots():
+    # phase 1 finds the ray itself; its pivots and attempts still reach the stats
+    pivots, restarts = [], []
+    for k in range(8):
+        inst = unbounded_in_c_instance(RngStream(53 + k, 0).generator(), 4, 20)
+        out, stats, path = solve(RngStream(53 + k, 1), inst)
+        assert isinstance(out, Unbounded) and path is None
+        assert stats.notes == ["unbounded-in-phase1"]
+        assert stats.pivots_total == stats.pivots_phase1
+        pivots.append(stats.pivots_phase1)
+        restarts.append(stats.restarts)
+    assert pivots == [3, 0, 4, 2, 20, 3, 4, 4]
+    assert restarts == [1, 1, 1, 1, 5, 1, 1, 1]
+
+
 def test_solve_unbounded_in_c():
     gen = RngStream(53, 0).generator()
     inst = unbounded_in_c_instance(gen, 3, 12)
