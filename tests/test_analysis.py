@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from shadowlp import RngStream
+from shadowlp import LPInstance, RngStream
 from shadowlp.analysis import (
+    PathReport,
+    _turn_angles,
     annulus_integral_bound,
     boundary_integral,
     build_schedule,
@@ -22,8 +24,10 @@ from shadowlp.analysis import (
     triples_inequality,
 )
 from shadowlp.errors import NonConvexInput, ZeroVertex
-from shadowlp.oracle import lp_optimum_oracle, shadow_polygon_oracle
-from shadowlp.simplex import make_basis, run_shadow_path
+from shadowlp.experiments import scaling_instance
+from shadowlp.oracle import lp_optimum_oracle, orthonormal_frame, shadow_polygon_oracle
+from shadowlp.simplex import make_basis, multipliers, run_shadow_path
+from shadowlp.solver import solve
 
 from helpers import bounded_ball_instance, cube_instance
 
@@ -59,6 +63,92 @@ def test_margin_matches_grid():
         assert grid - 1e-12 <= margin <= grid + 1e-5 * np.abs(mu1 - mu0).max() + 1e-12
 
 
+def _margin_by_pairwise_scan(basis, c, c2):
+    """multiplier_margin as a double loop over coordinate pairs followed by a
+    strict-improvement scan over the candidates: the reference."""
+    mu0 = multipliers(basis, c)
+    mu1 = multipliers(basis, c2)
+    candidates = [0.0, 1.0]
+    d = len(mu0)
+    for i in range(d):
+        for j in range(i + 1, d):
+            da = mu0[i] - mu0[j]
+            db = mu1[i] - mu1[j]
+            den = da - db
+            if den != 0.0:
+                lam = da / den
+                if 0.0 < lam < 1.0:
+                    candidates.append(float(lam))
+    best = -np.inf
+    witness = 0.0
+    for lam in candidates:
+        val = float(np.min((1.0 - lam) * mu0 + lam * mu1))
+        if val > best:
+            best = val
+            witness = lam
+    return best, witness
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _assert_margin_matches_scan(basis, c, c2):
+    got = multiplier_margin(basis, c, c2)
+    want = _margin_by_pairwise_scan(basis, c, c2)
+    assert (_bits(got[0]), _bits(got[1])) == (_bits(want[0]), _bits(want[1])), (got, want)
+    return got
+
+
+def test_multiplier_margin_matches_pairwise_scan():
+    gen = RngStream(62, 0).generator()
+    zero_den = at_end = 0
+    for case in range(600):
+        d = 1 + case % 20
+        kind = case % 5
+        if kind < 3:
+            M = gen.standard_normal((d, d))
+            c = gen.standard_normal(d)
+            c2 = c.copy() if kind == 0 else gen.standard_normal(d)
+        else:
+            # identity basis, so mu = c exactly: coordinates on a half-integer
+            # grid (signed zeros included) repeat, which makes den == 0 and
+            # puts crossings exactly at lambda = 0 or 1
+            M = np.eye(d)
+            c = -gen.integers(-2, 3, d) / 2.0
+            c2 = gen.integers(-2, 3, d) / 2.0 if kind == 3 else c[gen.permutation(d)]
+            da = c[:, None] - c[None, :]
+            den = da - (c2[:, None] - c2[None, :])
+            upper = np.triu(np.ones((d, d), dtype=bool), 1)
+            zero_den += int((upper & (den == 0.0)).sum())
+            at_end += int((upper & (den != 0.0) & ((da == 0.0) | (da == den))).sum())
+        basis = make_basis(M, np.zeros(d), range(d))
+        _assert_margin_matches_scan(basis, c, c2)
+    assert zero_den > 100 and at_end > 100
+
+    # three candidates tie on the flat top min(1/4, lam, 1 - lam) = 1/4 over
+    # [1/4, 3/4]; the witness is the first of them, lambda = 1/4
+    basis = make_basis(np.eye(3), np.zeros(3), range(3))
+    got = _assert_margin_matches_scan(basis, np.array([0.25, 0.0, 1.0]), np.array([0.25, 1.0, 0.0]))
+    assert got == (0.25, 0.25)
+
+    # the margin is a minimum over eight 0.0 and one -0.0 at lambda = 0; its
+    # sign of zero is the one a 1-D np.min returns (a reduction over the
+    # other axis returns the other sign)
+    nine = make_basis(np.eye(9), np.zeros(9), range(9))
+    c = np.append(np.zeros(8), -0.0)
+    _assert_margin_matches_scan(nine, c, np.append(np.ones(8), -1.0))
+
+    # 0 * inf makes the minimum at lambda = 0 NaN here; a NaN candidate is
+    # never picked, and when every minimum is NaN the margin is -inf at 0
+    one = make_basis(np.eye(1), np.zeros(1), range(1))
+    with np.errstate(invalid="ignore"):
+        got = _assert_margin_matches_scan(one, np.array([1.0]), np.array([np.inf]))
+        assert got == (np.inf, 1.0)
+        got = _assert_margin_matches_scan(basis, np.full(3, np.nan), np.ones(3))
+        assert got == (-np.inf, 0.0)
+
+
 def test_relative_slack_cube_corner():
     inst = cube_instance()
     basis = make_basis(inst.A, inst.b, (0, 2, 4))  # corner (1,1,1)
@@ -88,6 +178,17 @@ def test_relative_slack_zero_vertex():
         relative_slack(inst, basis)
 
 
+def test_relative_slack_every_row_basic_is_inf():
+    inst = LPInstance(np.eye(3), np.ones(3), np.ones(3))
+    basis = make_basis(inst.A, inst.b, (0, 1, 2))
+    assert relative_slack(inst, basis) == math.inf
+    path, _ = run_shadow_path(inst.A, inst.b, np.array([1.0, 2.0, 3.0]),
+                              np.array([3.0, 2.0, 1.0]), basis)
+    rep = classify_path(path, inst)
+    assert rep.rel_slacks.tolist() == [math.inf]
+    assert rep.relative_gap.tolist() == [True]
+
+
 def _seeded_path(gen, d=3, n=15, sigma=0.05):
     si, bases = bounded_ball_instance(gen, d, n, sigma)
     inst = si.lp()
@@ -109,6 +210,70 @@ def test_classify_path_basics():
     inner = rep.exterior_angles[1:-1]
     if len(inner):
         assert np.all((inner > 0) & (inner < math.pi))
+
+
+def _classify_path_per_basis(path, inst, m, g, rho):
+    """classify_path with the pairwise-scan margin, a per-basis boolean mask
+    for the slack and two norms per basis for the neighbour test: the
+    reference."""
+    c, c2 = path.y, path.y2
+    frame = orthonormal_frame(c, c2)
+    k = len(path.bases)
+    margins = np.empty(k)
+    witnesses = np.empty(k)
+    slacks = np.full(k, np.nan)
+    for i, basis in enumerate(path.bases):
+        margins[i], witnesses[i] = _margin_by_pairwise_scan(basis, c, c2)
+        x = basis.x
+        norm = float(np.linalg.norm(x))
+        if norm > 1e-12:
+            slack = inst.b - inst.A @ x
+            mask = np.ones(len(inst.b), dtype=bool)
+            mask[list(basis.indices)] = False
+            slacks[i] = float(slack[mask].min() / norm)
+    proj = np.array([frame @ bs.x for bs in path.bases])
+    norms = np.linalg.norm(proj, axis=1)
+    good = margins >= m
+    gap = np.where(np.isnan(slacks), False, slacks >= g)
+    far = np.zeros(k, dtype=bool)
+    for i in range(k):
+        dists = []
+        if i > 0:
+            dists.append(np.linalg.norm(proj[i] - proj[i - 1]))
+        if i < k - 1:
+            dists.append(np.linalg.norm(proj[i] - proj[i + 1]))
+        far[i] = all(dist >= rho * norms[i] for dist in dists)
+    return PathReport(
+        indices=path.index_sequence, margins=margins, witness_lambdas=witnesses,
+        rel_slacks=slacks, proj=proj, proj_norms=norms,
+        exterior_angles=_turn_angles(proj), good_multiplier=good, relative_gap=gap,
+        far_from_neighbors=far, triple=triple_mask(good & gap),
+        m=float(m), g=float(g), rho=float(rho),
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.05, 0.2])
+def test_classify_path_matches_per_basis_reference(sigma):
+    d, n = 10, 500
+    m = good_multiplier_threshold(d)
+    g = relative_gap_threshold(sigma, d, n)
+    for stream in range(2):
+        gen = RngStream(63, stream).generator()
+        si = scaling_instance(gen, d, n, sigma, "ball")
+        _, _, path = solve(gen, si)
+        for rho in (0.5, 0.02):
+            got = classify_path(path, si, m=m, g=g, rho=rho)
+            want = _classify_path_per_basis(path, si, m, g, rho)
+            assert got.indices == want.indices
+            assert (got.m, got.g, got.rho) == (want.m, want.g, want.rho)
+            for field in ("margins", "witness_lambdas", "rel_slacks", "proj", "proj_norms",
+                          "exterior_angles", "good_multiplier", "relative_gap",
+                          "far_from_neighbors", "triple"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), field
+                assert a.tobytes() == b.tobytes(), field
+            if rho < 0.5:  # the default rho leaves no basis far at this size
+                assert 0 < got.far_count < len(got)
 
 
 def test_triple_mask_patterns():

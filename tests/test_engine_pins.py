@@ -87,3 +87,32 @@ def test_seeded_solve_is_pinned(monkeypatch, family, sigma, stream, kind, pivots
         got = outcome.certificate[support]
     np.testing.assert_allclose(got, values, rtol=1e-12, atol=0)
     assert hashlib.sha256(repr(bases).encode()).hexdigest() == bases_sha
+
+
+# run_scaling_trial's analysis columns at d=10, n=500 on the instances above
+# (seed 2026, stream = sigma index), recorded before classify_path was
+# vectorized: (sigma, stream, rho, good_multiplier_frac, relative_gap_frac,
+#  triple_count, far_count, min_proj_norm, max_proj_norm).  rho = 0.5 is the
+# study's default; at 0.02 some bases are far from their neighbours.
+PINNED_ANALYSIS = [
+    (0.01, 0, 0.5, 1.0, 1.0, 24, 0, 1.4267379394962632, 1.4658152819777306),
+    (0.05, 1, 0.5, 1.0, 1.0, 39, 0, 1.2001235850976855, 1.4087843593406282),
+    (0.2, 2, 0.5, 0.9655172413793104, 1.0, 24, 0, 0.7518196994527351, 1.0579435768323209),
+    (0.01, 0, 0.02, 1.0, 1.0, 24, 6, 1.4267379394962632, 1.4658152819777306),
+    (0.05, 1, 0.02, 1.0, 1.0, 39, 14, 1.2001235850976855, 1.4087843593406282),
+    (0.2, 2, 0.02, 0.9655172413793104, 1.0, 24, 10, 0.7518196994527351, 1.0579435768323209),
+]
+
+
+@pytest.mark.parametrize("sigma, stream, rho, good, gap, triples, far, min_norm, max_norm",
+                         PINNED_ANALYSIS)
+def test_seeded_scaling_analysis_is_pinned(sigma, stream, rho, good, gap, triples, far,
+                                           min_norm, max_norm):
+    row = experiments.run_scaling_trial(
+        (0, 0, sigma, 2026, stream, 10, 500, "ball", rho, 64, 10**6, False))
+    assert row["outcome"] == "optimal"
+    assert (row["triple_count"], row["far_count"]) == (triples, far)
+    np.testing.assert_allclose(
+        [row["good_multiplier_frac"], row["relative_gap_frac"],
+         row["min_proj_norm"], row["max_proj_norm"]],
+        [good, gap, min_norm, max_norm], rtol=1e-12, atol=0)
