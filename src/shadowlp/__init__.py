@@ -13,6 +13,7 @@ from .errors import (
     NonConvexInput,
     NonpositiveRhs,
     NormViolation,
+    NotOptimal,
     NumericalStall,
     PivotLimitExceeded,
     RestartLimitExceeded,
@@ -39,9 +40,9 @@ from .solver import Infeasible, Optimal, SolveStats, Unbounded, solve, verify_ou
 __all__ = [
     "AuditFailed", "CertificateInvalid", "ConfigError", "CycleDetected",
     "DegenerateShadow", "DimensionTooSmall", "NegativeStep", "NonConvexInput",
-    "NonpositiveRhs", "NormViolation", "NumericalStall", "PivotLimitExceeded",
-    "RestartLimitExceeded", "ShadowLpError", "SingularError", "TooLarge",
-    "Unreachable", "ZeroVertex",
+    "NonpositiveRhs", "NormViolation", "NotOptimal", "NumericalStall",
+    "PivotLimitExceeded", "RestartLimitExceeded", "ShadowLpError", "SingularError",
+    "TooLarge", "Unreachable", "ZeroVertex",
     "LPInstance", "dump_instance", "load_instance",
     "BasisFactorization", "factorize", "linsolve", "solve_transpose",
     "RngStream", "SmoothedInstance", "exp_ball_sample", "gaussian_vector",

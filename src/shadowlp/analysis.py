@@ -11,6 +11,7 @@ basis cone usually hits it with margin to spare.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,6 +34,16 @@ def relative_gap_threshold(sigma: float, d: int, n: int) -> float:
     return sigma / (5000.0 * d**1.5 * math.log(n) ** 1.5)
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of range(d) in `np.triu_indices(d, 1)` order, read-only."""
+    r = np.arange(d)
+    pairs = np.nonzero(r[:, None] < r)  # np.triu_indices(d, 1) at a fifth of its cost
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def multiplier_margin(basis: Basis, c: np.ndarray, c2: np.ndarray) -> tuple[float, float]:
     """max over lambda in [0,1] of the minimum multiplier coordinate.
 
@@ -50,15 +61,14 @@ def multiplier_margin(basis: Basis, c: np.ndarray, c2: np.ndarray) -> tuple[floa
     """
     mu0 = multipliers(basis, c)
     mu1 = multipliers(basis, c2)
-    r = np.arange(len(mu0))
-    i, j = np.nonzero(r[:, None] < r)  # np.triu_indices(d, 1) at a fifth of its cost
+    i, j = _pairs(len(mu0))
     da = mu0[i] - mu0[j]
     den = da - (mu1[i] - mu1[j])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam = da / den
     keep = (den != 0.0) & (lam > 0.0) & (lam < 1.0)
     lam = np.concatenate(([0.0, 1.0], lam[keep]))
-    vals = ((1.0 - lam)[:, None] * mu0 + lam[:, None] * mu1).min(axis=1)
+    vals = np.minimum.reduce((1.0 - lam)[:, None] * mu0 + lam[:, None] * mu1, axis=1)
     vals[np.isnan(vals)] = -np.inf
     k = int(vals.argmax())
     return float(vals[k]), float(lam[k])
@@ -70,12 +80,12 @@ def relative_slack(inst, basis: Basis) -> float:
     The minimum over no rows (every row basic) is inf.
     """
     x = basis.x
-    norm = float(np.linalg.norm(x))
+    norm = math.sqrt(x.dot(x))  # np.linalg.norm's arithmetic for a 1-d float vector
     if norm <= 1e-12:
         raise ZeroVertex(f"basic solution norm {norm:.3e} too small")
     slack = inst.b - inst.A @ x
-    slack[list(basis.indices)] = np.inf
-    return float(slack.min() / norm)
+    slack.put(basis.indices, np.inf)
+    return float(np.minimum.reduce(slack) / norm)
 
 
 def _turn_angles(points: np.ndarray) -> np.ndarray:

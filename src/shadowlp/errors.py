@@ -21,6 +21,10 @@ class NumericalStall(ShadowLpError):
     """Two consecutive pivots made no lambda progress; degeneracy beyond tolerance."""
 
 
+class NotOptimal(ShadowLpError, ValueError):
+    """A shadow path was asked to start from a basis that is not optimal."""
+
+
 class NegativeStep(ShadowLpError):
     """Ratio test produced a negative step; an upstream precondition was violated."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+from dataclasses import fields
 from typing import Any
 
 import numpy as np
@@ -25,7 +26,7 @@ from .analysis import (
     segment_cone_trial,
 )
 from .errors import ConfigError, ShadowLpError
-from .lower_bound import diameter_experiment
+from .lower_bound import DiameterRecord, diameter_experiment
 from .rng import RngStream, gaussian_vector, smoothed_instance, uniform_sphere
 from .solver import Optimal, solve
 
@@ -213,6 +214,9 @@ LOWERBOUND_COLUMNS = [
     "event_holds", "sandwich_inner_ok", "sandwich_outer_ok", "eta_star",
     "gamma_origin", "facet_bound_applicable", "facet_bound_ok",
 ]
+# the DiameterRecord fields a lowerbound row takes from its run; d, sigma and
+# eta come from the config
+_RECORD_CELLS = [f.name for f in fields(DiameterRecord) if f.name not in ("d", "sigma", "eta")]
 
 
 def run_scaling_trial(params: tuple) -> dict[str, Any]:
@@ -369,18 +373,13 @@ def lowerbound_run(cfg: dict[str, Any]):
     rows = []
     for k in range(cfg["runs"]):
         stream = cfg["stream_base"] + k
-        row = {
+        row = dict.fromkeys(LOWERBOUND_COLUMNS, "")
+        row.update({
             "schema_version": SCHEMA_VERSION, "experiment": "lowerbound",
             "run": k, "seed": cfg["seed"], "stream": stream,
             "d": cfg["d"], "sigma": cfg["sigma"],
             "eta": cfg["eta"] if cfg["eta"] > 0 else cfg["sigma"],
-            "n_rows": "", "n_dense": "", "outcome": "", "error": "",
-            "vertices": "", "edges": "", "bfs_hops": "", "path_bound": "",
-            "bound_holds": "", "gamma": "", "radius": "", "eta_event": "",
-            "event_holds": "", "sandwich_inner_ok": "", "sandwich_outer_ok": "",
-            "eta_star": "", "gamma_origin": "", "facet_bound_applicable": "",
-            "facet_bound_ok": "",
-        }
+        })
         try:
             rec = diameter_experiment(
                 RngStream(cfg["seed"], stream),
@@ -390,19 +389,7 @@ def lowerbound_run(cfg: dict[str, Any]):
                 pad=cfg["pad"],
                 audit_samples=cfg["audit_samples"], guard=cfg["guard"],
             )
-            row.update({
-                "n_rows": rec.n_rows, "n_dense": rec.n_dense,
-                "outcome": rec.outcome, "vertices": rec.vertices,
-                "edges": rec.edges, "bfs_hops": rec.bfs_hops,
-                "path_bound": rec.path_bound, "bound_holds": rec.bound_holds,
-                "gamma": rec.gamma, "radius": rec.radius,
-                "eta_event": rec.eta_event, "event_holds": rec.event_holds,
-                "sandwich_inner_ok": rec.sandwich_inner_ok,
-                "sandwich_outer_ok": rec.sandwich_outer_ok,
-                "eta_star": rec.eta_star, "gamma_origin": rec.gamma_origin,
-                "facet_bound_applicable": rec.facet_bound_applicable,
-                "facet_bound_ok": rec.facet_bound_ok,
-            })
+            row.update((name, getattr(rec, name)) for name in _RECORD_CELLS)
         except ShadowLpError as exc:
             row["outcome"] = "error"
             row["error"] = f"{type(exc).__name__}: {exc}"

@@ -1,22 +1,24 @@
 """Dense kernels for basis matrices: factorize, solve, transpose-solve.
 
 Factorizations are plain partial-pivoting LU from LAPACK's getrf and solves
-use getrs; both are resolved once at import and called directly.  At the
-sizes this package targets (d <= 50) scipy's `lu_factor`/`lu_solve`
-wrappers cost more than the arithmetic.  At d = 20 on a 2-vCPU x86-64 host
-with one BLAS thread (best of 7 timings): a factorization went from 34-40
-us through `lu_factor` to 14-20 us, of which getrf is 6-8 us and the rest
-the finiteness, scale and pivot-floor checks; a solve went from 14-19 us
-through `lu_solve` to 3.1-3.6 us, of which getrs is 1.3-2.0 us.  The
-factors and solutions are bit-identical to the wrappers'.
+use getrs; both are resolved once at import and called directly, because at
+the sizes this package targets (d <= 50) scipy's `lu_factor`/`lu_solve`
+wrappers cost more than the arithmetic.  The factors and solutions are
+bit-identical to the wrappers'.
 
-Every basis is still refactored from scratch.  Measured the same way, a
-pivot's three kernels at d = 20, n = 2000 take about 105 us: `ratio_test`
-50 (27 of them in two O(n d) matrix-vector products), `max_lambda` 28 and
-`make_basis` 27, of which getrf is about 6.  A rank-one-updated inverse
-could save little more than the getrf, and it would move every basic
-solution and multiplier in its last bits, so seeded paths and outputs
-would no longer reproduce.
+Every basis is still refactored from scratch.  Replaying the kernel calls of
+six seeded d = 10, n = 500 solves on a 2-vCPU x86-64 host with one BLAS
+thread (best of 9 passes), a pivot's three kernels take about 41 us:
+`ratio_test` 18 (two O(n d) matrix-vector products and the blocking-row
+selection on length-n arrays), `make_basis` 15, of which `factorize` is 6
+around a 2 us getrf and the solve 1.3, and `max_lambda` 8, of which its two
+transpose-solves are 2.6.  Most of what is left is numpy's fixed cost per
+call on arrays of length d, which is why these kernels take argmax/argmin
+in place of max/min reductions, skip `asarray` on float64 arrays, gather
+basis rows with one index array and scan crossings in Python floats.  A
+rank-one-updated inverse could save little more than the getrf, and it would
+move every basic solution and multiplier in its last bits, so seeded paths
+and outputs would no longer reproduce.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import SingularError
 SINGULAR_RTOL = 1e-12
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+_F64 = np.dtype(np.float64)  # float64 ndarrays skip the asarray conversion
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,15 @@ class BasisFactorization:
 
 def factorize(m: np.ndarray) -> BasisFactorization:
     """LU-factorize a square matrix, raising SingularError below the pivot floor."""
-    m = np.asarray(m, dtype=float)
+    if m.__class__ is not np.ndarray or m.dtype is not _F64:
+        m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.abs(m).max()  # nan or inf exactly when some entry is
+    # extremes by argmax/argmin: the values max()/min() give, NaN included
+    # (a NaN entry is returned as the extreme), at a fraction of a
+    # reduction's per-call cost
+    a = np.abs(m.ravel())
+    scale = a[a.argmax()]  # nan or inf exactly when some entry is
     if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
     if scale == 0.0:
@@ -78,18 +86,19 @@ def factorize(m: np.ndarray) -> BasisFactorization:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     pivots = np.abs(lu.diagonal())
-    if pivots.min() < SINGULAR_RTOL * scale:
-        raise SingularError(
-            f"pivot {pivots.min():.3e} below {SINGULAR_RTOL:.0e} * {scale:.3e}"
-        )
-    return BasisFactorization(lu=lu, piv=piv, pivots=pivots)
+    low = pivots[pivots.argmin()]
+    if low < SINGULAR_RTOL * scale:
+        raise SingularError(f"pivot {low:.3e} below {SINGULAR_RTOL:.0e} * {scale:.3e}")
+    return BasisFactorization(lu, piv, pivots)
 
 
 def _getrs_checked(f: BasisFactorization, rhs, trans: int) -> np.ndarray:
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != f.d:
-        raise ValueError(f"right-hand side of shape {rhs.shape} for a {f.d}x{f.d} basis")
-    x, info = _getrs(f.lu, f.piv, rhs, trans=trans)
+    if rhs.__class__ is not np.ndarray or rhs.dtype is not _F64:
+        rhs = np.asarray(rhs, dtype=float)
+    d = f.lu.shape[0]
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != d:
+        raise ValueError(f"right-hand side of shape {rhs.shape} for a {d}x{d} basis")
+    x, info = _getrs(f.lu, f.piv, rhs, trans)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrs")
     return x

@@ -13,13 +13,14 @@ drives unit, interpolation, and input systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
 from . import linalg
-from .errors import CycleDetected, NegativeStep, NumericalStall, PivotLimitExceeded
+from .errors import CycleDetected, NegativeStep, NotOptimal, NumericalStall, PivotLimitExceeded
 
 # Optimality is declared at multipliers >= -TOL_OPT, feasibility at residual
 # <= TOL_FEAS, and a row only blocks an edge when its rate is below -TOL_DIR.
@@ -47,21 +48,18 @@ class Basis:
 
 def make_basis(A: np.ndarray, b: np.ndarray, indices) -> Basis:
     """Factorize A_I and compute the basic solution x_I = A_I^{-1} b_I."""
-    idx = tuple(sorted(int(i) for i in indices))
+    idx = tuple(sorted(map(int, indices)))
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate indices in basis {idx}")
-    f = linalg.factorize(A[list(idx)])
-    x = linalg.solve(f, b[list(idx)])
-    return Basis(indices=idx, factorization=f, x=x)
+    rows = np.array(idx, dtype=np.intp)
+    f = linalg.factorize(A[rows])
+    x = linalg.solve(f, b[rows])
+    return Basis(idx, f, x)
 
 
 def multipliers(basis: Basis, y: np.ndarray) -> np.ndarray:
     """Multipliers mu with A_I^T mu = y, ordered like basis.indices."""
     return linalg.solve_transpose(basis.factorization, y)
-
-
-def is_feasible(A: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float = TOL_FEAS) -> bool:
-    return bool(np.all(A @ x <= b + tol))
 
 
 def max_lambda(
@@ -76,21 +74,34 @@ def max_lambda(
     decreasing coordinates is found by interpolation.  Returns (lambda,
     leaving row index), with leaving None when the basis stays optimal all
     the way to lambda = 1.  Ties break toward the smallest row index.
+    Raises NotOptimal when a multiplier is below -1e-6 at lambda_lo.
     """
     mu1 = multipliers(basis, y2)
-    mu_lo = multipliers(basis, (1.0 - lambda_lo) * y + lambda_lo * y2)
-    if mu_lo.min() < -1e-6:
-        raise ValueError(
+    mu_lo = multipliers(basis, (1.0 - lambda_lo) * y + lambda_lo * y2).tolist()
+    low = min(mu_lo)
+    # a nan multiplier passes: the check is on the array minimum, which is nan
+    if low < -1e-6 and not any(map(math.isnan, mu_lo)):
+        raise NotOptimal(
             f"basis {basis.indices} is not optimal at lambda={lambda_lo} "
-            f"(multiplier {mu_lo.min():.3e})"
+            f"(multiplier {low:.3e})"
         )
-    # only coordinates negative at lambda = 1 can block; all crossings at once
-    pos = (mu1 < 0.0).nonzero()[0]
-    lams = lambda_lo + (1.0 - lambda_lo) * mu_lo[pos] / (mu_lo[pos] - mu1[pos])
-    lams = np.minimum(np.maximum(lams, lambda_lo), 1.0)
+    # Python floats on length-d vectors: the same IEEE operations as array
+    # arithmetic, without its per-call cost
+    lo = float(lambda_lo)
     best_lam = 1.0
     leaving = None
-    for lam, p in zip(lams.tolist(), pos.tolist()):
+    for p, m1 in enumerate(mu1.tolist()):
+        if not m1 < 0.0:  # only coordinates negative at lambda = 1 can block
+            continue
+        m0 = mu_lo[p]
+        num = (1.0 - lo) * m0
+        den = m0 - m1
+        # a zero denominator divides as numpy does: +-inf or nan, with a warning
+        lam = lo + (num / den if den else float(np.divide(num, den)))
+        if lam < lo:  # the clamp keeps nan, as np.maximum/np.minimum do
+            lam = lo
+        if lam > 1.0:
+            lam = 1.0
         row = basis.indices[p]
         if lam < best_lam - 1e-15 or (abs(lam - best_lam) <= 1e-15 and (leaving is None or row < leaving)):
             best_lam = lam
@@ -124,7 +135,7 @@ def ratio_test(A: np.ndarray, b: np.ndarray, basis: Basis, leaving: int) -> Rati
     rates.put(basis.indices, 0.0)  # basic rows never block
     rows = (rates < -TOL_DIR).nonzero()[0]
     if rows.size == 0:
-        return RatioResult(step=np.inf, entering=None, direction=w)
+        return RatioResult(np.inf, None, w)
     steps = slack[rows] / (-rates[rows])
     best = int(steps.argmin())  # first minimum: ties go to the smallest row
     step = float(steps[best])
@@ -133,7 +144,7 @@ def ratio_test(A: np.ndarray, b: np.ndarray, basis: Basis, leaving: int) -> Rati
             f"step {step:.3e} for leaving row {leaving}; slack "
             f"{slack[rows[best]]:.3e} on row {int(rows[best])}"
         )
-    return RatioResult(step=max(step, 0.0), entering=int(rows[best]), direction=w)
+    return RatioResult(max(step, 0.0), int(rows[best]), w)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shadowlp import RngStream
+from shadowlp import NotOptimal, RngStream, ShadowLpError
 from shadowlp.oracle import enumerate_feasible_bases, lp_optimum_oracle
 from shadowlp.simplex import (
     Finished,
@@ -99,6 +99,15 @@ def test_square_path_two_vertices():
     assert path.index_sequence == [(0, 3), (0, 2)]
     assert np.allclose(out.basis.x, [1.0, 1.0])
     validate_path(A, b, path)
+
+
+def test_start_not_optimal_raises_typed_error():
+    A, b = square_instance()
+    start = make_basis(A, b, (0, 2))  # vertex (1, 1): not optimal for (-1, 1)
+    with pytest.raises(NotOptimal) as caught:
+        run_shadow_path(A, b, np.array([-1.0, 1.0]), np.array([0.0, 1.0]), start)
+    assert isinstance(caught.value, ShadowLpError) and isinstance(caught.value, ValueError)
+    assert str(caught.value) == "basis (0, 2) is not optimal at lambda=0.0 (multiplier -1.000e+00)"
 
 
 def test_start_already_optimal():
