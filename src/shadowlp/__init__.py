@@ -11,6 +11,7 @@ from .errors import (
     DimensionTooSmall,
     NegativeStep,
     NonConvexInput,
+    NonImprovingRay,
     NonpositiveRhs,
     NormViolation,
     NotOptimal,
@@ -19,6 +20,7 @@ from .errors import (
     RestartLimitExceeded,
     ShadowLpError,
     SingularError,
+    TooFewRows,
     TooLarge,
     Unreachable,
     ZeroVertex,
@@ -40,9 +42,9 @@ from .solver import Infeasible, Optimal, SolveStats, Unbounded, solve, verify_ou
 __all__ = [
     "AuditFailed", "CertificateInvalid", "ConfigError", "CycleDetected",
     "DegenerateShadow", "DimensionTooSmall", "NegativeStep", "NonConvexInput",
-    "NonpositiveRhs", "NormViolation", "NotOptimal", "NumericalStall",
-    "PivotLimitExceeded", "RestartLimitExceeded", "ShadowLpError", "SingularError",
-    "TooLarge", "Unreachable", "ZeroVertex",
+    "NonImprovingRay", "NonpositiveRhs", "NormViolation", "NotOptimal",
+    "NumericalStall", "PivotLimitExceeded", "RestartLimitExceeded", "ShadowLpError",
+    "SingularError", "TooFewRows", "TooLarge", "Unreachable", "ZeroVertex",
     "LPInstance", "dump_instance", "load_instance",
     "BasisFactorization", "factorize", "linsolve", "solve_transpose",
     "RngStream", "SmoothedInstance", "exp_ball_sample", "gaussian_vector",

@@ -414,10 +414,6 @@ class ObjectiveSchedule:
     k: int
     objectives: list[np.ndarray]
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.objectives) - 1
-
 
 def auto_segment_count(n: int, d: int) -> int:
     """k = 5 d ceil(log2(n t)) with t = 2 e d ln n."""

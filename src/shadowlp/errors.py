@@ -45,6 +45,11 @@ class CertificateInvalid(ShadowLpError):
     """A produced certificate failed its own invariant re-check."""
 
 
+class NonImprovingRay(ShadowLpError):
+    """Every solve attempt ended on a ray of the feasible region that does
+    not improve c; the objective may still be bounded on the region."""
+
+
 class TooLarge(ShadowLpError):
     """Enumeration guard exceeded."""
 
@@ -67,6 +72,10 @@ class ZeroVertex(ShadowLpError):
 
 class AuditFailed(ShadowLpError):
     """A density audit point was farther than eta from every set member."""
+
+
+class TooFewRows(ShadowLpError, ValueError):
+    """A requested row count is below the size of the sphere packing."""
 
 
 class NonpositiveRhs(ShadowLpError):

@@ -20,6 +20,7 @@ from typing import Any
 import numpy as np
 
 from .analysis import (
+    PathReport,
     classify_path,
     good_multiplier_threshold,
     relative_gap_threshold,
@@ -28,7 +29,7 @@ from .analysis import (
 from .errors import ConfigError, ShadowLpError
 from .lower_bound import DiameterRecord, diameter_experiment
 from .rng import RngStream, gaussian_vector, smoothed_instance, uniform_sphere
-from .solver import Optimal, solve
+from .solver import Optimal, SolveStats, solve
 
 SCHEMA_VERSION = 1
 
@@ -126,9 +127,11 @@ LOWERBOUND_SCHEMA = {
 def validate_scaling_config(cfg: dict[str, Any]) -> None:
     if cfg["experiment"] != "shadow_scaling":
         raise ConfigError(f"experiment must be shadow_scaling, got {cfg['experiment']!r}")
-    for key in ("d", "n", "trials"):
+    for key in ("d", "trials"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
+    if cfg["n"] < 2:
+        raise ConfigError("n must be at least 2; the relative-gap threshold divides by log n")
     grid = cfg["sigma_grid"]
     if not grid or any(s <= 0 for s in grid):
         raise ConfigError("sigma_grid must contain positive values")
@@ -136,6 +139,10 @@ def validate_scaling_config(cfg: dict[str, Any]) -> None:
         raise ConfigError("sigma_grid must be strictly increasing")
     if cfg["family"] not in ("product", "ball"):
         raise ConfigError(f"unknown family {cfg['family']!r}")
+    d = cfg["d"]
+    need = 3 * (d // 2) + 2 * (d % 2)  # a triangle per coordinate pair, a slab for odd d
+    if cfg["family"] == "product" and (d < 2 or cfg["n"] < need):
+        raise ConfigError(f"the product family needs d >= 2 and n >= {need} at d = {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +224,9 @@ LOWERBOUND_COLUMNS = [
 # the DiameterRecord fields a lowerbound row takes from its run; d, sigma and
 # eta come from the config
 _RECORD_CELLS = [f.name for f in fields(DiameterRecord) if f.name not in ("d", "sigma", "eta")]
+# the scaling columns named after a SolveStats counter or a PathReport property
+_STATS_CELLS = [c for c in SCALING_COLUMNS if hasattr(SolveStats, c)]
+_REPORT_CELLS = [c for c in SCALING_COLUMNS if hasattr(PathReport, c)]
 
 
 def run_scaling_trial(params: tuple) -> dict[str, Any]:
@@ -225,19 +235,14 @@ def run_scaling_trial(params: tuple) -> dict[str, Any]:
      max_restarts, pivot_limit, record_wall) = params
     import time
 
-    row: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION, "experiment": "shadow_scaling",
-        "trial": trial, "sigma_index": sigma_index, "sigma": sigma,
-        "seed": seed, "stream": stream, "d": d, "n": n, "family": family,
-        "outcome": "", "error": "", "restarts": 0,
-        "pivots_phase1": 0, "pivots_phase2": 0, "pivots_phase3": 0,
-        "pivots_total": 0, "objective_value": "",
-        "m_threshold": good_multiplier_threshold(d),
-        "g_threshold": relative_gap_threshold(sigma, d, n), "rho": rho,
-        "good_multiplier_frac": "", "relative_gap_frac": "",
-        "triple_count": "", "far_count": "",
-        "min_proj_norm": "", "max_proj_norm": "",
-    }
+    row = dict.fromkeys(SCALING_COLUMNS, "")
+    row.update(
+        schema_version=SCHEMA_VERSION, experiment="shadow_scaling", trial=trial,
+        sigma_index=sigma_index, sigma=sigma, seed=seed, stream=stream, d=d, n=n,
+        family=family, m_threshold=good_multiplier_threshold(d),
+        g_threshold=relative_gap_threshold(sigma, d, n), rho=rho,
+    )
+    row.update(dict.fromkeys(_STATS_CELLS, 0))
     started = time.perf_counter()
     try:
         gen = RngStream(seed, stream).generator()
@@ -246,11 +251,7 @@ def run_scaling_trial(params: tuple) -> dict[str, Any]:
             gen, si, max_restarts=max_restarts, pivot_limit=pivot_limit
         )
         row["outcome"] = outcome.kind
-        row["restarts"] = stats.restarts
-        row["pivots_phase1"] = stats.pivots_phase1
-        row["pivots_phase2"] = stats.pivots_phase2
-        row["pivots_phase3"] = stats.pivots_phase3
-        row["pivots_total"] = stats.pivots_total
+        row.update((name, getattr(stats, name)) for name in _STATS_CELLS)
         if isinstance(outcome, Optimal):
             row["objective_value"] = float(si.c @ outcome.x)
         if path is not None and len(path) >= 1:
@@ -259,10 +260,7 @@ def run_scaling_trial(params: tuple) -> dict[str, Any]:
             )
             row["good_multiplier_frac"] = float(rep.good_multiplier.mean())
             row["relative_gap_frac"] = float(rep.relative_gap.mean())
-            row["triple_count"] = rep.triple_count
-            row["far_count"] = rep.far_count
-            row["min_proj_norm"] = rep.min_proj_norm
-            row["max_proj_norm"] = rep.max_proj_norm
+            row.update((name, getattr(rep, name)) for name in _REPORT_CELLS)
     except ShadowLpError as exc:
         row["outcome"] = "error"
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -370,6 +368,9 @@ def cone_run(cfg: dict[str, Any]):
 def lowerbound_run(cfg: dict[str, Any]):
     if cfg["d"] < 2 or cfg["sigma"] < 0 or cfg["runs"] <= 0:
         raise ConfigError("need d >= 2, sigma >= 0, runs > 0")
+    eta = cfg["eta"] if cfg["eta"] > 0 else cfg["sigma"]
+    if not 0.0 < eta <= 2.0:
+        raise ConfigError(f"eta must be in (0, 2], got {eta} (eta = 0 takes sigma)")
     rows = []
     for k in range(cfg["runs"]):
         stream = cfg["stream_base"] + k
@@ -377,14 +378,13 @@ def lowerbound_run(cfg: dict[str, Any]):
         row.update({
             "schema_version": SCHEMA_VERSION, "experiment": "lowerbound",
             "run": k, "seed": cfg["seed"], "stream": stream,
-            "d": cfg["d"], "sigma": cfg["sigma"],
-            "eta": cfg["eta"] if cfg["eta"] > 0 else cfg["sigma"],
+            "d": cfg["d"], "sigma": cfg["sigma"], "eta": eta,
         })
         try:
             rec = diameter_experiment(
                 RngStream(cfg["seed"], stream),
                 d=cfg["d"], sigma=cfg["sigma"],
-                eta=cfg["eta"] if cfg["eta"] > 0 else None,
+                eta=eta,
                 n=cfg["n"] if cfg["n"] > 0 else None,
                 pad=cfg["pad"],
                 audit_samples=cfg["audit_samples"], guard=cfg["guard"],
@@ -424,14 +424,11 @@ def _fmt(value: Any) -> str:
 
 def rows_to_csv(columns: list[str], rows: list[dict]) -> str:
     lines = [",".join(columns)]
+    schema = set(columns)
     for row in rows:
-        extra = set(row) - set(columns)
-        if extra - {"wall_time_s"}:
-            raise ValueError(f"row has columns outside the schema: {extra}")
-        missing = set(columns) - set(row) - {"wall_time_s"}
-        if missing:
-            raise ValueError(f"row is missing schema columns: {missing}")
-        lines.append(",".join(_fmt(row.get(col, "")) for col in columns))
+        if row.keys() != schema:
+            raise ValueError(f"row columns differ from the schema: {sorted(row.keys() ^ schema)}")
+        lines.append(",".join(_fmt(row[col]) for col in columns))
     return "\n".join(lines) + "\n"
 
 

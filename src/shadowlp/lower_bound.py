@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AuditFailed, NonpositiveRhs
+from .errors import AuditFailed, NonpositiveRhs, TooFewRows
 from .instance import LPInstance
 from .oracle import VertexGraph, bfs_distance, discover_vertex_graph
 from .rng import SmoothedInstance, as_generator, uniform_sphere
@@ -164,7 +164,7 @@ def build_lb_instance(rng, dense: DenseSet, sigma: float,
     if n is None:
         n = default_row_count(sigma, d) if sigma > 0 else len(dense)
     if n < len(dense):
-        raise ValueError(f"n={n} smaller than the dense set ({len(dense)})")
+        raise TooFewRows(f"n={n} smaller than the dense set ({len(dense)})")
     rows = dense.points
     if n > len(dense):
         rows = np.vstack([rows, uniform_sphere(gen, d, size=n - len(dense))])
@@ -184,17 +184,10 @@ def build_lb_instance(rng, dense: DenseSet, sigma: float,
 @dataclass
 class SandwichResult:
     eta: float
-    regime_ok: bool      # eta <= 1/8, where the two-ball squeeze is provable
     inner_radius: float  # min_i b_i / ||a_i||
     outer_radius: Optional[float]  # max vertex norm, when vertices given
     inner_ok: bool
     outer_ok: Optional[bool]
-
-    @property
-    def margins(self) -> tuple[float, Optional[float]]:
-        inner = self.inner_radius - (1.0 - 2.0 * self.eta)
-        outer = None if self.outer_radius is None else (1.0 + 4.0 * self.eta) - self.outer_radius
-        return inner, outer
 
 
 def sandwich_check(inst, eta: float, vertices: Optional[np.ndarray] = None) -> SandwichResult:
@@ -213,7 +206,6 @@ def sandwich_check(inst, eta: float, vertices: Optional[np.ndarray] = None) -> S
         outer_ok = outer_radius <= 1.0 + 4.0 * eta
     return SandwichResult(
         eta=float(eta),
-        regime_ok=eta <= 0.125,
         inner_radius=inner_radius,
         outer_radius=outer_radius,
         inner_ok=inner_radius >= 1.0 - 2.0 * eta,

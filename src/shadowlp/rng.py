@@ -30,9 +30,6 @@ class RngStream:
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, k: int) -> "RngStream":
-        return RngStream(self.seed, self.stream + k)
-
 
 def as_generator(rng) -> np.random.Generator:
     """Accept an RngStream (fresh generator) or a Generator (used in place).

@@ -16,7 +16,7 @@ All certificates are re-verified numerically before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
     CertificateInvalid,
     CycleDetected,
     DimensionTooSmall,
+    NonImprovingRay,
     NumericalStall,
     RestartLimitExceeded,
     SingularError,
@@ -65,7 +66,8 @@ class Unbounded:
     ray: np.ndarray
     # False when the ray only certifies an unbounded feasible region rather
     # than unboundedness of the objective (possible for rays surfacing in
-    # phases 1-2, whose certifying objective is the random z).
+    # phases 1-2, whose certifying objective is the random z); `solve` never
+    # returns such a ray
     improves_objective: bool = True
 
     kind = "unbounded"
@@ -81,7 +83,7 @@ class Infeasible:
 SolveOutcome = Union[Optimal, Unbounded, Infeasible]
 
 
-def verify_outcome(inst, outcome: SolveOutcome, require_improving: bool = True) -> None:
+def verify_outcome(inst, outcome: SolveOutcome) -> None:
     """Re-check an outcome's certificate against the instance, independently
     of how it was produced.  Raises CertificateInvalid on any violation."""
     A, b, c = inst.A, inst.b, inst.c
@@ -103,7 +105,7 @@ def verify_outcome(inst, outcome: SolveOutcome, require_improving: bool = True) 
         if bad.max() > 1e-9:
             raise CertificateInvalid(f"ray leaves recession cone by {bad.max():.3e}")
         gain = float(c @ r)
-        if require_improving and gain <= 0.0:
+        if gain <= 0.0:
             raise CertificateInvalid(f"ray does not improve objective (c.r = {gain:.3e})")
     elif isinstance(outcome, Infeasible):
         y = outcome.certificate
@@ -149,9 +151,7 @@ class UnitLpPrime:
     """The unit system plus d artificial rows (R s_i)^T x <= 1."""
 
     A: np.ndarray
-    sigma: float
     s_bar: np.ndarray        # (d, d), unperturbed artificial points
-    s: np.ndarray            # (d, d), perturbed
     rotation: np.ndarray     # (d, d) member of SO(d)
     z: np.ndarray            # random objective
     combined_A: np.ndarray   # (n + d, d)
@@ -199,8 +199,7 @@ def build_unit_lp_prime(rng, A: np.ndarray, sigma: float) -> UnitLpPrime:
     combined_A = np.vstack([A, rows])
     combined_b = np.ones(n + d)
     return UnitLpPrime(
-        A=A, sigma=float(sigma), s_bar=s_bar, s=s, rotation=rot, z=z,
-        combined_A=combined_A, combined_b=combined_b,
+        A=A, s_bar=s_bar, rotation=rot, z=z, combined_A=combined_A, combined_b=combined_b,
     )
 
 
@@ -209,7 +208,6 @@ class Phase1Result:
     basis: Basis          # basis of the unit system Ax <= 1, optimal for z
     z: np.ndarray
     attempts: int
-    pivots: int
 
 
 def _artificial_start(ulp: UnitLpPrime) -> Optional[Basis]:
@@ -241,8 +239,8 @@ def phase1_solve(
     artificial row (the artificial simplex cut off the true optimum).
     An unbounded shadow run propagates immediately: its ray certifies that
     the feasible region of the input system is unbounded.  The pivot and
-    attempt counts go to `stats.pivots_phase1` and `stats.restarts` however
-    phase 1 ends, since an Unbounded outcome has no field for them.
+    attempt counts are added to `stats.pivots_phase1` and `stats.restarts`
+    however phase 1 ends.
     """
     gen = as_generator(rng)
     A = np.asarray(A, dtype=float)
@@ -273,11 +271,11 @@ def phase1_solve(
                 reasons.append("cut-off")
                 continue
             basis = make_basis(A, np.ones(n), out.basis.indices)
-            return Phase1Result(basis=basis, z=ulp.z, attempts=attempt, pivots=pivots)
+            return Phase1Result(basis=basis, z=ulp.z, attempts=attempt)
     finally:
         if stats is not None:
-            stats.pivots_phase1 = pivots
-            stats.restarts = attempt
+            stats.pivots_phase1 += pivots
+            stats.restarts += attempt
     raise RestartLimitExceeded(
         f"phase 1 failed {max_restarts} times; failure reasons: {reasons}"
     )
@@ -294,17 +292,10 @@ class InterpolationLp:
 
     A: np.ndarray       # (n, d+1): [A | 1-b]
     b: np.ndarray       # ones
-    input_b: np.ndarray
-
-    @property
-    def d_lifted(self) -> int:
-        return self.A.shape[1]
 
 
 def build_interpolation_lp(A: np.ndarray, b: np.ndarray) -> InterpolationLp:
-    return InterpolationLp(
-        A=np.column_stack([A, 1.0 - b]), b=np.ones(A.shape[0]), input_b=np.asarray(b, float)
-    )
+    return InterpolationLp(A=np.column_stack([A, 1.0 - b]), b=np.ones(A.shape[0]))
 
 
 @dataclass
@@ -314,7 +305,7 @@ class Phase2Result:
 
 
 def _farkas_from_lifted(ilp: InterpolationLp, basis_hat: Basis, n: int) -> np.ndarray:
-    mu_hat = multipliers(basis_hat, np.eye(ilp.d_lifted)[-1])
+    mu_hat = multipliers(basis_hat, np.eye(ilp.A.shape[1])[-1])
     y = np.zeros(n)
     y[list(basis_hat.indices)] = np.clip(mu_hat, 0.0, None)
     return y
@@ -346,9 +337,8 @@ def phase2_solve(
     the combined shadow path toward maximizing t with `run_shadow_path`,
     stopping at the first edge that crosses t = 1; if the t-maximum is
     reached below 1 the input system is empty and the optimal multipliers
-    give a Farkas certificate.  The walk's pivot count goes to
-    `stats.pivots_phase2` whichever outcome it returns, since an Infeasible
-    or Unbounded outcome has no field for it.
+    give a Farkas certificate.  The walk's pivot count is added to
+    `stats.pivots_phase2` whichever outcome it returns.
     """
     gen = as_generator(rng)
     A, b = inst.A, inst.b
@@ -404,7 +394,7 @@ def phase2_solve(
         ilp.A, ilp.b, y_start, y_target, start, limit=pivot_limit, stop=crossing
     )
     if stats is not None:
-        stats.pivots_phase2 = path.pivots
+        stats.pivots_phase2 += path.pivots
     if isinstance(out, Phase2Result):
         return out
     if isinstance(out, Finished):
@@ -465,12 +455,14 @@ def phase3_solve(
 
 @dataclass
 class SolveStats:
+    """A solve's counts.  Restarts and phase 1-2 pivots add up over every
+    retry; phase-3 pivots are those of the last attempt only."""
+
     restarts: int = 0
     pivots_phase1: int = 0
     pivots_phase2: int = 0
     pivots_phase3: int = 0
     retries: int = 0
-    notes: list[str] = field(default_factory=list)
 
     @property
     def pivots_total(self) -> int:
@@ -478,14 +470,12 @@ class SolveStats:
 
 
 def _solve_once(gen, inst, art_sigma, max_restarts, pivot_limit, stats):
+    stats.pivots_phase3 = 0
     p1 = phase1_solve(gen, inst.A, art_sigma, max_restarts, pivot_limit, stats=stats)
     if isinstance(p1, Unbounded):
-        stats.notes.append("unbounded-in-phase1")
         return p1, None
     p2 = phase2_solve(gen, inst, p1.basis, p1.z, pivot_limit, stats=stats)
     if isinstance(p2, (Infeasible, Unbounded)):
-        if isinstance(p2, Unbounded):
-            stats.notes.append("unbounded-in-phase2")
         return p2, None
     outcome, paths = phase3_solve(inst, p2.basis, p1.z, pivot_limit)
     stats.pivots_phase3 = sum(p.pivots for p in paths)
@@ -504,7 +494,8 @@ def solve(
     Rays found in phases 1-2 certify an unbounded feasible region but need
     not improve c; in that case the pipeline retries with fresh randomness a
     couple of times hoping to land on a c-improving ray, and otherwise
-    returns the region certificate (flagged on the outcome).
+    raises NonImprovingRay.  Every returned ray r therefore has c^T r > 0.
+    The stats add up the restarts and phase 1-2 pivots of every attempt.
     """
     inst_lp = inst.lp() if hasattr(inst, "lp") else inst
     n, d = inst_lp.A.shape
@@ -528,20 +519,13 @@ def solve(
         and stats.retries < 2
     ):
         stats.retries += 1
-        retry_stats = SolveStats()
-        outcome, path = _solve_once(
-            gen, inst_lp, art_sigma, max_restarts, pivot_limit, retry_stats
-        )
-        stats.pivots_phase1 += retry_stats.pivots_phase1
-        stats.pivots_phase2 += retry_stats.pivots_phase2
-        stats.pivots_phase3 = retry_stats.pivots_phase3
-        stats.restarts += retry_stats.restarts
-        stats.notes.extend(retry_stats.notes)
-    if isinstance(outcome, Unbounded) and float(inst_lp.c @ outcome.ray) > 0.0:
-        outcome = Unbounded(ray=outcome.ray, improves_objective=True)
-    verify_outcome(
-        inst_lp,
-        outcome,
-        require_improving=not isinstance(outcome, Unbounded) or outcome.improves_objective,
-    )
+        outcome, path = _solve_once(gen, inst_lp, art_sigma, max_restarts, pivot_limit, stats)
+    if isinstance(outcome, Unbounded) and not outcome.improves_objective:
+        if float(inst_lp.c @ outcome.ray) <= 0.0:
+            raise NonImprovingRay(
+                f"{stats.retries + 1} attempts ended on rays of the feasible region "
+                "that do not improve c"
+            )
+        outcome = Unbounded(ray=outcome.ray)
+    verify_outcome(inst_lp, outcome)
     return outcome, stats, path

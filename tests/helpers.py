@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from shadowlp import LPInstance, smoothed_instance
+from shadowlp import LPInstance, RngStream, smoothed_instance
 from shadowlp.oracle import enumerate_feasible_bases, region_bounded
 from shadowlp.rng import uniform_sphere
 
@@ -90,3 +90,17 @@ def infeasible_instance(gen, d, n):
         b.append(float(gen.uniform(0.5, 1.5)))
     c = uniform_sphere(gen, d)
     return LPInstance(np.array(rows), np.array(b), c)
+
+
+def open_box_instance(seed):
+    """Rows near (e1, e2, e3, -e3) with rhs near 1 and c = (1, 1, 0).
+
+    The feasible region is unbounded along -e1 and -e2 while c is bounded
+    on it (the optimum is about 2), so phases 1-2 can surface rays that do
+    not improve c and `solve` has to retry.
+    """
+    gen = RngStream(900 + seed, 0).generator()
+    base = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    A = base + 0.01 * gen.standard_normal((4, 3))
+    b = 1.0 + 0.01 * gen.standard_normal(4)
+    return LPInstance(A, b, np.array([1.0, 1.0, 0.0]))

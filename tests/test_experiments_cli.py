@@ -20,7 +20,7 @@ from shadowlp.experiments import (
 )
 from shadowlp.instance import dump_instance
 
-from helpers import cube_instance, infeasible_instance, unbounded_in_c_instance
+from helpers import cube_instance, infeasible_instance, open_box_instance, unbounded_in_c_instance
 from shadowlp.rng import RngStream
 
 
@@ -151,6 +151,15 @@ def test_cli_solve_exit_codes(tmp_path):
     assert "ray" in doc
     assert doc["pivots"]["phase1"] > 0  # phase 1 pivots before it finds the ray
 
+    # a bounded LP on an unbounded region whose every attempt ends on a ray
+    # that does not improve c: a typed error, not an "unbounded" answer
+    open_box = tmp_path / "open_box.txt"
+    dump_instance(open_box_instance(0), open_box)
+    res = _run_cli(["solve", str(open_box), "--seed", "900", "--stream", "1"])
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: NonImprovingRay")
+
     bad = tmp_path / "bad.txt"
     bad.write_text("2 3\n1 2\n")
     res = _run_cli(["solve", str(bad)])
@@ -187,6 +196,36 @@ def test_cli_rejects_config_for_other_experiment(tmp_path):
     cfgfile.write_text("experiment = cone\nd = 3\nconfigs = 1\ntrials = 100\n")
     res = _run_cli(["lowerbound", str(cfgfile), "--out", str(tmp_path / "o")])
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = 0\n", "eta must be in (0, 2]"),
+    ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = 0.25\neta = 3\n",
+     "eta must be in (0, 2]"),
+    ("experiment", "experiment = shadow_scaling\nd = 4\nn = 5\nsigma_grid = 0.1\n"
+     "trials = 1\nfamily = product\n", "product family needs d >= 2 and n >= 6"),
+    ("experiment", "experiment = shadow_scaling\nd = 3\nn = 1\nsigma_grid = 0.1\n"
+     "trials = 1\nfamily = ball\n", "n must be at least 2"),
+])
+def test_cli_rejects_configs_the_study_cannot_run(tmp_path, command, text, message):
+    cfgfile = tmp_path / "study.cfg"
+    cfgfile.write_text(text)
+    res = _run_cli([command, str(cfgfile), "--out", str(tmp_path / "o")])
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ") and message in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_lowerbound_rows_below_packing_size_is_an_error_row(tmp_path):
+    cfgfile = tmp_path / "lb.cfg"
+    cfgfile.write_text("experiment = lowerbound\nd = 3\nsigma = 0.25\nn = 5\nruns = 1\n"
+                       "audit_samples = 20000\n")
+    res = _run_cli(["lowerbound", str(cfgfile), "--out", str(tmp_path)])
+    assert res.returncode == 0, res.stderr
+    header, row = (tmp_path / "lowerbound.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["outcome"] == "error"
+    assert cells["error"].startswith("TooFewRows: n=5 smaller than the dense set")
 
 
 def test_wall_time_column_is_optional_and_isolated():

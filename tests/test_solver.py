@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from shadowlp import LPInstance, RngStream
-from shadowlp.errors import CertificateInvalid, DimensionTooSmall
+from scipy.optimize import linprog
+
+from shadowlp.errors import CertificateInvalid, DimensionTooSmall, NonImprovingRay, ShadowLpError
 from shadowlp.oracle import enumerate_feasible_bases, lp_optimum_oracle
 from shadowlp.simplex import make_basis, multipliers
 from shadowlp.solver import (
@@ -26,6 +28,7 @@ from helpers import (
     bounded_mixed_instance,
     cube_instance,
     infeasible_instance,
+    open_box_instance,
     unbounded_in_c_instance,
 )
 
@@ -217,12 +220,53 @@ def test_solve_unbounded_in_phase1_reports_phase1_pivots():
         inst = unbounded_in_c_instance(RngStream(53 + k, 0).generator(), 4, 20)
         out, stats, path = solve(RngStream(53 + k, 1), inst)
         assert isinstance(out, Unbounded) and path is None
-        assert stats.notes == ["unbounded-in-phase1"]
         assert stats.pivots_total == stats.pivots_phase1
         pivots.append(stats.pivots_phase1)
         restarts.append(stats.restarts)
     assert pivots == [3, 0, 4, 2, 20, 3, 4, 4]
     assert restarts == [1, 1, 1, 1, 5, 1, 1, 1]
+
+
+def test_solve_retry_accounting():
+    # the open-box solves that retry after a ray that does not improve c and
+    # then end optimal: retries, and restarts and phase 1-2 pivots summed over
+    # every pass, with phase 3 from the last pass only
+    seen = {}
+    for s in range(40):
+        inst = open_box_instance(s)
+        try:
+            out, stats, path = solve(RngStream(900 + s, 1), inst)
+        except ShadowLpError:
+            continue
+        if isinstance(out, Optimal) and stats.retries:
+            seen[s] = (stats.retries, stats.restarts, stats.pivots_phase1,
+                       stats.pivots_phase2, stats.pivots_phase3)
+    assert seen == {
+        3: (1, 4, 9, 0, 0), 4: (1, 2, 4, 0, 1), 7: (1, 6, 14, 0, 1),
+        12: (1, 3, 7, 0, 1), 14: (1, 2, 6, 0, 1), 17: (2, 4, 10, 0, 0),
+        19: (2, 9, 18, 0, 1), 24: (2, 6, 13, 0, 0), 25: (2, 4, 9, 0, 1),
+        26: (1, 4, 8, 0, 0), 27: (1, 2, 5, 0, 1), 33: (2, 3, 7, 0, 0),
+        35: (2, 4, 9, 0, 0),
+    }
+
+
+def test_solve_open_box_agrees_with_highs_or_raises():
+    # the region is unbounded but c is not; a ray that does not improve c is
+    # never returned as an answer
+    raised = []
+    for s in range(40):
+        inst = open_box_instance(s)
+        ref = linprog(-inst.c, A_ub=inst.A, b_ub=inst.b, bounds=[(None, None)] * 3,
+                      method="highs")
+        assert ref.status == 0
+        try:
+            out, stats, path = solve(RngStream(900 + s, 1), inst)
+        except NonImprovingRay:
+            raised.append(s)
+            continue
+        assert isinstance(out, Optimal)
+        assert abs(inst.c @ out.x + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+    assert raised == [0, 5, 9, 11, 13, 15, 20, 21, 28, 29, 34, 37]
 
 
 def test_solve_unbounded_in_c():
