@@ -127,7 +127,7 @@ LOWERBOUND_SCHEMA = {
 def validate_scaling_config(cfg: dict[str, Any]) -> None:
     if cfg["experiment"] != "shadow_scaling":
         raise ConfigError(f"experiment must be shadow_scaling, got {cfg['experiment']!r}")
-    for key in ("d", "trials"):
+    for key in ("d", "trials", "max_restarts", "pivot_limit"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     if cfg["n"] < 2:
@@ -371,6 +371,9 @@ def lowerbound_run(cfg: dict[str, Any]):
     eta = cfg["eta"] if cfg["eta"] > 0 else cfg["sigma"]
     if not 0.0 < eta <= 2.0:
         raise ConfigError(f"eta must be in (0, 2], got {eta} (eta = 0 takes sigma)")
+    if cfg["audit_samples"] < 1:
+        raise ConfigError("audit_samples must be positive; the packing stops after "
+                          "that many rejections in a row")
     rows = []
     for k in range(cfg["runs"]):
         stream = cfg["stream_base"] + k

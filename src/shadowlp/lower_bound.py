@@ -6,6 +6,30 @@ uniformly small facets, and small facets force long edge paths between a
 linear objective's maximizer and minimizer.  The chain asserted here is
 deterministic in the measured quantities: inner/outer radii, the maximum
 polar facet diameter, and the BFS distance on the discovered 1-skeleton.
+
+The dense set is a greedy eta-packing of streamed sphere points.  Once it
+saturates, nearly every candidate lies deep inside some kept point's
+eta-ball, so a covered-cell table (`_CoverTable`) rejects those without
+normalizing them or comparing them with the packing.  The table cuts the
+sphere by the cube map: a direction g lands on the cube surface at
+g / max|g_j|, on one of 2d faces, each split into G^(d-1) squares of side
+2/G.  A cell counts as covered once a kept point p lies within
+eta - r - 1e-9 of its centre c (the cell's cube centre scaled to unit
+length), where r = sqrt(d-1)/G is the square's half-diagonal.  Radial
+projection from the cube surface, where every point has norm >= 1, onto the
+sphere is the nearest-point map onto the unit ball and so 1-Lipschitz:
+every direction s in the cell has |s - c| <= r, hence |s - p| < eta - 1e-9
+and s.p > 1 - eta^2/2 with a margin of about 1e-9 eta, far above the
+rounding of the cell lookup and of the inner products.  A candidate in a
+covered cell is therefore one the nearest-point test rejects too, and,
+with the other candidates' near-cut inner products recomputed in the whole
+batch's matmul shape (greedy_dense_set), the packing, the audit and the
+random stream are the same bits as without the table.  G is the smallest grid with r <= eta/8, capped at the largest
+with at most 2^14 cells and 2^18 voxels (the lookup indexes the G^d voxel
+grid of the cube).  The table is off where it covers too little to pay for
+itself: when G < 16, which is from d = 4 on (the budget allows G <= 12) and
+for eta above about 0.53 sqrt(d-1) (packings of a few dozen points), and
+when r > 3 eta / 4 (eta below about 0.036 at d = 3).
 """
 
 from __future__ import annotations
@@ -19,7 +43,7 @@ import numpy as np
 from .errors import AuditFailed, NonpositiveRhs, TooFewRows
 from .instance import LPInstance
 from .oracle import VertexGraph, bfs_distance, discover_vertex_graph
-from .rng import SmoothedInstance, as_generator, uniform_sphere
+from .rng import SmoothedInstance, as_generator, uniform_sphere, unit_rows
 from .solver import Optimal, solve
 
 
@@ -68,6 +92,121 @@ def _greedy_block(cand: np.ndarray, cos_cut: float) -> np.ndarray:
     return keep
 
 
+# the cover table's grid: cells with half-diagonal about eta / _ETA_PER_R,
+# within budgets of cube-face cells (their centres are a d-column array) and
+# of voxels of the G^d grid (the lookup table, one byte each).  Grids
+# coarser than _MIN_GRID, or cells with r above _MAX_R_PER_ETA eta, cover
+# too little of the sphere to pay for the lookup and for folding every kept
+# point against every open cell.  Measured on budget grids: at d = 5 (G = 6)
+# packings ran 16-25% slower (a saturated eta = 0.7 packing left 78% of
+# candidates uncovered); at d = 4 (G = 12) from 15% faster (eta = 0.25,
+# streak 100000) to 8% slower (eta = 0.15 and 0.2, streak 20000)
+_ETA_PER_R = 8
+_MAX_CELLS = 1 << 14
+_MAX_VOXELS = 1 << 18
+_MIN_GRID = 16
+_MAX_R_PER_ETA = 0.75
+# rows whose largest |entry| is below this may have a norm that underflows
+# to zero, which unit_rows redraws; such a batch skips the table
+_TINY = 1e-150
+# a matmul's last bit depends on its shape (a one-probe product takes
+# another BLAS kernel, and the column's place in a block matters), so
+# _max_cos of the uncovered rows alone can differ by an ulp from the whole
+# batch's; values this close to the cut are taken in the whole batch's
+# 512-row chunk instead
+_NEAR_CUT = 1e-12
+
+
+def _cover_grid(d: int, eta: float) -> int:
+    """The cover table's grid G: the smallest with r = sqrt(d-1)/G at most
+    eta / _ETA_PER_R, or the largest within budget; 0 (no table) when G is
+    below _MIN_GRID or r above _MAX_R_PER_ETA eta."""
+    grid = 1
+    while (2 * d * (grid + 1) ** (d - 1) <= _MAX_CELLS
+           and (grid + 1) ** d <= _MAX_VOXELS):
+        grid += 1
+    grid = min(grid, math.ceil(_ETA_PER_R * math.sqrt(d - 1) / eta))
+    r = math.sqrt(d - 1) / grid
+    return grid if grid >= _MIN_GRID and r <= _MAX_R_PER_ETA * eta else 0
+
+
+class _CoverTable:
+    """Cube-map cells of S^(d-1) that lie within eta of the packing.
+
+    A face cell is (axis f, sign, the other axes' grid indices); its voxel
+    is the G^d grid cell with index G-1 (sign +) or 0 (sign -) on axis f.
+    A voxel can hold cells of several faces (along cube edges), so the
+    lookup table counts each voxel's cells not yet covered and a direction
+    counts as covered when its voxel's count is zero.  That needs no face
+    choice per row: the voxel of g / max|g_j| is the voxel of a face cell
+    holding it.  Only the open cells' centres and voxels are kept.
+    """
+
+    def __init__(self, d: int, grid: int, eta: float):
+        r = math.sqrt(d - 1) / grid
+        self.grid = grid
+        # p.c above this puts p within eta - r - 1e-9 of c; the 1e-12 is
+        # far above the rounding of p.c and of |p|, |c| = 1
+        self.cut = 1.0 - (eta - r - 1e-9) ** 2 / 2.0 + 1e-12
+        place = grid ** np.arange(d)
+        self.weights = place.astype(float)
+        inner = np.indices((grid,) * (d - 1)).reshape(d - 1, -1).T
+        ticks = -1.0 + (2.0 * inner + 1.0) / grid
+        n = len(inner)
+        self.centres = np.empty((2 * d * n, d))
+        self.voxel = np.empty(2 * d * n, dtype=np.intp)
+        faces = [(f, s) for f in range(d) for s in (1.0, -1.0)]
+        for lo, (f, s) in zip(range(0, 2 * d * n, n), faces):
+            other = np.arange(d) != f
+            self.centres[lo:lo + n, f] = s
+            self.centres[lo:lo + n, other] = ticks
+            side = grid - 1 if s > 0 else 0
+            self.voxel[lo:lo + n] = inner @ place[other] + side * place[f]
+        self.centres /= np.linalg.norm(self.centres, axis=1, keepdims=True)
+        self.open_count = np.zeros(grid ** d, dtype=np.int8)
+        np.add.at(self.open_count, self.voxel, np.int8(1))
+        # interior voxels hold no cells and no direction lands in them
+        self.open_count[self.open_count == 0] = 1
+
+    def uncovered(self, g: np.ndarray) -> Optional[np.ndarray]:
+        """Positions of the rows of g (raw normals) outside covered cells;
+        None (every row) when a row is so short its norm may underflow."""
+        top = np.abs(g[:, 0])
+        for j in range(1, g.shape[1]):
+            np.maximum(top, np.abs(g[:, j]), out=top)
+        if top.min() < _TINY:
+            return None
+        # grid coordinates (g / top + 1) G / 2 in [0, G], one contiguous row
+        # per axis; a rounding just below 0 truncates to 0 like a floor
+        half = self.grid / 2.0
+        k = np.multiply(g.T, half / top, out=np.empty(g.shape[::-1]))
+        k += half
+        np.trunc(k, out=k)
+        np.minimum(k, self.grid - 1, out=k)
+        voxel = (self.weights @ k).astype(np.intp)
+        return np.flatnonzero(self.open_count[voxel])
+
+    def fold(self, points: np.ndarray) -> None:
+        """Mark the open cells within eta - r - 1e-9 of `points` covered."""
+        hit = _max_cos(points, self.centres) > self.cut
+        np.subtract.at(self.open_count, self.voxel[hit], np.int8(1))
+        self.centres = self.centres[~hit]
+        self.voxel = self.voxel[~hit]
+
+
+def _draw(gen, d: int, size: int, table: Optional[_CoverTable]):
+    """Draw `size` sphere points' normals as uniform_sphere does.
+
+    Returns the raw normals, the positions of the rows outside covered
+    cells (None for every row, as without a table), and those rows scaled
+    to unit length with the bits uniform_sphere gives them (in g itself
+    when every row is kept).
+    """
+    g = gen.standard_normal((size, d))
+    rows = None if table is None else table.uncovered(g)
+    return g, rows, unit_rows(gen, g if rows is None else g[rows])
+
+
 def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
                      batch: int = 4096) -> DenseSet:
     """Stream sphere points, keeping those >= eta from everything kept so far.
@@ -79,48 +218,87 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
     the points accepted earlier in the same batch (a matmul against earlier
     blocks, then a sequential greedy on a 512 x 512 closeness mask).
 
+    The first rejection needs no inner products for candidates in a
+    covered cell of the cover table (module docstring): a cell is covered
+    once a kept point lies within eta - r - 1e-9 of its centre, r being the
+    cell's half-diagonal, so every direction in it is within eta - 1e-9 of
+    that point and the nearest-point test rejects it too.  Only the other
+    candidates are normalized and compared with the packing, in smaller
+    matmuls whose last bit can differ from the whole batch's; an inner
+    product within 1e-12 of the cut is recomputed in the whole batch's
+    512-row chunk, and so is an audit chunk's minimum.  The table
+    grows by the points each batch accepts; its grid G is the smallest with
+    r = sqrt(d-1)/G <= eta/8, capped at the largest with 2d G^(d-1) <= 2^14
+    cells and G^d <= 2^18 voxels, and it is off when G < 16 or r > 3 eta/4.
+    A batch with a row whose largest |entry| is below 1e-150 bypasses it,
+    so uniform_sphere's redraw of a zero-norm row (its squares can
+    underflow) happens on the same draws.
+
     A rejection streak counts consecutive rejected candidates across
     batches and restarts at every acceptance.  The stream stops at the
     candidate where the streak reaches `audit_samples`; points accepted
     later in that batch are dropped.  The packing is then audited with
     fresh samples, which must all have a kept point within eta; AuditFailed
-    is raised if the packing was not yet maximal.
+    is raised if the packing was not yet maximal, with the distance of the
+    worst probe in the failing chunk of 16384.  Draws, packing, message and
+    the generator's state afterwards do not depend on the table.
     """
     if not 0.0 < eta <= 2.0:
         raise ValueError("eta must be in (0, 2]")
     if d < 2:
         raise ValueError("d must be >= 2")
+    if audit_samples < 1:
+        raise ValueError("audit_samples must be >= 1")
     gen = as_generator(rng)
+    grid = _cover_grid(d, eta)
+    table = None
     points = np.empty((0, d))
     streak = 0
     cos_cut = 1.0 - eta * eta / 2.0
     while streak < audit_samples:
-        cand = uniform_sphere(gen, d, size=batch)
-        survivors = np.flatnonzero(_max_cos(points, cand) <= cos_cut)
-        taken = np.zeros(batch, dtype=bool)
+        g, rows, cand = _draw(gen, d, batch, table)
+        best = _max_cos(points, cand)
+        if rows is not None:  # see _NEAR_CUT
+            for i in np.flatnonzero(np.abs(best - cos_cut) < _NEAR_CUT):
+                lo = rows[i] - rows[i] % _CHUNK
+                chunk = unit_rows(gen, g[lo:lo + _CHUNK].copy())
+                best[i] = _max_cos(points, chunk)[rows[i] - lo]
+        survivors = np.flatnonzero(best <= cos_cut)
+        taken = np.zeros(len(cand), dtype=bool)
         for lo in range(0, len(survivors), _CHUNK):
             block = survivors[lo:lo + _CHUNK]
             block = block[_max_cos(cand[taken], cand[block]) <= cos_cut]
             taken[block[_greedy_block(cand[block], cos_cut)]] = True
-        pos = np.flatnonzero(taken)
+        acc = np.flatnonzero(taken)
+        pos = acc if rows is None else rows[acc]
         # rejections before each acceptance; the first run continues the
         # streak carried over from earlier batches
         runs = np.diff(pos, prepend=-1 - streak) - 1
         stop = np.flatnonzero(runs >= audit_samples)
         if len(stop):
-            pos = pos[:stop[0]]
+            acc = acc[:stop[0]]
             streak = audit_samples
         else:
             streak = batch - 1 - pos[-1] if len(pos) else streak + batch
-        points = np.concatenate((points, cand[pos]))
+        points = np.concatenate((points, cand[acc]))
+        if grid and len(acc):
+            if table is None:
+                # built after the first batch, whose 512 x 512 Gram blocks
+                # are the packing's peak memory
+                table = _CoverTable(d, grid, eta)
+            table.fold(cand[acc])
     # audit: fresh samples must all be within eta of the packing
     remaining = audit_samples
     while remaining > 0:
         take = min(remaining, 16384)
-        probes = uniform_sphere(gen, d, size=take)
-        worst = float(_max_cos(points, probes).min())
+        g, rows, probes = _draw(gen, d, take, table)
+        worst = _max_cos(points, probes).min(initial=np.inf)
+        if rows is not None and worst < cos_cut + _NEAR_CUT:
+            # covered probes are far above the cut, so this is the chunk's
+            # minimum up to the last bit; take it over every probe
+            worst = _max_cos(points, unit_rows(gen, g)).min()
         if worst < cos_cut:
-            dist = math.sqrt(max(2.0 - 2.0 * worst, 0.0))
+            dist = math.sqrt(max(2.0 - 2.0 * float(worst), 0.0))
             raise AuditFailed(
                 f"audit point at distance {dist:.4f} > eta={eta}; "
                 "increase the rejection streak"
@@ -133,6 +311,8 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
 def dense_set_with_retry(rng, eta: float, d: int, audit_samples: int = 100_000,
                          attempts: int = 4) -> DenseSet:
     """greedy_dense_set, quadrupling the rejection streak after audit failures."""
+    if audit_samples < 1:
+        raise ValueError("audit_samples must be >= 1")
     gen = as_generator(rng)
     streak = audit_samples
     for _ in range(attempts - 1):

@@ -57,14 +57,26 @@ def uniform_sphere(rng, d: int, size: int | None = None) -> np.ndarray:
         raise ValueError("d must be >= 1")
     gen = as_generator(rng)
     shape = (d,) if size is None else (size, d)
-    g = gen.standard_normal(shape)
+    return unit_rows(gen, gen.standard_normal(shape))
+
+
+def unit_rows(gen: np.random.Generator, g: np.ndarray) -> np.ndarray:
+    """Scale standard-normal draws g to unit length along the last axis, in
+    place, and return g.
+
+    This is uniform_sphere's normalization: a row whose norm is zero (an
+    exact zero draw, or entries so small their squares underflow) is first
+    redrawn from `gen`, so such a row advances the stream.
+    """
+    d = g.shape[-1]
     norms = np.linalg.norm(g, axis=-1, keepdims=True)
     # A zero draw has probability 0; resample defensively if it ever happens.
     while np.any(norms == 0.0):
         bad = (norms == 0.0).reshape(-1)
         g.reshape(-1, d)[bad] = gen.standard_normal((bad.sum(), d))
         norms = np.linalg.norm(g, axis=-1, keepdims=True)
-    return g / norms
+    g /= norms
+    return g
 
 
 def exp_ball_sample(rng, d: int, size: int | None = None) -> np.ndarray:

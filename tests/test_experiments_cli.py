@@ -206,6 +206,12 @@ def test_cli_rejects_config_for_other_experiment(tmp_path):
      "trials = 1\nfamily = product\n", "product family needs d >= 2 and n >= 6"),
     ("experiment", "experiment = shadow_scaling\nd = 3\nn = 1\nsigma_grid = 0.1\n"
      "trials = 1\nfamily = ball\n", "n must be at least 2"),
+    ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = 0.25\naudit_samples = 0\n",
+     "audit_samples must be positive"),
+    ("experiment", "experiment = shadow_scaling\nd = 3\nn = 12\nsigma_grid = 0.1\n"
+     "trials = 1\nfamily = ball\nmax_restarts = 0\n", "max_restarts must be positive"),
+    ("experiment", "experiment = shadow_scaling\nd = 3\nn = 12\nsigma_grid = 0.1\n"
+     "trials = 1\nfamily = ball\npivot_limit = 0\n", "pivot_limit must be positive"),
 ])
 def test_cli_rejects_configs_the_study_cannot_run(tmp_path, command, text, message):
     cfgfile = tmp_path / "study.cfg"

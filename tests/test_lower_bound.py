@@ -1,11 +1,18 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlp import LPInstance, RngStream
 from shadowlp.errors import AuditFailed, NonpositiveRhs
+from shadowlp import lower_bound
 from shadowlp.lower_bound import (
+    _CoverTable,
+    _cover_grid,
+    _max_cos,
     build_lb_instance,
     default_row_count,
     dense_set_with_retry,
@@ -78,9 +85,34 @@ def _greedy_one_at_a_time(rng, eta, d, audit_samples, batch=4096):
     return points
 
 
+def _run_packing(fn, gen, eta, d, audit_samples):
+    """The packing's points, or the AuditFailed message."""
+    try:
+        return fn(gen, eta, d, audit_samples=audit_samples)
+    except AuditFailed as exc:
+        return str(exc)
+
+
+def _assert_same_packing(got, ref):
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert np.array_equal(got.points, ref)
+
+
+def _check_against_one_at_a_time(seed, eta, d, audit_samples):
+    ref_gen = RngStream(seed, 0).generator()
+    ref = _run_packing(_greedy_one_at_a_time, ref_gen, eta, d, audit_samples)
+    gen = RngStream(seed, 0).generator()
+    _assert_same_packing(_run_packing(greedy_dense_set, gen, eta, d, audit_samples), ref)
+    np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+
 # (seed, eta, d, audit_samples); streaks below the 4096 batch stop partway
 # through a batch, and the first four of those drop points accepted after
-# the stop
+# the stop.  The cover table is on in the d <= 3 cases except (4, 1.0, 3);
+# with a streak of 4096 or more (the last two) it covers most of the sphere,
+# and the audit that fails there fails in a partly covered chunk
 @pytest.mark.parametrize("seed,eta,d,audit_samples", [
     (1, 0.1, 2, 60),
     (4, 1.0, 3, 1000),
@@ -89,20 +121,127 @@ def _greedy_one_at_a_time(rng, eta, d, audit_samples, batch=4096):
     (2, 0.5, 2, 300),
     (4, 0.5, 3, 20000),
     (6, 0.8, 4, 20000),   # audit fails
+    (2, 0.3, 2, 5000),
+    (0, 0.25, 3, 4096),   # audit fails
 ])
 def test_greedy_dense_set_matches_one_at_a_time(seed, eta, d, audit_samples):
-    def run(fn):
-        try:
-            return fn(RngStream(seed, 0), eta, d, audit_samples=audit_samples)
-        except AuditFailed as exc:
-            return str(exc)
+    _check_against_one_at_a_time(seed, eta, d, audit_samples)
 
-    ref = run(_greedy_one_at_a_time)
-    got = run(greedy_dense_set)
-    if isinstance(ref, str):
-        assert got == ref
-    else:
-        assert np.array_equal(got.points, ref)
+
+# the cover table forced on at d = 4 (the budget grid, which its rule leaves
+# off), and a near-cut band that recomputes every uncovered inner product
+# and every audit minimum in the whole batch's matmul shape
+@pytest.mark.parametrize("seed,eta,d,audit_samples,grid,near_cut", [
+    (5, 0.6, 4, 4096, 12, None),
+    (1, 0.8, 4, 8000, 12, None),     # audit fails
+    (2, 0.3, 2, 5000, None, 2.0),
+    (0, 0.25, 3, 4096, None, 2.0),   # audit fails
+])
+def test_greedy_dense_set_matches_one_at_a_time_forced(monkeypatch, seed, eta, d,
+                                                       audit_samples, grid, near_cut):
+    if grid is not None:
+        monkeypatch.setattr(lower_bound, "_cover_grid", lambda d, eta: grid)
+    if near_cut is not None:
+        monkeypatch.setattr(lower_bound, "_NEAR_CUT", near_cut)
+    _check_against_one_at_a_time(seed, eta, d, audit_samples)
+
+
+def test_cover_grid_rule():
+    # r = sqrt(d-1)/G near eta/8 within 2^14 cells; off below G = 16
+    # (every d >= 4) and for r > 3 eta / 4
+    assert _cover_grid(3, 0.25) == 46       # criterion 7's packing
+    assert _cover_grid(3, 0.1) == 52        # the budget's grid
+    assert _cover_grid(2, 0.3) == 27
+    assert _cover_grid(3, 0.036) == 0
+    assert _cover_grid(3, 0.75) == 16 and _cover_grid(3, 0.76) == 0
+    assert _cover_grid(4, 0.25) == _cover_grid(5, 1.0) == _cover_grid(10, 2.0) == 0
+
+
+class _ShortRowsGenerator(np.random.Generator):
+    """Philox normals with a zero row and a row whose squares underflow
+    written into every other draw of 1000 rows or more."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        self.big_draws = 0
+        self.redraws = 0
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        out = super().standard_normal(size, *args, **kwargs)
+        if out.ndim == 2 and len(out) >= 1000:
+            self.big_draws += 1
+            if self.big_draws % 2:
+                out[7] = 0.0
+                out[11] *= 1e-170
+        else:
+            self.redraws += 1
+        return out
+
+
+@pytest.mark.parametrize("seed,eta,d,audit_samples", [
+    (3, 0.5, 3, 5000),
+    (0, 0.25, 3, 4096),   # audit fails in a chunk with short rows
+])
+def test_greedy_dense_set_redraws_short_rows_like_uniform_sphere(seed, eta, d, audit_samples):
+    ref_gen = _ShortRowsGenerator(seed)
+    ref = _run_packing(_greedy_one_at_a_time, ref_gen, eta, d, audit_samples)
+    gen = _ShortRowsGenerator(seed)
+    _assert_same_packing(_run_packing(greedy_dense_set, gen, eta, d, audit_samples), ref)
+    np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+    assert gen.big_draws == ref_gen.big_draws >= 3
+    assert gen.redraws == ref_gen.redraws == (gen.big_draws + 1) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), grid=st.integers(2, 40),
+       slack=st.floats(0.01, 1.0), m=st.integers(1, 300))
+def test_covered_cells_hold_only_probes_the_packing_rejects(seed, d, grid, slack, m):
+    """Every probe the table places in a covered cell is within eta of a
+    point, by the same inner-product test the packing applies; on any grid
+    within the cell budget and any eta in (r, 2]."""
+    while 2 * d * grid ** (d - 1) > 1 << 14:
+        grid -= 1
+    r = math.sqrt(d - 1) / grid
+    eta = r + slack * (2.0 - r)
+    table = _CoverTable(d, grid, eta)
+    gen = RngStream(seed, 0).generator()
+    points = uniform_sphere(gen, d, size=m)
+    table.fold(points)
+    # cube points on the grid lines and at cell centres: cell corners and
+    # edges are the farthest points from a cell's centre
+    n = 2000
+    cube = -1.0 + gen.integers(0, 2 * table.grid + 1, (n, d)) / table.grid
+    cube[np.arange(n), gen.integers(0, d, n)] = gen.choice([-1.0, 1.0], n)
+    probes = np.vstack([gen.standard_normal((n, d)),
+                        cube * gen.uniform(0.5, 2.0, (n, 1)), cube])
+    covered = np.ones(len(probes), dtype=bool)
+    covered[table.uncovered(probes)] = False
+    unit = probes / np.linalg.norm(probes, axis=1, keepdims=True)
+    assert (_max_cos(points, unit[covered]) > 1.0 - eta * eta / 2.0).all()
+
+
+# recorded before the cover table existed: size and sha256 of the points of
+# criterion 7's five packings (the first draws of each run).  The bits come
+# from Philox normals, IEEE sqrt and division, and from threshold decisions
+# that a last-bit difference between BLAS kernels would not flip, so they
+# should hold on any host.
+@pytest.mark.parametrize("stream,size,digest", [
+    (0, 140, "3740bd348e76971fd7c73630f628039b67f45a4d5f95c902cc6589daa12d9828"),
+    (1, 147, "e81133b2464d07aa4583271208b2226d8f69a9cc40be047dc837bdf46a5ba650"),
+    (2, 140, "3f5a0487ddab62a5e109d35efb52b77074b0e9b5c5eb2de8c44afdcf0f4d285e"),
+    (3, 136, "335e85b74fcf3325a53038a107aff429bfffef5750f9b15fde0d2844ddd5b190"),
+    (4, 143, "b3444028c93304245033db6ad938a9a2555e51996ec5e462038fc192e9fa71d2"),
+])
+def test_criterion_7_packings_are_pinned(stream, size, digest):
+    dense = dense_set_with_retry(RngStream(7007, stream).generator(), 0.25, 3)
+    assert len(dense) == size
+    assert hashlib.sha256(dense.points.tobytes()).hexdigest() == digest
+
+
+def test_dense_set_rejects_an_empty_streak():
+    for fn in (greedy_dense_set, dense_set_with_retry):
+        with pytest.raises(ValueError, match="audit_samples"):
+            fn(RngStream(70, 3), 0.5, 3, audit_samples=0)
 
 
 def test_build_lb_instance_unperturbed():
