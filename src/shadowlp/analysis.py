@@ -124,6 +124,14 @@ class PathReport:
         return len(self.indices)
 
     @property
+    def good_multiplier_frac(self) -> float:
+        return float(self.good_multiplier.mean())
+
+    @property
+    def relative_gap_frac(self) -> float:
+        return float(self.relative_gap.mean())
+
+    @property
     def triple_count(self) -> int:
         return int(self.triple.sum())
 
@@ -342,10 +350,10 @@ def annulus_integral_bound(R: float, r: float) -> float:
 
 @dataclass
 class ConeTrial:
+    trials: int
+    m: float
     p0: float        # frequency the segment meets the cone at threshold 0
     pm: float        # frequency at threshold m
-    m: float
-    trials: int
     stderr_diff: float  # std error of mean(1[pm] - 0.99 * 1[p0])
 
     @property

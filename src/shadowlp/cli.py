@@ -19,11 +19,8 @@ import numpy as np
 
 from .errors import ShadowLpError
 from .experiments import (
-    CONE_COLUMNS,
     CONE_SCHEMA,
-    LOWERBOUND_COLUMNS,
     LOWERBOUND_SCHEMA,
-    SCALING_COLUMNS,
     SCALING_SCHEMA,
     cone_run,
     lowerbound_run,
@@ -80,7 +77,6 @@ def cmd_solve(args) -> int:
         code = 2
     elif isinstance(outcome, Unbounded):
         doc["ray"] = [float(v) for v in outcome.ray]
-        doc["improves_objective"] = outcome.improves_objective
         code = 3
     else:  # pragma: no cover
         return 1
@@ -88,25 +84,35 @@ def cmd_solve(args) -> int:
     return code
 
 
-def _run_study(args, schema, expected, runner, columns) -> int:
+# subcommand: (help, config schema, experiment name, runner(cfg, args))
+STUDIES = {
+    "experiment": ("run the sigma-grid pivot scaling study", SCALING_SCHEMA, "shadow_scaling",
+                   lambda cfg, args: shadow_scaling_run(cfg, jobs=args.jobs)),
+    "lowerbound": ("run the near-ball diameter chain", LOWERBOUND_SCHEMA, "lowerbound",
+                   lambda cfg, args: lowerbound_run(cfg)),
+    "montecarlo-cone": ("segment-vs-cone frequency study", CONE_SCHEMA, "cone",
+                        lambda cfg, args: cone_run(cfg)),
+}
+
+
+def _run_study(args) -> int:
+    _, schema, expected, runner = STUDIES[args.command]
     try:
         cfg = parse_config(Path(args.config).read_text(encoding="utf-8"), schema)
         if cfg["experiment"] != expected:
             raise ShadowLpError(
                 f"config is for experiment {cfg['experiment']!r}, expected {expected!r}"
             )
-        result = runner(cfg)
+        rows, summary = runner(cfg, args)
     except (OSError, ShadowLpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rows, summary = result
     out = _out_dir(args)
-    cols = list(columns)
-    if cfg.get("record_wall_time"):
-        cols.append("wall_time_s")
-    (out / f"{expected}.csv").write_text(rows_to_csv(cols, rows), encoding="utf-8")
+    # every study validates a positive number of trials, configs or runs, so
+    # there is a first row to take the columns from
+    (out / f"{expected}.csv").write_text(rows_to_csv(list(rows[0]), rows), encoding="utf-8")
     (out / f"{expected}_summary.json").write_text(summary_to_json(summary), encoding="utf-8")
-    if expected == "shadow_scaling" and cfg.get("svg"):
+    if cfg.get("svg"):  # a scaling-study key
         finite = [
             (p["sigma"], p["mean_pivots"])
             for p in summary["per_sigma"]
@@ -126,21 +132,6 @@ def _run_study(args, schema, expected, runner, columns) -> int:
     return 0
 
 
-def cmd_experiment(args) -> int:
-    return _run_study(
-        args, SCALING_SCHEMA, "shadow_scaling",
-        lambda cfg: shadow_scaling_run(cfg, jobs=args.jobs), SCALING_COLUMNS,
-    )
-
-
-def cmd_lowerbound(args) -> int:
-    return _run_study(args, LOWERBOUND_SCHEMA, "lowerbound", lowerbound_run, LOWERBOUND_COLUMNS)
-
-
-def cmd_cone(args) -> int:
-    return _run_study(args, CONE_SCHEMA, "cone", cone_run, CONE_COLUMNS)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shadowlp",
@@ -154,21 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--stream", type=int, default=0)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_exp = sub.add_parser("experiment", help="run the sigma-grid pivot scaling study")
-    p_exp.add_argument("config")
-    p_exp.add_argument("--jobs", type=int, default=1)
-    p_exp.add_argument("--out", default=None)
-    p_exp.set_defaults(func=cmd_experiment)
-
-    p_lb = sub.add_parser("lowerbound", help="run the near-ball diameter chain")
-    p_lb.add_argument("config")
-    p_lb.add_argument("--out", default=None)
-    p_lb.set_defaults(func=cmd_lowerbound)
-
-    p_cone = sub.add_parser("montecarlo-cone", help="segment-vs-cone frequency study")
-    p_cone.add_argument("config")
-    p_cone.add_argument("--out", default=None)
-    p_cone.set_defaults(func=cmd_cone)
+    for command, (help_text, *_) in STUDIES.items():
+        p_study = sub.add_parser(command, help=help_text)
+        p_study.add_argument("config")
+        if command == "experiment":
+            p_study.add_argument("--jobs", type=int, default=1)
+        p_study.add_argument("--out", default=None)
+        p_study.set_defaults(func=_run_study)
     return parser
 
 

@@ -3,6 +3,10 @@ CSV/JSON/SVG writers, and the three canned studies (pivot-count scaling over
 a sigma grid, the segment-vs-cone Monte Carlo, and the near-ball diameter
 chain).
 
+A study's CSV columns are a few header cells and then its record's cells,
+copied by name: `SolveStats` and `PathReport` for scaling, `ConeTrial` for
+cone, `DiameterRecord` for lowerbound.  Rows are dicts in column order.
+
 Records are deterministic: every trial owns stream `stream_base + index`,
 rows are emitted in trial order regardless of worker count, and wall-clock
 timing lives in an optional column that is off by default so identical
@@ -14,12 +18,13 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Any
 
 import numpy as np
 
 from .analysis import (
+    ConeTrial,
     PathReport,
     classify_path,
     good_multiplier_threshold,
@@ -50,8 +55,12 @@ def _coerce(key: str, raw: str, kind):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
         if kind is list:
-            return [float(part) for part in raw.split(",") if part.strip()]
-        return kind(raw.strip())
+            value = [float(part) for part in raw.split(",") if part.strip()]
+        else:
+            value = kind(raw.strip())
+        if kind in (float, list) and not np.isfinite(value).all():
+            raise ValueError(f"must be finite, got {raw.strip()!r}")
+        return value
     except ValueError as exc:
         raise ConfigError(f"config key {key}: {exc}") from None
 
@@ -211,22 +220,28 @@ SCALING_COLUMNS = [
 
 CONE_COLUMNS = [
     "schema_version", "experiment", "config_id", "seed", "stream", "d",
-    "trials", "m", "p0", "pm", "stderr_diff", "satisfied",
+    *(f.name for f in fields(ConeTrial)), "satisfied",
 ]
-
 LOWERBOUND_COLUMNS = [
-    "schema_version", "experiment", "run", "seed", "stream", "d", "sigma",
-    "eta", "n_rows", "n_dense", "outcome", "error", "vertices", "edges",
-    "bfs_hops", "path_bound", "bound_holds", "gamma", "radius", "eta_event",
-    "event_holds", "sandwich_inner_ok", "sandwich_outer_ok", "eta_star",
-    "gamma_origin", "facet_bound_applicable", "facet_bound_ok",
+    "schema_version", "experiment", "run", "seed", "stream",
+    *(f.name for f in fields(DiameterRecord)),
 ]
-# the DiameterRecord fields a lowerbound row takes from its run; d, sigma and
-# eta come from the config
-_RECORD_CELLS = [f.name for f in fields(DiameterRecord) if f.name not in ("d", "sigma", "eta")]
 # the scaling columns named after a SolveStats counter or a PathReport property
 _STATS_CELLS = [c for c in SCALING_COLUMNS if hasattr(SolveStats, c)]
 _REPORT_CELLS = [c for c in SCALING_COLUMNS if hasattr(PathReport, c)]
+
+
+def _error_cells(exc: ShadowLpError) -> dict[str, str]:
+    return {"outcome": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _summary(name: str, cfg: dict[str, Any], **results) -> dict[str, Any]:
+    return {
+        "experiment": name,
+        "schema_version": SCHEMA_VERSION,
+        "config": {k: cfg[k] for k in sorted(cfg)},
+        **results,
+    }
 
 
 def run_scaling_trial(params: tuple) -> dict[str, Any]:
@@ -258,12 +273,9 @@ def run_scaling_trial(params: tuple) -> dict[str, Any]:
             rep = classify_path(
                 path, si, m=row["m_threshold"], g=row["g_threshold"], rho=rho
             )
-            row["good_multiplier_frac"] = float(rep.good_multiplier.mean())
-            row["relative_gap_frac"] = float(rep.relative_gap.mean())
             row.update((name, getattr(rep, name)) for name in _REPORT_CELLS)
     except ShadowLpError as exc:
-        row["outcome"] = "error"
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        row.update(_error_cells(exc))
     if record_wall:
         row["wall_time_s"] = time.perf_counter() - started
     return row
@@ -310,17 +322,15 @@ def shadow_scaling_run(cfg: dict[str, Any], jobs: int = 1):
     if len(grid) >= 2 and all(math.isfinite(m) and m > 0 for m in means):
         coef = np.polyfit(np.log(np.array(grid)), np.log(np.array(means)), 1)
         slope, intercept = float(coef[0]), float(coef[1])
-    summary = {
-        "experiment": "shadow_scaling",
-        "schema_version": SCHEMA_VERSION,
-        "config": {k: cfg[k] for k in sorted(cfg)},
-        "per_sigma": per_sigma,
-        "loglog_slope": slope,
-        "loglog_intercept": intercept,
-        "nonincreasing": all(
+    summary = _summary(
+        "shadow_scaling", cfg,
+        per_sigma=per_sigma,
+        loglog_slope=slope,
+        loglog_intercept=intercept,
+        nonincreasing=all(
             means[i + 1] <= means[i] for i in range(len(means) - 1)
         ) if all(math.isfinite(m) for m in means) else False,
-    }
+    )
     return rows, summary
 
 
@@ -330,8 +340,9 @@ def shadow_scaling_run(cfg: dict[str, Any], jobs: int = 1):
 
 def cone_run(cfg: dict[str, Any]):
     d = cfg["d"]
-    if d <= 0 or cfg["configs"] <= 0 or cfg["trials"] <= 0:
-        raise ConfigError("d, configs and trials must be positive")
+    if d <= 0 or cfg["configs"] <= 0 or cfg["trials"] < 2:
+        raise ConfigError("d and configs must be positive, and trials at least 2 "
+                          "(the standard error needs two draws)")
     m = good_multiplier_threshold(d)
     rows = []
     for k in range(cfg["configs"]):
@@ -346,18 +357,15 @@ def cone_run(cfg: dict[str, Any]):
         rows.append({
             "schema_version": SCHEMA_VERSION, "experiment": "cone",
             "config_id": k, "seed": cfg["seed"], "stream": stream, "d": d,
-            "trials": cfg["trials"], "m": m, "p0": res.p0, "pm": res.pm,
-            "stderr_diff": res.stderr_diff, "satisfied": res.satisfied,
+            **asdict(res), "satisfied": res.satisfied,
         })
-    summary = {
-        "experiment": "cone",
-        "schema_version": SCHEMA_VERSION,
-        "config": {k: cfg[k] for k in sorted(cfg)},
-        "all_satisfied": all(r["satisfied"] for r in rows),
-        "min_margin": min(
+    summary = _summary(
+        "cone", cfg,
+        all_satisfied=all(r["satisfied"] for r in rows),
+        min_margin=min(
             r["pm"] - (0.99 * r["p0"] - 3.0 * r["stderr_diff"]) for r in rows
         ),
-    }
+    )
     return rows, summary
 
 
@@ -377,12 +385,10 @@ def lowerbound_run(cfg: dict[str, Any]):
     rows = []
     for k in range(cfg["runs"]):
         stream = cfg["stream_base"] + k
-        row = dict.fromkeys(LOWERBOUND_COLUMNS, "")
-        row.update({
+        row = {
             "schema_version": SCHEMA_VERSION, "experiment": "lowerbound",
             "run": k, "seed": cfg["seed"], "stream": stream,
-            "d": cfg["d"], "sigma": cfg["sigma"], "eta": eta,
-        })
+        }
         try:
             rec = diameter_experiment(
                 RngStream(cfg["seed"], stream),
@@ -392,20 +398,18 @@ def lowerbound_run(cfg: dict[str, Any]):
                 pad=cfg["pad"],
                 audit_samples=cfg["audit_samples"], guard=cfg["guard"],
             )
-            row.update((name, getattr(rec, name)) for name in _RECORD_CELLS)
+            row.update(asdict(rec))
         except ShadowLpError as exc:
-            row["outcome"] = "error"
-            row["error"] = f"{type(exc).__name__}: {exc}"
+            row.update(dict.fromkeys(LOWERBOUND_COLUMNS[len(row):], ""),
+                       d=cfg["d"], sigma=cfg["sigma"], eta=eta, **_error_cells(exc))
         rows.append(row)
     ok_rows = [r for r in rows if r["outcome"] == "optimal"]
-    summary = {
-        "experiment": "lowerbound",
-        "schema_version": SCHEMA_VERSION,
-        "config": {k: cfg[k] for k in sorted(cfg)},
-        "runs_ok": len(ok_rows),
-        "bound_holds_all": all(r["bound_holds"] for r in ok_rows) if ok_rows else False,
-        "max_bfs_hops": max((r["bfs_hops"] for r in ok_rows), default=None),
-    }
+    summary = _summary(
+        "lowerbound", cfg,
+        runs_ok=len(ok_rows),
+        bound_holds_all=all(r["bound_holds"] for r in ok_rows) if ok_rows else False,
+        max_bfs_hops=max((r["bfs_hops"] for r in ok_rows), default=None),
+    )
     return rows, summary
 
 
@@ -436,7 +440,10 @@ def rows_to_csv(columns: list[str], rows: list[dict]) -> str:
 
 
 def summary_to_json(summary: dict) -> str:
-    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: an undefined value (a NaN slope, say) is written as null."""
+    # floats survive the round trip bit for bit; NaN and inf come back as None
+    plain = json.loads(json.dumps(summary), parse_constant=lambda _: None)
+    return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_loglog_svg(path, xs, ys, slope: float, intercept: float, title: str) -> None:

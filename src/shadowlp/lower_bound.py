@@ -63,6 +63,8 @@ class DenseSet:
 # probes per matmul in _max_cos, and survivors per in-batch Gram block; keeps
 # the temporaries at (packing size) x 512 and 512 x 512
 _CHUNK = 512
+_BATCH = 4096    # candidates greedy_dense_set draws and decides at a time
+_ATTEMPTS = 4    # greedy_dense_set calls dense_set_with_retry makes at most
 
 
 def _max_cos(points: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -207,11 +209,10 @@ def _draw(gen, d: int, size: int, table: Optional[_CoverTable]):
     return g, rows, unit_rows(gen, g if rows is None else g[rows])
 
 
-def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
-                     batch: int = 4096) -> DenseSet:
+def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000) -> DenseSet:
     """Stream sphere points, keeping those >= eta from everything kept so far.
 
-    The stream is drawn `batch` candidates at a time and each batch is
+    The stream is drawn _BATCH candidates at a time and each batch is
     decided exactly as a one-candidate-at-a-time greedy would: candidates
     within eta of the packing kept before the batch are rejected at once,
     and the survivors are accepted or rejected in stream order against
@@ -256,7 +257,7 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
     streak = 0
     cos_cut = 1.0 - eta * eta / 2.0
     while streak < audit_samples:
-        g, rows, cand = _draw(gen, d, batch, table)
+        g, rows, cand = _draw(gen, d, _BATCH, table)
         best = _max_cos(points, cand)
         if rows is not None:  # see _NEAR_CUT
             for i in np.flatnonzero(np.abs(best - cos_cut) < _NEAR_CUT):
@@ -279,7 +280,7 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
             acc = acc[:stop[0]]
             streak = audit_samples
         else:
-            streak = batch - 1 - pos[-1] if len(pos) else streak + batch
+            streak = _BATCH - 1 - pos[-1] if len(pos) else streak + _BATCH
         points = np.concatenate((points, cand[acc]))
         if grid and len(acc):
             if table is None:
@@ -308,14 +309,13 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
                     audit_samples=audit_samples)
 
 
-def dense_set_with_retry(rng, eta: float, d: int, audit_samples: int = 100_000,
-                         attempts: int = 4) -> DenseSet:
+def dense_set_with_retry(rng, eta: float, d: int, audit_samples: int = 100_000) -> DenseSet:
     """greedy_dense_set, quadrupling the rejection streak after audit failures."""
     if audit_samples < 1:
         raise ValueError("audit_samples must be >= 1")
     gen = as_generator(rng)
     streak = audit_samples
-    for _ in range(attempts - 1):
+    for _ in range(_ATTEMPTS - 1):
         try:
             return greedy_dense_set(gen, eta, d, audit_samples=streak)
         except AuditFailed:
@@ -420,13 +420,14 @@ class DiameterRecord:
     n_rows: int
     n_dense: int
     outcome: str
+    error: str = ""                     # set on the rows of runs that raised
     vertices: int = 0
     edges: int = 0
     bfs_hops: int = -1
     path_bound: float = float("nan")
+    bound_holds: Optional[bool] = None
     gamma: float = float("nan")         # max polar facet diameter, recentered
     radius: float = float("nan")        # max vertex distance from the recentering point
-    bound_holds: Optional[bool] = None
     eta_event: float = float("nan")     # measured perturbation + density level
     event_holds: bool = False
     sandwich_inner_ok: Optional[bool] = None

@@ -31,7 +31,7 @@ from .errors import (
     RestartLimitExceeded,
     SingularError,
 )
-from .rng import as_generator
+from .rng import as_generator, random_rotation
 from .simplex import (
     DEFAULT_PIVOT_LIMIT,
     TOL_DIR,
@@ -63,12 +63,9 @@ class Optimal:
 
 @dataclass(frozen=True)
 class Unbounded:
+    # a ray of the feasible region; one from phases 1-2 (whose objective is
+    # the random z) need not improve c, and `solve` never returns such a ray
     ray: np.ndarray
-    # False when the ray only certifies an unbounded feasible region rather
-    # than unboundedness of the objective (possible for rays surfacing in
-    # phases 1-2, whose certifying objective is the random z); `solve` never
-    # returns such a ray
-    improves_objective: bool = True
 
     kind = "unbounded"
 
@@ -191,8 +188,6 @@ def build_unit_lp_prime(rng, A: np.ndarray, sigma: float) -> UnitLpPrime:
     radius = 1.0 / (10.0 * np.sqrt(np.log(d)))
     s_bar = 3.0 * np.eye(d)[d - 1] + radius * regular_simplex_directions(d)
     s = s_bar + sigma * gen.standard_normal((d, d))
-    from .rng import random_rotation  # local import to avoid cycle at module load
-
     rot = random_rotation(gen, d)
     rows = s @ rot.T  # row i is (R s_i)^T
     z = gen.standard_normal(d)
@@ -265,7 +260,7 @@ def phase1_solve(
                 continue
             pivots += path.pivots
             if isinstance(out, UnboundedRay):
-                return Unbounded(ray=out.ray, improves_objective=False)
+                return Unbounded(ray=out.ray)
             assert isinstance(out, Finished)
             if any(i >= n for i in out.basis.indices):
                 reasons.append("cut-off")
@@ -413,7 +408,7 @@ def phase2_solve(
     ray_x = ray[:d]
     scale = max(1.0, float(np.linalg.norm(ray_x)))
     if abs(ray[d]) <= TOL_DIR and (A @ ray_x).max() <= 1e-9 * scale:
-        return Unbounded(ray=ray_x, improves_objective=False)
+        return Unbounded(ray=ray_x)
     raise CertificateInvalid("interpolation path unbounded away from the t = 1 slice")
 
 
@@ -443,14 +438,14 @@ def phase3_solve(
         path, out = run_shadow_path(inst.A, inst.b, z, w, basis, limit=pivot_limit)
         paths.append(path)
         if isinstance(out, UnboundedRay):
-            return Unbounded(ray=out.ray, improves_objective=bool(c @ out.ray > 0)), paths
+            return Unbounded(ray=out.ray), paths
         basis = out.basis
         z = w
     path, out = run_shadow_path(inst.A, inst.b, z, c, basis, limit=pivot_limit)
     paths.append(path)
     if isinstance(out, Finished):
         return Optimal(basis_indices=out.basis.indices, x=out.basis.x), paths
-    return Unbounded(ray=out.ray, improves_objective=True), paths
+    return Unbounded(ray=out.ray), paths
 
 
 @dataclass
@@ -492,10 +487,10 @@ def solve(
     """Run phases 1-3 and return (outcome, per-phase stats, phase-3 path).
 
     Rays found in phases 1-2 certify an unbounded feasible region but need
-    not improve c; in that case the pipeline retries with fresh randomness a
-    couple of times hoping to land on a c-improving ray, and otherwise
-    raises NonImprovingRay.  Every returned ray r therefore has c^T r > 0.
-    The stats add up the restarts and phase 1-2 pivots of every attempt.
+    not improve c; while the ray does not, the pipeline retries with fresh
+    randomness, at most twice, and then raises NonImprovingRay.  Every
+    returned ray r therefore has c^T r > 0.  The stats add up the restarts
+    and phase 1-2 pivots of every attempt.
     """
     inst_lp = inst.lp() if hasattr(inst, "lp") else inst
     n, d = inst_lp.A.shape
@@ -512,20 +507,13 @@ def solve(
     gen = as_generator(rng)
     stats = SolveStats()
     outcome, path = _solve_once(gen, inst_lp, art_sigma, max_restarts, pivot_limit, stats)
-    while (
-        isinstance(outcome, Unbounded)
-        and not outcome.improves_objective
-        and float(inst_lp.c @ outcome.ray) <= 0.0
-        and stats.retries < 2
-    ):
-        stats.retries += 1
-        outcome, path = _solve_once(gen, inst_lp, art_sigma, max_restarts, pivot_limit, stats)
-    if isinstance(outcome, Unbounded) and not outcome.improves_objective:
-        if float(inst_lp.c @ outcome.ray) <= 0.0:
+    while isinstance(outcome, Unbounded) and float(inst_lp.c @ outcome.ray) <= 0.0:
+        if stats.retries == 2:
             raise NonImprovingRay(
                 f"{stats.retries + 1} attempts ended on rays of the feasible region "
                 "that do not improve c"
             )
-        outcome = Unbounded(ray=outcome.ray)
+        stats.retries += 1
+        outcome, path = _solve_once(gen, inst_lp, art_sigma, max_restarts, pivot_limit, stats)
     verify_outcome(inst_lp, outcome)
     return outcome, stats, path

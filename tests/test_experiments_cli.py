@@ -7,7 +7,9 @@ import pytest
 
 from shadowlp.errors import ConfigError
 from shadowlp.experiments import (
+    CONE_COLUMNS,
     CONE_SCHEMA,
+    LOWERBOUND_COLUMNS,
     SCALING_SCHEMA,
     cone_run,
     lowerbound_run,
@@ -56,6 +58,30 @@ def test_parse_config_behaviour():
                 SCALING_SCHEMA,
             )
         )
+
+
+def test_study_columns_are_pinned():
+    # the CSV layouts; CONE_COLUMNS and LOWERBOUND_COLUMNS follow the field
+    # order of ConeTrial and DiameterRecord, so reordering a field fails here
+    assert SCALING_COLUMNS == [
+        "schema_version", "experiment", "trial", "sigma_index", "sigma", "seed",
+        "stream", "d", "n", "family", "outcome", "error", "restarts",
+        "pivots_phase1", "pivots_phase2", "pivots_phase3", "pivots_total",
+        "objective_value", "m_threshold", "g_threshold", "rho",
+        "good_multiplier_frac", "relative_gap_frac", "triple_count", "far_count",
+        "min_proj_norm", "max_proj_norm",
+    ]
+    assert CONE_COLUMNS == [
+        "schema_version", "experiment", "config_id", "seed", "stream", "d",
+        "trials", "m", "p0", "pm", "stderr_diff", "satisfied",
+    ]
+    assert LOWERBOUND_COLUMNS == [
+        "schema_version", "experiment", "run", "seed", "stream", "d", "sigma",
+        "eta", "n_rows", "n_dense", "outcome", "error", "vertices", "edges",
+        "bfs_hops", "path_bound", "bound_holds", "gamma", "radius", "eta_event",
+        "event_holds", "sandwich_inner_ok", "sandwich_outer_ok", "eta_star",
+        "gamma_origin", "facet_bound_applicable", "facet_bound_ok",
+    ]
 
 
 def test_polygon_product_rows_shape():
@@ -148,7 +174,7 @@ def test_cli_solve_exit_codes(tmp_path):
     res = _run_cli(["solve", str(unb), "--seed", "3"])
     assert res.returncode == 3
     doc = json.loads(res.stdout)
-    assert "ray" in doc
+    assert "ray" in doc and "improves_objective" not in doc
     assert doc["pivots"]["phase1"] > 0  # phase 1 pivots before it finds the ray
 
     # a bounded LP on an unbounded region whose every attempt ends on a ray
@@ -183,6 +209,22 @@ def test_cli_experiment_outputs_and_env_dir(tmp_path):
     assert summary["experiment"] == "shadow_scaling"
 
 
+def test_cli_summary_is_strict_json(tmp_path):
+    # one sigma leaves the log-log fit undefined; the summary says null
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(TINY_SCALING.replace("0.05, 0.2", "0.05"))
+    res = _run_cli(["experiment", str(cfgfile), "--out", str(tmp_path)])
+    assert res.returncode == 0, res.stderr
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = (tmp_path / "shadow_scaling_summary.json").read_text()
+    summary = json.loads(text, parse_constant=reject)
+    assert summary["loglog_slope"] is None and summary["loglog_intercept"] is None
+    assert summary["per_sigma"][0]["trials_ok"] == 3
+
+
 def test_cli_unknown_config_key_fails(tmp_path):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(TINY_SCALING + "typo_key = 1\n")
@@ -212,6 +254,17 @@ def test_cli_rejects_config_for_other_experiment(tmp_path):
      "trials = 1\nfamily = ball\nmax_restarts = 0\n", "max_restarts must be positive"),
     ("experiment", "experiment = shadow_scaling\nd = 3\nn = 12\nsigma_grid = 0.1\n"
      "trials = 1\nfamily = ball\npivot_limit = 0\n", "pivot_limit must be positive"),
+    ("experiment", "experiment = shadow_scaling\nd = 3\nn = 12\nsigma_grid = nan\n"
+     "trials = 1\nfamily = ball\n", "sigma_grid: must be finite"),
+    ("experiment", "experiment = shadow_scaling\nd = 3\nn = 12\nsigma_grid = 0.1, inf\n"
+     "trials = 1\nfamily = ball\n", "sigma_grid: must be finite"),
+    ("experiment", "experiment = shadow_scaling\nd = 3\nn = 12\nsigma_grid = 0.1\n"
+     "trials = 1\nfamily = ball\nrho = nan\n", "rho: must be finite"),
+    ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = nan\neta = 0.25\n",
+     "sigma: must be finite"),
+    ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = inf\n", "sigma: must be finite"),
+    ("montecarlo-cone", "experiment = cone\nd = 3\nconfigs = 1\ntrials = 1\n",
+     "trials at least 2"),
 ])
 def test_cli_rejects_configs_the_study_cannot_run(tmp_path, command, text, message):
     cfgfile = tmp_path / "study.cfg"
