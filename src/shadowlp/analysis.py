@@ -157,28 +157,28 @@ def triple_mask(member: np.ndarray) -> np.ndarray:
     return out
 
 
-def triples_inequality(member: np.ndarray, components: int = 1) -> tuple[int, int]:
-    """(lhs, rhs) of 3|S| <= 2k + |T^S| + 2|V| on a recorded path graph."""
+def triples_inequality(member: np.ndarray) -> tuple[int, int]:
+    """(lhs, rhs) of 3|S| <= 2k + |T^S| + 2|V| on a recorded path graph,
+    which is one component (k = 1)."""
     member = np.asarray(member, dtype=bool)
     lhs = 3 * int(member.sum())
-    rhs = 2 * components + int(triple_mask(member).sum()) + 2 * len(member)
+    rhs = 2 + int(triple_mask(member).sum()) + 2 * len(member)
     return lhs, rhs
 
 
 def classify_path(
     path: ShadowPath,
     inst,
-    c: Optional[np.ndarray] = None,
-    c2: Optional[np.ndarray] = None,
     m: Optional[float] = None,
     g: Optional[float] = None,
     rho: float = 0.5,
 ) -> PathReport:
     """Label every path basis with its separation memberships.
 
-    Objectives default to the path's own; m defaults to ln(1/0.99)/(2d) and
-    g must be supplied by the caller when a meaningful sigma exists (else it
-    defaults to 0, making the relative-gap mask a plain feasibility mask).
+    The objectives are the path's own, y and y2.  m defaults to
+    ln(1/0.99)/(2d) and g must be supplied by the caller when a meaningful
+    sigma exists (else it defaults to 0, making the relative-gap mask a
+    plain feasibility mask).
 
     Per basis, `multiplier_margin` evaluates every breakpoint candidate in
     one array step and keeps the first maximum, never a NaN one, and
@@ -187,8 +187,7 @@ def classify_path(
     neighbours when each adjacent path edge is at least rho times its
     projected norm; a NaN length or norm counts as not far.
     """
-    c = path.y if c is None else np.asarray(c, float)
-    c2 = path.y2 if c2 is None else np.asarray(c2, float)
+    c, c2 = path.y, path.y2
     d = len(c)
     if m is None:
         m = good_multiplier_threshold(d)
@@ -445,7 +444,7 @@ def build_schedule(c: np.ndarray, z: np.ndarray, n: int, d: int,
 
 
 def run_schedule(A: np.ndarray, b: np.ndarray, schedule: ObjectiveSchedule,
-                 start: Basis, limit: int = 10**6) -> list[ShadowPath]:
+                 start: Basis) -> list[ShadowPath]:
     """Run the pivot engine over every consecutive objective pair.
 
     The start basis must be optimal for the first objective; each segment
@@ -454,7 +453,7 @@ def run_schedule(A: np.ndarray, b: np.ndarray, schedule: ObjectiveSchedule,
     paths = []
     basis = start
     for y, y2 in zip(schedule.objectives, schedule.objectives[1:]):
-        path, out = run_shadow_path(A, b, y, y2, basis, limit=limit)
+        path, out = run_shadow_path(A, b, y, y2, basis)
         if not hasattr(out, "basis"):
             raise RuntimeError("schedule segment went unbounded")
         paths.append(path)

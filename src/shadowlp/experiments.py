@@ -103,8 +103,6 @@ SCALING_SCHEMA = {
     "stream_base": (int, 0),
     "family": (str, "product"),
     "rho": (float, 0.5),
-    "max_restarts": (int, 64),
-    "pivot_limit": (int, 10**6),
     "record_wall_time": (bool, False),
     "svg": (bool, True),
 }
@@ -129,14 +127,13 @@ LOWERBOUND_SCHEMA = {
     "n": (int, 0),              # 0 means: floor((4/sigma)^d) when pad, else packing size
     "pad": (bool, True),
     "audit_samples": (int, 100_000),
-    "guard": (int, 10**6),
 }
 
 
 def validate_scaling_config(cfg: dict[str, Any]) -> None:
     if cfg["experiment"] != "shadow_scaling":
         raise ConfigError(f"experiment must be shadow_scaling, got {cfg['experiment']!r}")
-    for key in ("d", "trials", "max_restarts", "pivot_limit"):
+    for key in ("d", "trials"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     if cfg["n"] < 2:
@@ -246,8 +243,7 @@ def _summary(name: str, cfg: dict[str, Any], **results) -> dict[str, Any]:
 
 def run_scaling_trial(params: tuple) -> dict[str, Any]:
     """One seeded trial; top-level so worker pools can pickle it."""
-    (trial, sigma_index, sigma, seed, stream, d, n, family, rho,
-     max_restarts, pivot_limit, record_wall) = params
+    trial, sigma_index, sigma, seed, stream, d, n, family, rho, record_wall = params
     import time
 
     row = dict.fromkeys(SCALING_COLUMNS, "")
@@ -262,9 +258,7 @@ def run_scaling_trial(params: tuple) -> dict[str, Any]:
     try:
         gen = RngStream(seed, stream).generator()
         si = scaling_instance(gen, d, n, sigma, family)
-        outcome, stats, path = solve(
-            gen, si, max_restarts=max_restarts, pivot_limit=pivot_limit
-        )
+        outcome, stats, path = solve(gen, si)
         row["outcome"] = outcome.kind
         row.update((name, getattr(stats, name)) for name in _STATS_CELLS)
         if isinstance(outcome, Optimal):
@@ -282,8 +276,11 @@ def run_scaling_trial(params: tuple) -> dict[str, Any]:
 
 
 def shadow_scaling_run(cfg: dict[str, Any], jobs: int = 1):
-    """Run the sigma-grid study; returns (rows, summary)."""
+    """Run the sigma-grid study on min(jobs, trials) worker processes;
+    returns (rows, summary)."""
     validate_scaling_config(cfg)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     grid = cfg["sigma_grid"]
     params = []
     index = 0
@@ -292,12 +289,12 @@ def shadow_scaling_run(cfg: dict[str, Any], jobs: int = 1):
             params.append((
                 trial, sigma_index, sigma, cfg["seed"],
                 cfg["stream_base"] + index, cfg["d"], cfg["n"], cfg["family"],
-                cfg["rho"], cfg["max_restarts"], cfg["pivot_limit"],
-                cfg["record_wall_time"],
+                cfg["rho"], cfg["record_wall_time"],
             ))
             index += 1
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    workers = min(jobs, len(params))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             rows = pool.map(run_scaling_trial, params, chunksize=8)
     else:
         rows = [run_scaling_trial(p) for p in params]
@@ -374,8 +371,8 @@ def cone_run(cfg: dict[str, Any]):
 
 
 def lowerbound_run(cfg: dict[str, Any]):
-    if cfg["d"] < 2 or cfg["sigma"] < 0 or cfg["runs"] <= 0:
-        raise ConfigError("need d >= 2, sigma >= 0, runs > 0")
+    if cfg["d"] < 2 or cfg["sigma"] < 0 or cfg["runs"] <= 0 or cfg["n"] < 0:
+        raise ConfigError("need d >= 2, sigma >= 0, runs > 0, n >= 0")
     eta = cfg["eta"] if cfg["eta"] > 0 else cfg["sigma"]
     if not 0.0 < eta <= 2.0:
         raise ConfigError(f"eta must be in (0, 2], got {eta} (eta = 0 takes sigma)")
@@ -396,7 +393,7 @@ def lowerbound_run(cfg: dict[str, Any]):
                 eta=eta,
                 n=cfg["n"] if cfg["n"] > 0 else None,
                 pad=cfg["pad"],
-                audit_samples=cfg["audit_samples"], guard=cfg["guard"],
+                audit_samples=cfg["audit_samples"],
             )
             row.update(asdict(rec))
         except ShadowLpError as exc:

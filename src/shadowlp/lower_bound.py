@@ -445,18 +445,18 @@ def _max_facet_diameter(inst_like, graph: VertexGraph) -> float:
     return gamma
 
 
-def diameter_experiment(rng, d: int, sigma: float, c: Optional[np.ndarray] = None,
-                        eta: Optional[float] = None, n: Optional[int] = None,
-                        pad: bool = True, audit_samples: int = 100_000,
-                        guard: int = 10**6) -> DiameterRecord:
+def diameter_experiment(rng, d: int, sigma: float, eta: Optional[float] = None,
+                        n: Optional[int] = None, pad: bool = True,
+                        audit_samples: int = 100_000) -> DiameterRecord:
     """Build a near-ball instance and verify the measured diameter chain.
 
-    Discovers the full 1-skeleton by pivoting from the c-optimal vertex,
-    recenters the inequality description at the vertex centroid (so the
-    polar is defined even when a perturbed b_i drops below zero), measures
-    the enclosing radius R and the max polar facet diameter gamma, and
-    checks that the BFS distance between the c-max and c-min vertices is at
-    least (d-1) (2/(R gamma) - 2) -- an implication that holds run by run.
+    Draws a uniform objective c on the sphere, discovers the full 1-skeleton
+    by pivoting from the c-optimal vertex, recenters the inequality
+    description at the vertex centroid (so the polar is defined even when a
+    perturbed b_i drops below zero), measures the enclosing radius R and the
+    max polar facet diameter gamma, and checks that the BFS distance between
+    the c-max and c-min vertices is at least (d-1) (2/(R gamma) - 2) -- an
+    implication that holds run by run.
     """
     gen = as_generator(rng)
     if eta is None:
@@ -464,8 +464,7 @@ def diameter_experiment(rng, d: int, sigma: float, c: Optional[np.ndarray] = Non
             raise ValueError("eta must be given when sigma = 0")
         eta = sigma
     dense = dense_set_with_retry(gen, eta, d, audit_samples=audit_samples)
-    if c is None:
-        c = uniform_sphere(gen, d)
+    c = uniform_sphere(gen, d)
     if n is None and not pad:
         n = len(dense)
     inst = build_lb_instance(gen, dense, sigma, c=c, n=n)
@@ -485,7 +484,7 @@ def diameter_experiment(rng, d: int, sigma: float, c: Optional[np.ndarray] = Non
         return rec
     rec.outcome = "optimal"
 
-    graph = discover_vertex_graph(inst.A, inst.b, outcome.basis_indices, guard=guard)
+    graph = discover_vertex_graph(inst.A, inst.b, outcome.basis_indices)
     rec.vertices = len(graph)
     rec.edges = graph.edge_count
 

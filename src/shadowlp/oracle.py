@@ -47,11 +47,15 @@ def orthonormal_frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.vstack([f1, resid / nr])
 
 
-def enumerate_feasible_bases(inst, guard: int = ENUM_GUARD, tol: float = 1e-9) -> list[Basis]:
-    """All index sets I with A_I invertible and A x_I <= b + tol."""
+def enumerate_feasible_bases(inst, guard: Optional[int] = None) -> list[Basis]:
+    """All index sets I with A_I invertible and A x_I <= b + 1e-9.
+
+    Raises TooLarge past `guard` index sets (default ENUM_GUARD).
+    """
     A, b = np.asarray(inst.A, float), np.asarray(inst.b, float)
     n, d = A.shape
     total = comb(n, d)
+    guard = ENUM_GUARD if guard is None else guard
     if total > guard:
         raise TooLarge(f"binom({n},{d}) = {total} exceeds guard {guard}")
     out: list[Basis] = []
@@ -68,7 +72,7 @@ def enumerate_feasible_bases(inst, guard: int = ENUM_GUARD, tol: float = 1e-9) -
             continue
         idx_ok = chunk[ok]
         x = np.linalg.solve(sub[ok], b[idx_ok][..., None])[..., 0]
-        feas = np.all(x @ A.T <= b[None, :] + tol, axis=1)
+        feas = np.all(x @ A.T <= b[None, :] + 1e-9, axis=1)
         for row in idx_ok[feas]:
             out.append(make_basis(A, b, row))
     return out
@@ -83,36 +87,31 @@ def _unbounded_edges(A, b, bases: list[Basis]):
                 yield basis, -res.direction
 
 
-def region_bounded(inst, bases: Optional[list[Basis]] = None, guard: int = ENUM_GUARD) -> bool:
+def region_bounded(inst, bases: Optional[list[Basis]] = None) -> bool:
     """True iff the feasible region has no recession ray.
 
     A nonempty pointed polyhedron is unbounded exactly when some vertex has
     an unbounded edge; an empty region counts as bounded.
     """
     if bases is None:
-        bases = enumerate_feasible_bases(inst, guard)
+        bases = enumerate_feasible_bases(inst)
     for _ in _unbounded_edges(inst.A, inst.b, bases):
         return False
     return True
 
 
-def _grid_feasible_point(inst, samples: int = 2048) -> Optional[np.ndarray]:
+def _grid_feasible_point(inst) -> Optional[np.ndarray]:
     A, b, d = inst.A, inst.b, inst.A.shape[1]
     gen = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
     for scale in (0.0, 0.1, 1.0, 10.0, 100.0):
-        pts = scale * gen.standard_normal((max(1, samples // 5), d))
+        pts = scale * gen.standard_normal((2048 // 5, d))
         feas = np.all(pts @ A.T <= b[None, :] + 1e-9, axis=1)
         if np.any(feas):
             return pts[np.argmax(feas)]
     return None
 
 
-def lp_optimum_oracle(
-    inst,
-    objective: np.ndarray,
-    guard: int = ENUM_GUARD,
-    bases: Optional[list[Basis]] = None,
-):
+def lp_optimum_oracle(inst, objective: np.ndarray, bases: Optional[list[Basis]] = None):
     """Classify max objective^T x over Ax <= b by brute force.
 
     Optimal: argmax over enumerated vertices.  Unbounded: some feasible
@@ -121,7 +120,7 @@ def lp_optimum_oracle(
     """
     objective = np.asarray(objective, float)
     if bases is None:
-        bases = enumerate_feasible_bases(inst, guard)
+        bases = enumerate_feasible_bases(inst)
     if not bases:
         if _grid_feasible_point(inst) is not None:
             raise RuntimeError(
@@ -141,18 +140,18 @@ def lp_optimum_oracle(
 # Planar convex hull (monotone chain, orientation predicate with tolerance)
 
 
-def _orient(o, a, b, eps: float = 1e-12) -> int:
+def _orient(o, a, b) -> int:
     """Sign of the turn o->a->b; 0 within a relative collinearity tolerance."""
     ax, ay = a[0] - o[0], a[1] - o[1]
     bx, by = b[0] - o[0], b[1] - o[1]
     cross = ax * by - ay * bx
     scale = max(abs(ax), abs(ay), abs(bx), abs(by), 1.0)
-    if abs(cross) <= eps * scale * scale:
+    if abs(cross) <= 1e-12 * scale * scale:
         return 0
     return 1 if cross > 0 else -1
 
 
-def convex_hull_2d(points: np.ndarray, eps: float = 1e-12) -> list[int]:
+def convex_hull_2d(points: np.ndarray) -> list[int]:
     """Indices of hull vertices in counterclockwise order, collinear points dropped."""
     pts = np.asarray(points, dtype=float)
     m = len(pts)
@@ -165,7 +164,7 @@ def convex_hull_2d(points: np.ndarray, eps: float = 1e-12) -> list[int]:
     def build(seq):
         chain: list[int] = []
         for i in seq:
-            while len(chain) >= 2 and _orient(pts[chain[-2]], pts[chain[-1]], pts[i], eps) <= 0:
+            while len(chain) >= 2 and _orient(pts[chain[-2]], pts[chain[-1]], pts[i]) <= 0:
                 chain.pop()
             chain.append(int(i))
         return chain
@@ -202,13 +201,13 @@ class ShadowPolygon:
     ray_dirs: Optional[np.ndarray] = None  # (2, 2) unit directions when open
 
 
-def _recession_extreme_rays(A: np.ndarray, guard: int = ENUM_GUARD) -> np.ndarray:
+def _recession_extreme_rays(A: np.ndarray) -> np.ndarray:
     """Extreme rays of {r : Ar <= 0} from (d-1)-subsets of rows."""
     n, d = A.shape
     if d < 2:
         raise ValueError("recession ray enumeration needs d >= 2")
-    if comb(n, d - 1) > guard:
-        raise TooLarge(f"binom({n},{d-1}) exceeds guard {guard}")
+    if comb(n, d - 1) > ENUM_GUARD:
+        raise TooLarge(f"binom({n},{d-1}) exceeds guard {ENUM_GUARD}")
     rays = []
     for subset in combinations(range(n), d - 1):
         sub = A[list(subset)]
@@ -232,11 +231,7 @@ def _recession_extreme_rays(A: np.ndarray, guard: int = ENUM_GUARD) -> np.ndarra
 
 
 def shadow_polygon_oracle(
-    inst,
-    c: np.ndarray,
-    z: np.ndarray,
-    guard: int = ENUM_GUARD,
-    bases: Optional[list[Basis]] = None,
+    inst, c: np.ndarray, z: np.ndarray, bases: Optional[list[Basis]] = None
 ) -> ShadowPolygon:
     """Project all feasible vertices to span(c, z) and hull them.
 
@@ -246,7 +241,7 @@ def shadow_polygon_oracle(
     """
     frame = orthonormal_frame(c, z)
     if bases is None:
-        bases = enumerate_feasible_bases(inst, guard)
+        bases = enumerate_feasible_bases(inst)
     if not bases:
         raise ValueError("no feasible vertices to project")
     verts = np.array([bs.x for bs in bases])
@@ -254,7 +249,7 @@ def shadow_polygon_oracle(
 
     closed = True
     ray_dirs = None
-    rays = _recession_extreme_rays(inst.A, guard)
+    rays = _recession_extreme_rays(inst.A)
     sentinel_pts = np.zeros((0, 2))
     if len(rays):
         closed = False
@@ -384,13 +379,11 @@ def build_vertex_graph(bases: list[Basis]) -> VertexGraph:
     )
 
 
-def discover_vertex_graph(
-    A: np.ndarray, b: np.ndarray, start_indices, guard: int = VERTEX_GUARD
-) -> VertexGraph:
+def discover_vertex_graph(A: np.ndarray, b: np.ndarray, start_indices) -> VertexGraph:
     """Explore the 1-skeleton by pivoting outward from one feasible basis.
 
-    Used where enumeration is hopeless (the lower-bound instances); the
-    guard caps the number of vertices discovered.
+    Used where enumeration is hopeless (the lower-bound instances); raises
+    TooLarge past VERTEX_GUARD vertices.
     """
     A = np.asarray(A, float)
     b = np.asarray(b, float)
@@ -409,8 +402,8 @@ def discover_vertex_graph(
             nb = tuple(sorted(set(basis.indices) - {leaving} | {res.entering}))
             j = ids.get(nb)
             if j is None:
-                if len(bases) >= guard:
-                    raise TooLarge(f"vertex guard {guard} exceeded")
+                if len(bases) >= VERTEX_GUARD:
+                    raise TooLarge(f"vertex guard {VERTEX_GUARD} exceeded")
                 j = len(bases)
                 ids[nb] = j
                 bases.append(make_basis(A, b, nb))

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .rng import as_generator, random_rotation
 from .simplex import (
-    DEFAULT_PIVOT_LIMIT,
     TOL_DIR,
     TOL_FEAS,
     TOL_OPT,
@@ -46,7 +45,7 @@ from .simplex import (
     run_shadow_path,
 )
 
-DEFAULT_MAX_RESTARTS = 64
+MAX_RESTARTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +222,14 @@ def phase1_solve(
     rng,
     A: np.ndarray,
     sigma: float,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
-    pivot_limit: int = DEFAULT_PIVOT_LIMIT,
     stats: Optional[SolveStats] = None,
 ) -> Union[Phase1Result, Unbounded]:
     """Solve max z^T x, Ax <= 1 for a fresh Gaussian z.
 
-    Rebuilds the artificial system with fresh randomness whenever the
-    starting basis fails to materialize or the optimum leans on an
-    artificial row (the artificial simplex cut off the true optimum).
+    Rebuilds the artificial system with fresh randomness, at most
+    MAX_RESTARTS times in all, whenever the starting basis fails to
+    materialize or the optimum leans on an artificial row (the artificial
+    simplex cut off the true optimum).
     An unbounded shadow run propagates immediately: its ray certifies that
     the feasible region of the input system is unbounded.  The pivot and
     attempt counts are added to `stats.pivots_phase1` and `stats.restarts`
@@ -244,7 +242,7 @@ def phase1_solve(
     attempt = 0
     reasons: list[str] = []
     try:
-        for attempt in range(1, max_restarts + 1):
+        for attempt in range(1, MAX_RESTARTS + 1):
             ulp = build_unit_lp_prime(gen, A, sigma)
             start = _artificial_start(ulp)
             if start is None:
@@ -252,8 +250,7 @@ def phase1_solve(
                 continue
             try:
                 path, out = run_shadow_path(
-                    ulp.combined_A, ulp.combined_b,
-                    ulp.start_objective, ulp.z, start, limit=pivot_limit,
+                    ulp.combined_A, ulp.combined_b, ulp.start_objective, ulp.z, start
                 )
             except (NumericalStall, CycleDetected) as exc:
                 reasons.append(f"engine:{type(exc).__name__}")
@@ -272,7 +269,7 @@ def phase1_solve(
             stats.pivots_phase1 += pivots
             stats.restarts += attempt
     raise RestartLimitExceeded(
-        f"phase 1 failed {max_restarts} times; failure reasons: {reasons}"
+        f"phase 1 failed {MAX_RESTARTS} times; failure reasons: {reasons}"
     )
 
 
@@ -280,27 +277,14 @@ def phase1_solve(
 # Phase 2: interpolation system
 
 
-@dataclass(frozen=True)
-class InterpolationLp:
-    """Lifted system Ax + (1-b)t <= 1; t = 0 slices to the unit system and
-    t = 1 slices to the input feasible set."""
-
-    A: np.ndarray       # (n, d+1): [A | 1-b]
-    b: np.ndarray       # ones
+def interpolation_matrix(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A | 1-b]: the lifted system [A | 1-b] (x, t) <= 1 slices to the unit
+    system at t = 0 and to the input feasible set at t = 1."""
+    return np.column_stack([A, 1.0 - b])
 
 
-def build_interpolation_lp(A: np.ndarray, b: np.ndarray) -> InterpolationLp:
-    return InterpolationLp(A=np.column_stack([A, 1.0 - b]), b=np.ones(A.shape[0]))
-
-
-@dataclass
-class Phase2Result:
-    basis: Basis  # basis of the input system, optimal for z
-    pivots: int
-
-
-def _farkas_from_lifted(ilp: InterpolationLp, basis_hat: Basis, n: int) -> np.ndarray:
-    mu_hat = multipliers(basis_hat, np.eye(ilp.A.shape[1])[-1])
+def _farkas_from_lifted(basis_hat: Basis, n: int) -> np.ndarray:
+    mu_hat = multipliers(basis_hat, np.eye(basis_hat.d)[-1])
     y = np.zeros(n)
     y[list(basis_hat.indices)] = np.clip(mu_hat, 0.0, None)
     return y
@@ -323,22 +307,23 @@ def phase2_solve(
     inst,
     unit_basis: Basis,
     z: np.ndarray,
-    pivot_limit: int = DEFAULT_PIVOT_LIMIT,
     stats: Optional[SolveStats] = None,
-) -> Union[Phase2Result, Infeasible, Unbounded]:
+) -> Union[Basis, Infeasible, Unbounded]:
     """Carry a z-optimal unit-system basis to a z-optimal input-system basis.
 
     Starts on the interpolation edge tight at the unit basis, then follows
     the combined shadow path toward maximizing t with `run_shadow_path`,
     stopping at the first edge that crosses t = 1; if the t-maximum is
     reached below 1 the input system is empty and the optimal multipliers
-    give a Farkas certificate.  The walk's pivot count is added to
-    `stats.pivots_phase2` whichever outcome it returns.
+    give a Farkas certificate.  Returns the input-system Basis, Infeasible
+    or Unbounded; the walk's pivot count is added to `stats.pivots_phase2`
+    whichever it returns.
     """
     gen = as_generator(rng)
     A, b = inst.A, inst.b
     n, d = A.shape
-    ilp = build_interpolation_lp(A, b)
+    lifted = interpolation_matrix(A, b)
+    ones = np.ones(n)
     # one extra coordinate would extend z to a spherically symmetric lifted
     # objective (z, z_ext); the walk below starts at the edge normal
     # (z, w_star) instead, which spans the same plane together with e_{d+1}
@@ -357,40 +342,38 @@ def phase2_solve(
     dx = -linalg.solve(unit_basis.factorization, 1.0 - b[idx])
     v = np.append(dx, 1.0)
     p0 = np.append(unit_basis.x, 0.0)
-    rates = ilp.A @ v
-    slack0 = ilp.b - ilp.A @ p0
+    rates = lifted @ v
+    slack0 = ones - lifted @ p0
     rates[idx] = 0.0  # the unit basis rows stay tight along the edge
     rows = np.flatnonzero(rates > TOL_DIR)
     if rows.size == 0:
         # t grows to 1 with nothing in the way; the unit basis rows are tight
         # at t = 1 where A_I x = b_I.
-        return Phase2Result(basis=_crossing_basis(A, b, idx, z), pivots=0)
+        return _crossing_basis(A, b, idx, z)
     steps = slack0[rows] / rates[rows]
     first = int(np.argmin(steps))  # ties go to the smallest row, as in ratio_test
     if float(steps[first]) >= 1.0:
-        return Phase2Result(basis=_crossing_basis(A, b, idx, z), pivots=0)
+        return _crossing_basis(A, b, idx, z)
     entering = int(rows[first])
 
-    def crossed(basis_hat, leaving, pivots):
+    def crossed(basis_hat, leaving):
         # the rows of basis_hat other than `leaving` are tight at t = 1
         remaining = [i for i in basis_hat.indices if i != leaving]
-        return Phase2Result(basis=_crossing_basis(A, b, remaining, z), pivots=pivots)
+        return _crossing_basis(A, b, remaining, z)
 
     def crossing(path, leaving, res):
         """Stop on the first edge that crosses the t = 1 slice."""
         t_cur = float(path.bases[-1].x[d])
         t_next = t_cur - res.step * res.direction[d]
         if t_cur < 1.0 <= t_next + 1e-15:
-            return crossed(path.bases[-1], leaving, path.pivots)
+            return crossed(path.bases[-1], leaving)
         return None
 
-    start = make_basis(ilp.A, ilp.b, (*unit_basis.indices, entering))
-    path, out = run_shadow_path(
-        ilp.A, ilp.b, y_start, y_target, start, limit=pivot_limit, stop=crossing
-    )
+    start = make_basis(lifted, ones, (*unit_basis.indices, entering))
+    path, out = run_shadow_path(lifted, ones, y_start, y_target, start, stop=crossing)
     if stats is not None:
         stats.pivots_phase2 += path.pivots
-    if isinstance(out, Phase2Result):
+    if isinstance(out, Basis):
         return out
     if isinstance(out, Finished):
         t_star = float(out.basis.x[d])
@@ -398,13 +381,13 @@ def phase2_solve(
             raise CertificateInvalid(
                 f"t-maximum {t_star} above 1 without a detected crossing"
             )
-        infeasible = Infeasible(certificate=_farkas_from_lifted(ilp, out.basis, n))
+        infeasible = Infeasible(certificate=_farkas_from_lifted(out.basis, n))
         verify_outcome(inst, infeasible)
         return infeasible
     ray = out.ray
     if ray[d] > TOL_DIR:
         # the unbounded edge escapes through t = 1
-        return crossed(out.basis, out.leaving, path.pivots)
+        return crossed(out.basis, out.leaving)
     ray_x = ray[:d]
     scale = max(1.0, float(np.linalg.norm(ray_x)))
     if abs(ray[d]) <= TOL_DIR and (A @ ray_x).max() <= 1e-9 * scale:
@@ -417,7 +400,7 @@ def phase2_solve(
 
 
 def phase3_solve(
-    inst, z_basis: Basis, z: np.ndarray, pivot_limit: int = DEFAULT_PIVOT_LIMIT
+    inst, z_basis: Basis, z: np.ndarray
 ) -> tuple[SolveOutcome, list[ShadowPath]]:
     """Follow the shadow path from the random objective z to the input c.
 
@@ -435,13 +418,13 @@ def phase3_solve(
     if np.linalg.norm(resid) <= 1e-10 * max(1.0, np.linalg.norm(c)) and c @ z < 0.0:
         k = int(np.argmin(np.abs(zhat)))
         w = np.eye(len(zhat))[k] - zhat[k] * zhat
-        path, out = run_shadow_path(inst.A, inst.b, z, w, basis, limit=pivot_limit)
+        path, out = run_shadow_path(inst.A, inst.b, z, w, basis)
         paths.append(path)
         if isinstance(out, UnboundedRay):
             return Unbounded(ray=out.ray), paths
         basis = out.basis
         z = w
-    path, out = run_shadow_path(inst.A, inst.b, z, c, basis, limit=pivot_limit)
+    path, out = run_shadow_path(inst.A, inst.b, z, c, basis)
     paths.append(path)
     if isinstance(out, Finished):
         return Optimal(basis_indices=out.basis.indices, x=out.basis.x), paths
@@ -464,26 +447,20 @@ class SolveStats:
         return self.pivots_phase1 + self.pivots_phase2 + self.pivots_phase3
 
 
-def _solve_once(gen, inst, art_sigma, max_restarts, pivot_limit, stats):
+def _solve_once(gen, inst, art_sigma, stats):
     stats.pivots_phase3 = 0
-    p1 = phase1_solve(gen, inst.A, art_sigma, max_restarts, pivot_limit, stats=stats)
+    p1 = phase1_solve(gen, inst.A, art_sigma, stats=stats)
     if isinstance(p1, Unbounded):
         return p1, None
-    p2 = phase2_solve(gen, inst, p1.basis, p1.z, pivot_limit, stats=stats)
+    p2 = phase2_solve(gen, inst, p1.basis, p1.z, stats=stats)
     if isinstance(p2, (Infeasible, Unbounded)):
         return p2, None
-    outcome, paths = phase3_solve(inst, p2.basis, p1.z, pivot_limit)
+    outcome, paths = phase3_solve(inst, p2, p1.z)
     stats.pivots_phase3 = sum(p.pivots for p in paths)
     return outcome, paths[-1]
 
 
-def solve(
-    rng,
-    inst,
-    art_sigma: Optional[float] = None,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
-    pivot_limit: int = DEFAULT_PIVOT_LIMIT,
-) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
+def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
     """Run phases 1-3 and return (outcome, per-phase stats, phase-3 path).
 
     Rays found in phases 1-2 certify an unbounded feasible region but need
@@ -494,19 +471,18 @@ def solve(
     """
     inst_lp = inst.lp() if hasattr(inst, "lp") else inst
     n, d = inst_lp.A.shape
-    if art_sigma is None:
-        # keep the artificial noise well below the simplex radius
-        # 1/(10 sqrt(ln d)); near it the start construction rarely yields
-        # nonnegative multipliers and the restart loop churns
-        cap = min(
-            1.0 / (4.0 * np.sqrt(d * np.log(max(n, 3)))),
-            1.0 / (80.0 * np.sqrt(np.log(d))),
-        )
-        art_sigma = getattr(inst, "sigma", None)
-        art_sigma = cap if art_sigma is None or art_sigma <= 0 else min(art_sigma, cap)
+    # keep the artificial noise well below the simplex radius
+    # 1/(10 sqrt(ln d)); near it the start construction rarely yields
+    # nonnegative multipliers and the restart loop churns
+    cap = min(
+        1.0 / (4.0 * np.sqrt(d * np.log(max(n, 3)))),
+        1.0 / (80.0 * np.sqrt(np.log(d))),
+    )
+    art_sigma = getattr(inst, "sigma", None)
+    art_sigma = cap if art_sigma is None or art_sigma <= 0 else min(art_sigma, cap)
     gen = as_generator(rng)
     stats = SolveStats()
-    outcome, path = _solve_once(gen, inst_lp, art_sigma, max_restarts, pivot_limit, stats)
+    outcome, path = _solve_once(gen, inst_lp, art_sigma, stats)
     while isinstance(outcome, Unbounded) and float(inst_lp.c @ outcome.ray) <= 0.0:
         if stats.retries == 2:
             raise NonImprovingRay(
@@ -514,6 +490,6 @@ def solve(
                 "that do not improve c"
             )
         stats.retries += 1
-        outcome, path = _solve_once(gen, inst_lp, art_sigma, max_restarts, pivot_limit, stats)
+        outcome, path = _solve_once(gen, inst_lp, art_sigma, stats)
     verify_outcome(inst_lp, outcome)
     return outcome, stats, path

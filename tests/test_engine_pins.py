@@ -109,7 +109,7 @@ PINNED_ANALYSIS = [
 def test_seeded_scaling_analysis_is_pinned(sigma, stream, rho, good, gap, triples, far,
                                            min_norm, max_norm):
     row = experiments.run_scaling_trial(
-        (0, 0, sigma, 2026, stream, 10, 500, "ball", rho, 64, 10**6, False))
+        (0, 0, sigma, 2026, stream, 10, 500, "ball", rho, False))
     assert row["outcome"] == "optimal"
     assert (row["triple_count"], row["far_count"]) == (triples, far)
     np.testing.assert_allclose(

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from shadowlp import experiments
 from shadowlp.errors import ConfigError
 from shadowlp.experiments import (
     CONE_COLUMNS,
@@ -109,6 +111,42 @@ def test_scaling_run_deterministic_and_parallel():
     rows1, _ = shadow_scaling_run(cfg, jobs=1)
     rows2, _ = shadow_scaling_run(cfg, jobs=2)
     assert rows_to_csv(SCALING_COLUMNS, rows1) == rows_to_csv(SCALING_COLUMNS, rows2)
+
+
+def test_scaling_pool_has_no_more_workers_than_trials(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Runs the map in this process and records the requested size."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(experiments, "multiprocessing", SimpleNamespace(Pool=RecordingPool))
+    shadow_scaling_run(parse_config(TINY_SCALING, SCALING_SCHEMA), jobs=16)  # 6 trials
+    shadow_scaling_run(parse_config(TINY_SCALING, SCALING_SCHEMA), jobs=2)
+    one = TINY_SCALING.replace("0.05, 0.2", "0.05").replace("trials = 3", "trials = 1")
+    shadow_scaling_run(parse_config(one, SCALING_SCHEMA), jobs=4)  # runs in this process
+    assert sizes == [6, 2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(tmp_path, jobs):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(TINY_SCALING)
+    res = _run_cli(["experiment", str(cfgfile), "--jobs", jobs, "--out", str(tmp_path / "o")])
+    assert res.returncode == 1
+    assert res.stderr == f"error: jobs must be at least 1, got {jobs}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_single_trial_summary_degenerates_gracefully():
@@ -250,10 +288,11 @@ def test_cli_rejects_config_for_other_experiment(tmp_path):
      "trials = 1\nfamily = ball\n", "n must be at least 2"),
     ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = 0.25\naudit_samples = 0\n",
      "audit_samples must be positive"),
+    # the restart budget and pivot limit are constants, not config keys
     ("experiment", "experiment = shadow_scaling\nd = 3\nn = 12\nsigma_grid = 0.1\n"
-     "trials = 1\nfamily = ball\nmax_restarts = 0\n", "max_restarts must be positive"),
+     "trials = 1\nfamily = ball\nmax_restarts = 0\n", "unknown key 'max_restarts'"),
     ("experiment", "experiment = shadow_scaling\nd = 3\nn = 12\nsigma_grid = 0.1\n"
-     "trials = 1\nfamily = ball\npivot_limit = 0\n", "pivot_limit must be positive"),
+     "trials = 1\nfamily = ball\npivot_limit = 0\n", "unknown key 'pivot_limit'"),
     ("experiment", "experiment = shadow_scaling\nd = 3\nn = 12\nsigma_grid = nan\n"
      "trials = 1\nfamily = ball\n", "sigma_grid: must be finite"),
     ("experiment", "experiment = shadow_scaling\nd = 3\nn = 12\nsigma_grid = 0.1, inf\n"
@@ -263,6 +302,7 @@ def test_cli_rejects_config_for_other_experiment(tmp_path):
     ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = nan\neta = 0.25\n",
      "sigma: must be finite"),
     ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = inf\n", "sigma: must be finite"),
+    ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = 0.25\nn = -5\n", "n >= 0"),
     ("montecarlo-cone", "experiment = cone\nd = 3\nconfigs = 1\ntrials = 1\n",
      "trials at least 2"),
 ])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shadowlp import LPInstance, RngStream
+from shadowlp import LPInstance, RngStream, oracle
 from shadowlp.errors import DegenerateShadow, TooLarge, Unreachable
 from shadowlp.oracle import (
     bfs_distance,
@@ -188,6 +188,15 @@ def test_discovery_matches_enumeration():
     graph_disc = discover_vertex_graph(inst.A, inst.b, bases[0].indices)
     assert sorted(graph_disc.bases) == sorted(graph_enum.bases)
     assert graph_disc.edge_count == graph_enum.edge_count
+
+
+def test_discovery_stops_at_the_vertex_guard(monkeypatch):
+    # the cube has 8 vertices; discovery reads the guard when it runs
+    monkeypatch.setattr(oracle, "VERTEX_GUARD", 4)
+    inst = cube_instance()
+    start = enumerate_feasible_bases(inst)[0].indices
+    with pytest.raises(TooLarge, match="vertex guard 4 exceeded"):
+        discover_vertex_graph(inst.A, inst.b, start)
 
 
 def test_seeded_graph_degree_is_dimension():

@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from shadowlp import LPInstance, RngStream
+from shadowlp import LPInstance, RngStream, solver
 from scipy.optimize import linprog
 
-from shadowlp.errors import CertificateInvalid, DimensionTooSmall, NonImprovingRay, ShadowLpError
+from shadowlp.errors import (
+    CertificateInvalid,
+    DimensionTooSmall,
+    NonImprovingRay,
+    RestartLimitExceeded,
+    ShadowLpError,
+)
 from shadowlp.oracle import enumerate_feasible_bases, lp_optimum_oracle
-from shadowlp.simplex import make_basis, multipliers
+from shadowlp.simplex import Basis, make_basis, multipliers
 from shadowlp.solver import (
     Infeasible,
     Optimal,
     Phase1Result,
-    Phase2Result,
+    SolveStats,
     Unbounded,
     build_unit_lp_prime,
     phase1_solve,
@@ -102,6 +108,20 @@ def test_phase1_box_matches_unit_oracle():
     assert np.allclose(res.basis.x, oracle.x, atol=1e-8)
 
 
+def test_phase1_stops_at_the_restart_budget(monkeypatch):
+    # this seed needs two attempts on the cube; phase 1 reads the budget
+    # when it runs
+    A = cube_instance().A
+    stats = SolveStats()
+    assert isinstance(phase1_solve(RngStream(60, 1), A, sigma=0.01, stats=stats), Phase1Result)
+    assert stats.restarts == 2
+    monkeypatch.setattr(solver, "MAX_RESTARTS", 1)
+    stats = SolveStats()
+    with pytest.raises(RestartLimitExceeded, match="phase 1 failed 1 times"):
+        phase1_solve(RngStream(60, 1), A, sigma=0.01, stats=stats)
+    assert stats.restarts == 1
+
+
 def test_phase1_handles_zero_row():
     gen = RngStream(45, 0).generator()
     A = np.vstack([cube_instance().A, np.zeros(3)])
@@ -115,10 +135,11 @@ def test_phase2_all_ones_rhs_returns_unit_basis():
     gen = RngStream(46, 0).generator()
     inst = cube_instance(c=np.array([0.3, -1.0, 0.5]))
     res1 = phase1_solve(gen, inst.A, sigma=0.01)
-    res2 = phase2_solve(gen, inst, res1.basis, res1.z)
-    assert isinstance(res2, Phase2Result)
-    assert res2.basis.indices == res1.basis.indices
-    assert res2.pivots == 0
+    stats = SolveStats()
+    res2 = phase2_solve(gen, inst, res1.basis, res1.z, stats=stats)
+    assert isinstance(res2, Basis)
+    assert res2.indices == res1.basis.indices
+    assert stats.pivots_phase2 == 0
 
 
 def test_phase2_infeasible_with_farkas():
@@ -149,10 +170,10 @@ def test_phase2_basis_is_z_optimal():
         if isinstance(res1, Unbounded):
             continue
         res2 = phase2_solve(gen, inst, res1.basis, res1.z)
-        assert isinstance(res2, Phase2Result)
+        assert isinstance(res2, Basis)
         z_oracle = lp_optimum_oracle(inst, res1.z, bases=bases)
         assert isinstance(z_oracle, Optimal)
-        assert abs(res1.z @ res2.basis.x - res1.z @ z_oracle.x) <= 1e-7 * (
+        assert abs(res1.z @ res2.x - res1.z @ z_oracle.x) <= 1e-7 * (
             1 + abs(res1.z @ z_oracle.x)
         )
         done += 1
@@ -164,7 +185,7 @@ def test_phase3_parallel_objective_zero_pivots():
     res1 = phase1_solve(gen, inst.A, sigma=0.01)
     res2 = phase2_solve(gen, inst, res1.basis, res1.z)
     parallel = LPInstance(inst.A, inst.b, 2.0 * res1.z)
-    outcome, paths = phase3_solve(parallel, res2.basis, res1.z)
+    outcome, paths = phase3_solve(parallel, res2, res1.z)
     assert isinstance(outcome, Optimal)
     assert sum(p.pivots for p in paths) == 0
 
@@ -179,7 +200,7 @@ def test_phase3_antipodal_objective():
     res1 = phase1_solve(gen, inst.A, sigma=0.02)
     res2 = phase2_solve(gen, inst, res1.basis, res1.z)
     anti = LPInstance(inst.A, inst.b, -res1.z)
-    outcome, paths = phase3_solve(anti, res2.basis, res1.z)
+    outcome, paths = phase3_solve(anti, res2, res1.z)
     assert isinstance(outcome, Optimal)
     anti_oracle = lp_optimum_oracle(anti, anti.c, bases=bases)
     assert abs(anti.c @ outcome.x - anti.c @ anti_oracle.x) <= 1e-7 * (
@@ -303,17 +324,17 @@ def test_solve_rejects_small_dimension():
 def test_interpolation_slice_matches_unit_region():
     # membership of unit-system-feasible points at t=0 in the lifted system,
     # and of lifted t=0 points in the unit system
-    from shadowlp.solver import build_interpolation_lp
+    from shadowlp.solver import interpolation_matrix
 
     gen = RngStream(55, 0).generator()
     si, _ = bounded_mixed_instance(gen, 3, 14, 0.05)
     inst = si.lp()
-    ilp = build_interpolation_lp(inst.A, inst.b)
+    lifted = interpolation_matrix(inst.A, inst.b)
     checked = 0
     while checked < 100:
         x = gen.uniform(-2.0, 2.0, 3)
         unit_ok = np.all(inst.A @ x <= 1.0)
-        lifted_ok = np.all(ilp.A @ np.append(x, 0.0) <= ilp.b)
+        lifted_ok = np.all(lifted @ np.append(x, 0.0) <= 1.0)
         assert unit_ok == lifted_ok
         checked += 1
 
