@@ -44,34 +44,55 @@ def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def multiplier_margin(basis: Basis, c: np.ndarray, c2: np.ndarray) -> tuple[float, float]:
-    """max over lambda in [0,1] of the minimum multiplier coordinate.
+def multiplier_margins(mu0: np.ndarray, mu1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (k, d) multiplier stacks at the segment's two ends, the
+    max over lambda in [0,1] of min((1-lambda) mu0 + lambda mu1).
 
-    Each coordinate of A_I^{-T}((1-lambda) c + lambda c2) is affine in
-    lambda, so the piecewise-linear concave minimum is maximized at an
-    endpoint or at a crossing of two coordinates; those breakpoints are
-    enumerated exactly.  The candidates are 0 and 1, then every pairwise
-    crossing da / (da - db) with a nonzero denominator strictly inside
-    (0, 1), pairs taken in `np.triu_indices(d, 1)` order, and all of them
-    are evaluated in one array step.  The witness is the first candidate
-    attaining the maximum, as a scan keeping only strict improvements would
-    pick; a candidate whose minimum is NaN is never chosen, so when every
-    minimum is NaN (or -inf) the result is (-inf, 0.0).
+    Each coordinate is affine in lambda, so the piecewise-linear concave
+    minimum is maximized at an endpoint or at a crossing of two coordinates;
+    those breakpoints are enumerated exactly.  A row's candidates are 0 and
+    1, then every pairwise crossing da / (da - db), pairs taken in
+    `np.triu_indices(d, 1)` order, kept when its denominator is nonzero and
+    it lies strictly inside (0, 1).  All k * (2 + d(d-1)/2) candidates are
+    evaluated in one array step, a discarded one at lambda 0, where it
+    repeats candidate 0 bit for bit and so is never the first maximum.  The
+    witness is the first candidate attaining the row maximum, as a scan
+    keeping only strict improvements would pick; a candidate whose minimum
+    is NaN is never chosen, so when every minimum is NaN (or -inf) the row
+    gives (-inf, 0.0).
+    Returns (margins, witness lambdas), each of length k.
+    """
+    k, d = mu0.shape
+    i, j = _pairs(d)
+    lam = np.zeros((k, 2 + len(i)))
+    lam[:, 1] = 1.0
+    rows = np.arange(k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        da = mu0[:, i] - mu0[:, j]
+        den = da - (mu1[:, i] - mu1[:, j])
+        cross = da / den
+        lam[:, 2:] = np.where((den != 0.0) & (cross > 0.0) & (cross < 1.0), cross, 0.0)
+        # (k, d, candidates), so each minimum is an elementwise one across
+        # the d coordinate planes: the same value and NaN as a reduction
+        # along a row, but not always the same sign of a zero, which the
+        # margin takes from a row reduction of the chosen candidate
+        at = (1.0 - lam)[:, None, :] * mu0[:, :, None] + lam[:, None, :] * mu1[:, :, None]
+        vals = np.minimum.reduce(at, axis=1)
+        vals[np.isnan(vals)] = -np.inf
+        best = vals.argmax(axis=1)  # 0.0 and -0.0 tie, so the sign cannot move it
+        margins = np.minimum.reduce(at[rows, :, best], axis=1)
+    margins[np.isnan(margins)] = -np.inf
+    return margins, lam[rows, best]
+
+
+def multiplier_margin(basis: Basis, c: np.ndarray, c2: np.ndarray) -> tuple[float, float]:
+    """max over lambda in [0,1] of the minimum coordinate of the multipliers
+    A_I^{-T}((1-lambda) c + lambda c2): `multiplier_margins` on one basis.
+
     Returns (margin, witness lambda).
     """
-    mu0 = multipliers(basis, c)
-    mu1 = multipliers(basis, c2)
-    i, j = _pairs(len(mu0))
-    da = mu0[i] - mu0[j]
-    den = da - (mu1[i] - mu1[j])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam = da / den
-    keep = (den != 0.0) & (lam > 0.0) & (lam < 1.0)
-    lam = np.concatenate(([0.0, 1.0], lam[keep]))
-    vals = np.minimum.reduce((1.0 - lam)[:, None] * mu0 + lam[:, None] * mu1, axis=1)
-    vals[np.isnan(vals)] = -np.inf
-    k = int(vals.argmax())
-    return float(vals[k]), float(lam[k])
+    margins, lams = multiplier_margins(multipliers(basis, c)[None], multipliers(basis, c2)[None])
+    return float(margins[0]), float(lams[0])
 
 
 def relative_slack(inst, basis: Basis) -> float:
@@ -90,14 +111,12 @@ def relative_slack(inst, basis: Basis) -> float:
 
 def _turn_angles(points: np.ndarray) -> np.ndarray:
     """Unsigned turn angle at each interior point of an open planar chain."""
-    m = len(points)
-    out = np.full(m, np.nan)
-    for i in range(1, m - 1):
-        e_in = points[i] - points[i - 1]
-        e_out = points[i + 1] - points[i]
-        cross = e_in[0] * e_out[1] - e_in[1] * e_out[0]
-        dot = float(e_in @ e_out)
-        out[i] = abs(math.atan2(cross, dot))
+    steps = points[1:] - points[:-1]
+    xy = steps.tolist()
+    out = np.full(len(points), np.nan)
+    for i in range(1, len(steps)):
+        (x0, y0), (x1, y1) = xy[i - 1], xy[i]
+        out[i] = abs(math.atan2(x0 * y1 - y0 * x1, float(steps[i - 1] @ steps[i])))
     return out
 
 
@@ -180,11 +199,12 @@ def classify_path(
     sigma exists (else it defaults to 0, making the relative-gap mask a
     plain feasibility mask).
 
-    Per basis, `multiplier_margin` evaluates every breakpoint candidate in
-    one array step and keeps the first maximum, never a NaN one, and
-    `relative_slack` gives the slack (inf when every row is basic, nan left
-    in `rel_slacks` for a near-zero vertex).  A basis is far from its
-    neighbours when each adjacent path edge is at least rho times its
+    The multipliers of every basis at y and y2 are stacked, and
+    `multiplier_margins` evaluates the breakpoint candidates of all bases in
+    one array step, keeping per basis the first maximum, never a NaN one.
+    Per basis, `relative_slack` gives the slack (inf when every row is basic,
+    nan left in `rel_slacks` for a near-zero vertex).  A basis is far from
+    its neighbours when each adjacent path edge is at least rho times its
     projected norm; a NaN length or norm counts as not far.
     """
     c, c2 = path.y, path.y2
@@ -195,23 +215,27 @@ def classify_path(
         g = 0.0
     frame = orthonormal_frame(c, c2)
     k = len(path.bases)
-    margins = np.empty(k)
-    witnesses = np.empty(k)
+    mu0 = np.empty((k, d))
+    mu1 = np.empty((k, d))
     slacks = np.full(k, np.nan)
+    proj = np.empty((k, 2))
     for i, basis in enumerate(path.bases):
-        margins[i], witnesses[i] = multiplier_margin(basis, c, c2)
+        mu0[i] = multipliers(basis, c)
+        mu1[i] = multipliers(basis, c2)
         try:
             slacks[i] = relative_slack(inst, basis)
         except ZeroVertex:
             pass
-    proj = np.array([frame @ bs.x for bs in path.bases])
+        proj[i] = frame @ basis.x
+    margins, witnesses = multiplier_margins(mu0, mu1)
     norms = np.linalg.norm(proj, axis=1)
     angles = _turn_angles(proj)
     good = margins >= m
     gap = np.where(np.isnan(slacks), False, slacks >= g)
-    # each edge's length serves both endpoints; a 1-D norm per edge, because
-    # norm(..., axis=1) can differ from it in the last bit
-    edges = np.array([np.linalg.norm(proj[i + 1] - proj[i]) for i in range(k - 1)])
+    # each edge's length serves both endpoints; np.linalg.norm's 1-D
+    # arithmetic per edge, because norm(..., axis=1) can differ from it in
+    # the last bit
+    edges = np.array([math.sqrt(e.dot(e)) for e in proj[1:] - proj[:-1]])
     reach = rho * norms
     far = np.ones(k, dtype=bool)
     far[1:] &= edges >= reach[1:]

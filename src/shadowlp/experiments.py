@@ -294,8 +294,10 @@ def shadow_scaling_run(cfg: dict[str, Any], jobs: int = 1):
             index += 1
     workers = min(jobs, len(params))
     if workers > 1:
+        # about one chunk per worker: a larger chunk leaves a worker idle
+        chunk = math.ceil(len(params) / workers)
         with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(run_scaling_trial, params, chunksize=8)
+            rows = pool.map(run_scaling_trial, params, chunksize=chunk)
     else:
         rows = [run_scaling_trial(p) for p in params]
 

@@ -83,7 +83,8 @@ def loads_instance(text: str) -> LPInstance:
     data = _parse_rows(lines[1 : 1 + n], d + 1)
     lineno, ln = lines[1 + n]
     c = _parse_floats(ln, d, lineno)
-    return LPInstance(A=data[:, :d], b=data[:, d], c=np.array(c))
+    # C-contiguous copies, not views, so the parsed block is freed
+    return LPInstance(A=data[:, :d].copy(), b=data[:, d].copy(), c=np.array(c))
 
 
 def _parse_rows(lines: list[tuple[int, str]], count: int) -> np.ndarray:

@@ -16,6 +16,7 @@ All certificates are re-verified numerically before being returned.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -126,11 +127,12 @@ def verify_outcome(inst, outcome: SolveOutcome) -> None:
 # Phase 1: unit system with artificial starting constraints
 
 
+@functools.lru_cache(maxsize=None)
 def regular_simplex_directions(d: int) -> np.ndarray:
     """d unit vectors orthogonal to e_d forming a regular simplex around 0.
 
     Rows sum to zero, have unit norm, pairwise inner products -1/(d-1), and
-    last coordinate exactly 0.
+    last coordinate exactly 0.  Computed once per d; the array is read-only.
     """
     # e_i - 1/d are the vertices of a regular simplex in the hyperplane 1^perp
     verts = np.eye(d) - np.full((d, d), 1.0 / d)
@@ -139,6 +141,7 @@ def regular_simplex_directions(d: int) -> np.ndarray:
     coords /= np.linalg.norm(coords, axis=1, keepdims=True)
     out = np.zeros((d, d))
     out[:, : d - 1] = coords
+    out.setflags(write=False)
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from shadowlp.analysis import (
     exterior_angles,
     good_multiplier_threshold,
     multiplier_margin,
+    multiplier_margins,
     relative_gap_threshold,
     relative_slack,
     run_schedule,
@@ -147,6 +149,53 @@ def test_multiplier_margin_matches_pairwise_scan():
         assert got == (np.inf, 1.0)
         got = _assert_margin_matches_scan(basis, np.full(3, np.nan), np.ones(3))
         assert got == (-np.inf, 0.0)
+
+
+def test_multiplier_margins_match_pairwise_scan_row_by_row():
+    # one call on a stack of k bases gives, row by row, the bits of the
+    # per-basis scan, and raises no warning whatever the multipliers hold
+    gen = RngStream(66, 0).generator()
+    zero_den = with_inf = all_nan = 0
+    for d in (1, 2, 3, 9):
+        for k in (1, 2, 5, 40):
+            rows = []
+            for r in range(k):
+                kind = int(gen.integers(5)) if k > 1 else (d + r) % 5
+                M = gen.standard_normal((d, d)) if kind == 0 else np.eye(d)
+                if kind == 3:
+                    c, c2 = np.full(d, np.nan), gen.standard_normal(d)
+                elif kind == 4:
+                    # the margin is at lambda = 0, a minimum over 0.0 and one
+                    # -0.0, whose sign depends on the order of the reduction
+                    # (at d = 9 a reduction across the other axis flips it)
+                    c, c2 = np.zeros(d), np.ones(d)
+                    c[-1], c2[-1] = -0.0, -1.0
+                else:
+                    # half-integer grid (signed zeros included): repeated
+                    # coordinates make zero denominators
+                    c = -gen.integers(-2, 3, d) / 2.0
+                    c2 = gen.integers(-2, 3, d) / 2.0
+                    if kind == 2:
+                        c2[gen.integers(d)] = gen.choice([np.inf, -np.inf, np.nan])
+                rows.append((make_basis(M, np.zeros(d), range(d)), c, c2))
+            mu0 = np.array([multipliers(basis, c) for basis, c, _ in rows])
+            mu1 = np.array([multipliers(basis, c2) for basis, _, c2 in rows])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                margins, lams = multiplier_margins(mu0, mu1)
+            assert margins.shape == lams.shape == (k,)
+            for r, (basis, c, c2) in enumerate(rows):
+                with np.errstate(all="ignore"):
+                    want = _margin_by_pairwise_scan(basis, c, c2)
+                assert (_bits(margins[r]), _bits(lams[r])) == (_bits(want[0]), _bits(want[1])), (d, k, r)
+            with np.errstate(invalid="ignore"):
+                den = (mu0[:, :, None] - mu0[:, None, :]) - (mu1[:, :, None] - mu1[:, None, :])
+            zero_den += int(np.triu(den == 0.0, 1).sum())
+            every_nan = np.isnan(mu0).all(axis=1) | np.isnan(mu1).all(axis=1)
+            some_inf = np.isinf(np.hstack([mu0, mu1])).any(axis=1)
+            with_inf += int((some_inf & ~every_nan).sum())
+            all_nan += int((every_nan & (margins == -np.inf) & (lams == 0.0)).sum())
+    assert zero_den > 30 and with_inf > 10 and all_nan > 10
 
 
 def test_relative_slack_cube_corner():

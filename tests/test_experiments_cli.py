@@ -115,11 +115,15 @@ def test_scaling_run_deterministic_and_parallel():
 
 def test_scaling_pool_has_no_more_workers_than_trials(monkeypatch):
     sizes = []
+    chunks = []
 
     class RecordingPool:
-        """Runs the map in this process and records the requested size."""
+        """Runs the map in this process and records the requested size, the
+        chunk size and the number of trials each worker would get, with the
+        chunks dealt out in turn as `Pool.map` hands them to idle workers."""
 
         def __init__(self, processes):
+            self.processes = processes
             sizes.append(processes)
 
         def __enter__(self):
@@ -129,6 +133,10 @@ def test_scaling_pool_has_no_more_workers_than_trials(monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=1):
+            loads = [0] * self.processes
+            for start in range(0, len(items), chunksize):
+                loads[start // chunksize % self.processes] += len(items[start:start + chunksize])
+            chunks.append((chunksize, loads))
             return [fn(item) for item in items]
 
     monkeypatch.setattr(experiments, "multiprocessing", SimpleNamespace(Pool=RecordingPool))
@@ -137,6 +145,8 @@ def test_scaling_pool_has_no_more_workers_than_trials(monkeypatch):
     one = TINY_SCALING.replace("0.05, 0.2", "0.05").replace("trials = 3", "trials = 1")
     shadow_scaling_run(parse_config(one, SCALING_SCHEMA), jobs=4)  # runs in this process
     assert sizes == [6, 2]
+    # every worker gets an equal share of the 6 trials
+    assert chunks == [(1, [1] * 6), (3, [3, 3])]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -54,6 +54,8 @@ def test_seeded_round_trip_is_bit_identical():
         again = loads_instance(dumps_instance(inst))
         for x, y in ((again.A, inst.A), (again.b, inst.b), (again.c, inst.c)):
             assert x.tobytes() == y.tobytes()
+            # arrays of their own, not views into the parsed (n, d + 1) block
+            assert x.flags.c_contiguous and x.base is None
 
 
 ODD_TOKENS = [

@@ -42,6 +42,8 @@ from helpers import (
 def test_regular_simplex_directions():
     for d in (3, 4, 6):
         u = regular_simplex_directions(d)
+        # cached per d, and read-only because every caller shares it
+        assert u is regular_simplex_directions(d) and not u.flags.writeable
         assert np.allclose(np.linalg.norm(u, axis=1), 1.0)
         assert np.abs(u.sum(axis=0)).max() < 1e-12
         assert np.abs(u[:, d - 1]).max() == 0.0
