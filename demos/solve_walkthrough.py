@@ -30,7 +30,8 @@ def report(name, inst, seed=0):
               f"y^T b = {y @ inst.b:.4f} < 0")
     elif isinstance(outcome, Unbounded):
         ray = outcome.ray / np.linalg.norm(outcome.ray)
-        print(f"recession ray {np.round(ray, 4)}, c.ray = {inst.c @ ray:.4f}")
+        print(f"recession ray {np.round(ray, 4)}, c.ray = {inst.c @ ray:.4f}, "
+              f"from the feasible vertex {np.round(outcome.x, 4) + 0.0}")
 
 
 # a box: |x_i| <= 1

@@ -10,8 +10,8 @@ from .errors import (
     DegenerateShadow,
     DimensionTooSmall,
     NegativeStep,
+    NoVertex,
     NonConvexInput,
-    NonImprovingRay,
     NonpositiveRhs,
     NormViolation,
     NotOptimal,
@@ -41,8 +41,8 @@ from .solver import Infeasible, Optimal, SolveStats, Unbounded, solve, verify_ou
 
 __all__ = [
     "AuditFailed", "CertificateInvalid", "ConfigError", "CycleDetected",
-    "DegenerateShadow", "DimensionTooSmall", "NegativeStep", "NonConvexInput",
-    "NonImprovingRay", "NonpositiveRhs", "NormViolation", "NotOptimal",
+    "DegenerateShadow", "DimensionTooSmall", "NegativeStep", "NoVertex", "NonConvexInput",
+    "NonpositiveRhs", "NormViolation", "NotOptimal",
     "NumericalStall", "PivotLimitExceeded", "RestartLimitExceeded", "ShadowLpError",
     "SingularError", "TooFewRows", "TooLarge", "Unreachable", "ZeroVertex",
     "LPInstance", "dump_instance", "load_instance",

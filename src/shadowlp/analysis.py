@@ -18,10 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonConvexInput, ZeroVertex
+from .errors import NonConvexInput, ShadowLpError, ZeroVertex
 from .oracle import orthonormal_frame
 from .rng import as_generator, exp_ball_sample
-from .simplex import Basis, ShadowPath, multipliers, run_shadow_path
+from .simplex import Basis, ShadowPath, UnboundedRay, multipliers, run_shadow_path
 
 
 def good_multiplier_threshold(d: int) -> float:
@@ -472,14 +472,17 @@ def run_schedule(A: np.ndarray, b: np.ndarray, schedule: ObjectiveSchedule,
     """Run the pivot engine over every consecutive objective pair.
 
     The start basis must be optimal for the first objective; each segment
-    starts from the previous segment's final basis.
+    starts from the previous segment's final basis.  Raises ShadowLpError
+    when a segment ends on an unbounded ray.
     """
     paths = []
     basis = start
-    for y, y2 in zip(schedule.objectives, schedule.objectives[1:]):
+    for i, (y, y2) in enumerate(zip(schedule.objectives, schedule.objectives[1:])):
         path, out = run_shadow_path(A, b, y, y2, basis)
-        if not hasattr(out, "basis"):
-            raise RuntimeError("schedule segment went unbounded")
+        if isinstance(out, UnboundedRay):
+            raise ShadowLpError(
+                f"schedule segment {i} (objective {i} to {i + 1}) is unbounded"
+            )
         paths.append(path)
         basis = out.basis
     return paths

@@ -77,6 +77,7 @@ def cmd_solve(args) -> int:
         code = 2
     elif isinstance(outcome, Unbounded):
         doc["ray"] = [float(v) for v in outcome.ray]
+        doc["x"] = [float(v) for v in outcome.x]
         code = 3
     else:  # pragma: no cover
         return 1

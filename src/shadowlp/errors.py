@@ -45,9 +45,8 @@ class CertificateInvalid(ShadowLpError):
     """A produced certificate failed its own invariant re-check."""
 
 
-class NonImprovingRay(ShadowLpError):
-    """Every solve attempt ended on a ray of the feasible region that does
-    not improve c; the objective may still be bounded on the region."""
+class NoVertex(ShadowLpError):
+    """rank A < d: the region {Ax <= b} has no vertex to start a path from."""
 
 
 class TooLarge(ShadowLpError):

@@ -276,8 +276,8 @@ def run_scaling_trial(params: tuple) -> dict[str, Any]:
 
 
 def shadow_scaling_run(cfg: dict[str, Any], jobs: int = 1):
-    """Run the sigma-grid study on min(jobs, trials) worker processes;
-    returns (rows, summary)."""
+    """Run the sigma-grid study on at most `jobs` worker processes, one per
+    chunk of ceil(trials / min(jobs, trials)) trials; returns (rows, summary)."""
     validate_scaling_config(cfg)
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -294,9 +294,10 @@ def shadow_scaling_run(cfg: dict[str, Any], jobs: int = 1):
             index += 1
     workers = min(jobs, len(params))
     if workers > 1:
-        # about one chunk per worker: a larger chunk leaves a worker idle
+        # about one chunk per worker: a larger chunk leaves a worker idle, and
+        # so would a worker past the last chunk
         chunk = math.ceil(len(params) / workers)
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(math.ceil(len(params) / chunk)) as pool:
             rows = pool.map(run_scaling_trial, params, chunksize=chunk)
     else:
         rows = [run_scaling_trial(p) for p in params]

@@ -131,7 +131,7 @@ def lp_optimum_oracle(inst, objective: np.ndarray, bases: Optional[list[Basis]] 
     scale = max(1.0, float(np.linalg.norm(objective)))
     for basis, ray in _unbounded_edges(inst.A, inst.b, bases):
         if objective @ ray > 1e-9 * scale * np.linalg.norm(ray):
-            return Unbounded(ray=ray)
+            return Unbounded(ray=ray, x=basis.x)
     best = max(bases, key=lambda bs: float(objective @ bs.x))
     return Optimal(basis_indices=best.indices, x=best.x)
 

@@ -27,7 +27,7 @@ from .errors import (
     CertificateInvalid,
     CycleDetected,
     DimensionTooSmall,
-    NonImprovingRay,
+    NoVertex,
     NumericalStall,
     RestartLimitExceeded,
     SingularError,
@@ -63,9 +63,10 @@ class Optimal:
 
 @dataclass(frozen=True)
 class Unbounded:
-    # a ray of the feasible region; one from phases 1-2 (whose objective is
-    # the random z) need not improve c, and `solve` never returns such a ray
+    # a ray, and the feasible vertex x it leaves from; phases 1-2 (whose
+    # unit system ignores b) give no x, and `solve` never answers with those
     ray: np.ndarray
+    x: Optional[np.ndarray] = None
 
     kind = "unbounded"
 
@@ -84,10 +85,13 @@ def verify_outcome(inst, outcome: SolveOutcome) -> None:
     """Re-check an outcome's certificate against the instance, independently
     of how it was produced.  Raises CertificateInvalid on any violation."""
     A, b, c = inst.A, inst.b, inst.c
-    if isinstance(outcome, Optimal):
+    if isinstance(outcome, (Optimal, Unbounded)):
+        if outcome.x is None:
+            raise CertificateInvalid("unbounded ray without a feasible point")
         resid = (A @ outcome.x - b).max()
         if resid > TOL_FEAS:
-            raise CertificateInvalid(f"optimal point infeasible by {resid:.3e}")
+            raise CertificateInvalid(f"{outcome.kind} point infeasible by {resid:.3e}")
+    if isinstance(outcome, Optimal):
         f = linalg.factorize(A[list(outcome.basis_indices)])
         mu = linalg.solve_transpose(f, c)
         if mu.min() < -TOL_OPT * max(1.0, float(np.linalg.norm(c))):
@@ -173,14 +177,14 @@ class UnitLpPrime:
         return self.rotation[:, self.d - 1]  # R e_d
 
 
-def build_unit_lp_prime(rng, A: np.ndarray, sigma: float) -> UnitLpPrime:
+def build_unit_lp_prime(rng, A: np.ndarray, sigma: float, z=None) -> UnitLpPrime:
     """Append d artificial constraints around a rotated simplex.
 
     The unperturbed points sit on the hyperplane {x : e_d^T x = 3} at
     distance 1/(10*sqrt(ln d)) from 3 e_d, are perturbed with standard
     deviation sigma, and are rotated by a fresh Haar rotation.  The basic
     solution of the artificial rows is feasible and optimal for the rotated
-    objective R e_d with constant probability.
+    objective R e_d with constant probability.  z=None draws a Gaussian z.
     """
     A = np.asarray(A, dtype=float)
     n, d = A.shape
@@ -192,7 +196,7 @@ def build_unit_lp_prime(rng, A: np.ndarray, sigma: float) -> UnitLpPrime:
     s = s_bar + sigma * gen.standard_normal((d, d))
     rot = random_rotation(gen, d)
     rows = s @ rot.T  # row i is (R s_i)^T
-    z = gen.standard_normal(d)
+    z = gen.standard_normal(d) if z is None else z
     combined_A = np.vstack([A, rows])
     combined_b = np.ones(n + d)
     return UnitLpPrime(
@@ -226,17 +230,17 @@ def phase1_solve(
     A: np.ndarray,
     sigma: float,
     stats: Optional[SolveStats] = None,
+    z: Optional[np.ndarray] = None,
 ) -> Union[Phase1Result, Unbounded]:
-    """Solve max z^T x, Ax <= 1 for a fresh Gaussian z.
+    """Solve max z^T x, Ax <= 1 for `z`, or a fresh Gaussian z per attempt.
 
     Rebuilds the artificial system with fresh randomness, at most
     MAX_RESTARTS times in all, whenever the starting basis fails to
     materialize or the optimum leans on an artificial row (the artificial
     simplex cut off the true optimum).
-    An unbounded shadow run propagates immediately: its ray certifies that
-    the feasible region of the input system is unbounded.  The pivot and
-    attempt counts are added to `stats.pivots_phase1` and `stats.restarts`
-    however phase 1 ends.
+    An unbounded shadow run returns its ray, which says nothing about the
+    input LP: the unit system never reads b.  The pivot and attempt counts
+    are added to `stats.pivots_phase1` and `stats.restarts` however it ends.
     """
     gen = as_generator(rng)
     A = np.asarray(A, dtype=float)
@@ -246,7 +250,7 @@ def phase1_solve(
     reasons: list[str] = []
     try:
         for attempt in range(1, MAX_RESTARTS + 1):
-            ulp = build_unit_lp_prime(gen, A, sigma)
+            ulp = build_unit_lp_prime(gen, A, sigma, z)
             start = _artificial_start(ulp)
             if start is None:
                 reasons.append("start-construction")
@@ -319,8 +323,8 @@ def phase2_solve(
     stopping at the first edge that crosses t = 1; if the t-maximum is
     reached below 1 the input system is empty and the optimal multipliers
     give a Farkas certificate.  Returns the input-system Basis, Infeasible
-    or Unbounded; the walk's pivot count is added to `stats.pivots_phase2`
-    whichever it returns.
+    or, for a numerical ray below t = 1, Unbounded; the walk's pivot count
+    is added to `stats.pivots_phase2` whichever it returns.
     """
     gen = as_generator(rng)
     A, b = inst.A, inst.b
@@ -387,15 +391,10 @@ def phase2_solve(
         infeasible = Infeasible(certificate=_farkas_from_lifted(out.basis, n))
         verify_outcome(inst, infeasible)
         return infeasible
-    ray = out.ray
-    if ray[d] > TOL_DIR:
+    if out.ray[d] > TOL_DIR:
         # the unbounded edge escapes through t = 1
         return crossed(out.basis, out.leaving)
-    ray_x = ray[:d]
-    scale = max(1.0, float(np.linalg.norm(ray_x)))
-    if abs(ray[d]) <= TOL_DIR and (A @ ray_x).max() <= 1e-9 * scale:
-        return Unbounded(ray=ray_x)
-    raise CertificateInvalid("interpolation path unbounded away from the t = 1 slice")
+    return Unbounded(ray=out.ray[:d])
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +423,20 @@ def phase3_solve(
         path, out = run_shadow_path(inst.A, inst.b, z, w, basis)
         paths.append(path)
         if isinstance(out, UnboundedRay):
-            return Unbounded(ray=out.ray), paths
+            return Unbounded(ray=out.ray, x=out.basis.x), paths
         basis = out.basis
         z = w
     path, out = run_shadow_path(inst.A, inst.b, z, c, basis)
     paths.append(path)
     if isinstance(out, Finished):
         return Optimal(basis_indices=out.basis.indices, x=out.basis.x), paths
-    return Unbounded(ray=out.ray), paths
+    return Unbounded(ray=out.ray, x=out.basis.x), paths
 
 
 @dataclass
 class SolveStats:
-    """A solve's counts.  Restarts and phase 1-2 pivots add up over every
-    retry; phase-3 pivots are those of the last attempt only."""
+    """A solve's counts.  Restarts and phase 1-2 pivots add up over both
+    passes; `retries` is 1 when phases 1-2 were rerun."""
 
     restarts: int = 0
     pivots_phase1: int = 0
@@ -450,9 +449,8 @@ class SolveStats:
         return self.pivots_phase1 + self.pivots_phase2 + self.pivots_phase3
 
 
-def _solve_once(gen, inst, art_sigma, stats):
-    stats.pivots_phase3 = 0
-    p1 = phase1_solve(gen, inst.A, art_sigma, stats=stats)
+def _solve_once(gen, inst, art_sigma, stats, z=None):
+    p1 = phase1_solve(gen, inst.A, art_sigma, stats=stats, z=z)
     if isinstance(p1, Unbounded):
         return p1, None
     p2 = phase2_solve(gen, inst, p1.basis, p1.z, stats=stats)
@@ -466,11 +464,10 @@ def _solve_once(gen, inst, art_sigma, stats):
 def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
     """Run phases 1-3 and return (outcome, per-phase stats, phase-3 path).
 
-    Rays found in phases 1-2 certify an unbounded feasible region but need
-    not improve c; while the ray does not, the pipeline retries with fresh
-    randomness, at most twice, and then raises NonImprovingRay.  Every
-    returned ray r therefore has c^T r > 0.  The stats add up the restarts
-    and phase 1-2 pivots of every attempt.
+    Only phase 3, starting at a feasible vertex, answers with a ray.  When
+    phase 1 or 2 ends on one, phases 1-2 rerun once with z = A^T |g|,
+    g ~ N(0, I_n), in the cone of the rows: every objective on their paths
+    is then bounded.  Raises NoVertex when rank A < d.
     """
     inst_lp = inst.lp() if hasattr(inst, "lp") else inst
     n, d = inst_lp.A.shape
@@ -486,13 +483,12 @@ def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
     gen = as_generator(rng)
     stats = SolveStats()
     outcome, path = _solve_once(gen, inst_lp, art_sigma, stats)
-    while isinstance(outcome, Unbounded) and float(inst_lp.c @ outcome.ray) <= 0.0:
-        if stats.retries == 2:
-            raise NonImprovingRay(
-                f"{stats.retries + 1} attempts ended on rays of the feasible region "
-                "that do not improve c"
-            )
-        stats.retries += 1
-        outcome, path = _solve_once(gen, inst_lp, art_sigma, stats)
+    if isinstance(outcome, Unbounded) and outcome.x is None:
+        rank = int(np.linalg.matrix_rank(inst_lp.A))
+        if rank < d:
+            raise NoVertex(f"rank A = {rank} < d = {d}: the region has no vertex")
+        stats.retries = 1
+        z = inst_lp.A.T @ np.abs(gen.standard_normal(n))
+        outcome, path = _solve_once(gen, inst_lp, art_sigma, stats, z)
     verify_outcome(inst_lp, outcome)
     return outcome, stats, path

@@ -104,3 +104,45 @@ def open_box_instance(seed):
     A = base + 0.01 * gen.standard_normal((4, 3))
     b = 1.0 + 0.01 * gen.standard_normal(4)
     return LPInstance(A, b, np.array([1.0, 1.0, 0.0]))
+
+
+def empty_slab_instance(seed, d=4):
+    """x_1 <= -1 and -x_1 <= -1 with -x_j <= 1 (j >= 2): empty and pointed.
+
+    The -x_j rows carry 0.01 noise off the first column, and c = |N(0, I)|.
+    The unit system these rows give phase 1 is bounded only in a narrow
+    cone, so a Gaussian phase-1 objective usually ends on a ray.
+    """
+    gen = RngStream(100 + seed, 0).generator()
+    A = np.zeros((d + 1, d))
+    A[0, 0], A[1, 0] = 1.0, -1.0
+    A[2:, 1:] = -np.eye(d - 1) + 0.01 * gen.standard_normal((d - 1, d - 1))
+    b = np.array([-1.0, -1.0, *np.ones(d - 1)])
+    return LPInstance(A, b, np.abs(gen.standard_normal(d)))
+
+
+def rank_deficient_instance(seed):
+    """The d=4 empty slab with a fifth coordinate that no row uses, c_5 = 0.3."""
+    inst = empty_slab_instance(seed)
+    A = np.column_stack([inst.A, np.zeros(inst.n)])
+    return LPInstance(A, inst.b, np.append(inst.c, 0.3))
+
+
+def apex_instance(seed):
+    """30 rows N(0, I_4) whose last column is |.| + 0.5, b = that column and
+    c = e_4: max x_4 is 1, at the apex e_4 where every row is tight."""
+    gen = RngStream(200 + seed, 0).generator()
+    A = gen.standard_normal((30, 4))
+    A[:, 3] = np.abs(A[:, 3]) + 0.5
+    return LPInstance(A, A[:, 3].copy(), np.eye(4)[3])
+
+
+def orthant_instance(seed, d=4):
+    """Rows -(I + 0.01 N) with b = 1 plus six rows -|N| with b = 1, and
+    c = |N|: a region around the positive orthant on which c is unbounded."""
+    gen = RngStream(300 + seed, 0).generator()
+    A = np.vstack([
+        -(np.eye(d) + 0.01 * gen.standard_normal((d, d))),
+        -np.abs(gen.standard_normal((6, d))),
+    ])
+    return LPInstance(A, np.ones(d + 6), np.abs(gen.standard_normal(d)))

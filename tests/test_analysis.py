@@ -25,7 +25,7 @@ from shadowlp.analysis import (
     triple_mask,
     triples_inequality,
 )
-from shadowlp.errors import NonConvexInput, ZeroVertex
+from shadowlp.errors import NonConvexInput, ShadowLpError, ZeroVertex
 from shadowlp.experiments import scaling_instance
 from shadowlp.oracle import lp_optimum_oracle, orthonormal_frame, shadow_polygon_oracle
 from shadowlp.simplex import make_basis, multipliers, run_shadow_path
@@ -431,6 +431,16 @@ def test_schedule_sizes():
     with pytest.raises(ValueError):
         build_schedule(2 * c, z, n=10, d=3)
 
+
+
+@pytest.mark.parametrize("k, segment", [(0, 0), (1, 1)])
+def test_run_schedule_rejects_an_unbounded_segment(k, segment):
+    # x <= 1 from the vertex (1, 1, 1), optimal for z = (1, 1, 1): c = -e1 is
+    # unbounded, and so is z + 2c, the end of segment 1 when k = 1
+    A, b = np.eye(3), np.ones(3)
+    sched = build_schedule(np.array([-1.0, 0.0, 0.0]), np.ones(3), n=3, d=3, k=k)
+    with pytest.raises(ShadowLpError, match=f"segment {segment} "):
+        run_schedule(A, b, sched, make_basis(A, b, (0, 1, 2)))
 
 def test_schedule_compose_inequalities():
     gen = RngStream(65, 0).generator()

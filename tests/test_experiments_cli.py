@@ -1,12 +1,14 @@
+import io
 import json
-import subprocess
-import sys
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from shadowlp import experiments
+from scipy.optimize import linprog
+
+from shadowlp import cli, experiments
 from shadowlp.errors import ConfigError
 from shadowlp.experiments import (
     CONE_COLUMNS,
@@ -142,11 +144,12 @@ def test_scaling_pool_has_no_more_workers_than_trials(monkeypatch):
     monkeypatch.setattr(experiments, "multiprocessing", SimpleNamespace(Pool=RecordingPool))
     shadow_scaling_run(parse_config(TINY_SCALING, SCALING_SCHEMA), jobs=16)  # 6 trials
     shadow_scaling_run(parse_config(TINY_SCALING, SCALING_SCHEMA), jobs=2)
+    shadow_scaling_run(parse_config(TINY_SCALING, SCALING_SCHEMA), jobs=4)  # 3 chunks of 2
     one = TINY_SCALING.replace("0.05, 0.2", "0.05").replace("trials = 3", "trials = 1")
     shadow_scaling_run(parse_config(one, SCALING_SCHEMA), jobs=4)  # runs in this process
-    assert sizes == [6, 2]
+    assert sizes == [6, 2, 3]
     # every worker gets an equal share of the 6 trials
-    assert chunks == [(1, [1] * 6), (3, [3, 3])]
+    assert chunks == [(1, [1] * 6), (3, [3, 3]), (2, [2, 2, 2])]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -185,16 +188,21 @@ def test_lowerbound_run_small():
     assert summary["bound_holds_all"]
 
 
-def _run_cli(args, env_extra=None, cwd=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "shadowlp.cli", *args],
-        capture_output=True, text=True, env=env, cwd=cwd,
-    )
+def _run_cli(args, env_extra=None):
+    """Run `shadowlp.cli.main(args)` in this process with `env_extra` added
+    to the environment, and return its exit code and what it wrote to
+    stdout and stderr, as `subprocess.run` would for `python -m
+    shadowlp.cli`.  An exception other than SystemExit escapes and fails
+    the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        for name, value in (env_extra or {}).items():
+            mp.setenv(name, value)
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 def test_cli_solve_exit_codes(tmp_path):
@@ -222,17 +230,19 @@ def test_cli_solve_exit_codes(tmp_path):
     res = _run_cli(["solve", str(unb), "--seed", "3"])
     assert res.returncode == 3
     doc = json.loads(res.stdout)
-    assert "ray" in doc and "improves_objective" not in doc
-    assert doc["pivots"]["phase1"] > 0  # phase 1 pivots before it finds the ray
+    assert "ray" in doc and "x" in doc and "improves_objective" not in doc
+    assert doc["pivots"]["phase3"] > 0  # the ray leaves a phase-3 vertex
 
-    # a bounded LP on an unbounded region whose every attempt ends on a ray
-    # that does not improve c: a typed error, not an "unbounded" answer
+    # a bounded LP on an unbounded region whose first pass ends on a ray
+    # that does not improve c: the rerun finds HiGHS's optimum
+    inst = open_box_instance(0)
     open_box = tmp_path / "open_box.txt"
-    dump_instance(open_box_instance(0), open_box)
+    dump_instance(inst, open_box)
     res = _run_cli(["solve", str(open_box), "--seed", "900", "--stream", "1"])
-    assert res.returncode == 1
-    assert res.stdout == ""
-    assert res.stderr.startswith("error: NonImprovingRay")
+    assert res.returncode == 0
+    ref = linprog(-inst.c, A_ub=inst.A, b_ub=inst.b, bounds=[(None, None)] * 3,
+                  method="highs")
+    assert abs(json.loads(res.stdout)["objective_value"] + ref.fun) <= 1e-9
 
     bad = tmp_path / "bad.txt"
     bad.write_text("2 3\n1 2\n")

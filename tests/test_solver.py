@@ -9,9 +9,8 @@ from scipy.optimize import linprog
 from shadowlp.errors import (
     CertificateInvalid,
     DimensionTooSmall,
-    NonImprovingRay,
+    NoVertex,
     RestartLimitExceeded,
-    ShadowLpError,
 )
 from shadowlp.oracle import enumerate_feasible_bases, lp_optimum_oracle
 from shadowlp.simplex import Basis, make_basis, multipliers
@@ -31,10 +30,14 @@ from shadowlp.solver import (
 )
 
 from helpers import (
+    apex_instance,
     bounded_mixed_instance,
     cube_instance,
+    empty_slab_instance,
     infeasible_instance,
     open_box_instance,
+    orthant_instance,
+    rank_deficient_instance,
     unbounded_in_c_instance,
 )
 
@@ -237,59 +240,76 @@ def test_solve_infeasible_reports_phase2_pivots():
 
 
 def test_solve_unbounded_in_phase1_reports_phase1_pivots():
-    # phase 1 finds the ray itself; its pivots and attempts still reach the stats
+    # the first pass's phase 1 ends on a ray (after 3, 0, 4, 2, 20, 3, 4 and
+    # 4 pivots in 1, 1, 1, 1, 5, 1, 1 and 1 attempts), which is no answer;
+    # the rerun reaches phase 3, whose ray is, and the stats add both passes
     pivots, restarts = [], []
     for k in range(8):
         inst = unbounded_in_c_instance(RngStream(53 + k, 0).generator(), 4, 20)
         out, stats, path = solve(RngStream(53 + k, 1), inst)
-        assert isinstance(out, Unbounded) and path is None
-        assert stats.pivots_total == stats.pivots_phase1
+        assert isinstance(out, Unbounded) and stats.retries == 1
+        assert path is not None and stats.pivots_phase3 == path.pivots > 0
+        assert (inst.A @ out.x - inst.b).max() <= 1e-8
         pivots.append(stats.pivots_phase1)
         restarts.append(stats.restarts)
-    assert pivots == [3, 0, 4, 2, 20, 3, 4, 4]
-    assert restarts == [1, 1, 1, 1, 5, 1, 1, 1]
+    assert pivots == [18, 27, 16, 20, 35, 11, 14, 14]
+    assert restarts == [3, 5, 2, 3, 7, 2, 2, 2]
 
 
 def test_solve_retry_accounting():
-    # the open-box solves that retry after a ray that does not improve c and
-    # then end optimal: retries, and restarts and phase 1-2 pivots summed over
-    # every pass, with phase 3 from the last pass only
+    # the open-box solves whose first pass ends on a phase 1-2 ray and whose
+    # rerun ends optimal: retries, and restarts and phase 1-2 pivots summed
+    # over both passes, with phase 3 from the rerun
     seen = {}
     for s in range(40):
-        inst = open_box_instance(s)
-        try:
-            out, stats, path = solve(RngStream(900 + s, 1), inst)
-        except ShadowLpError:
-            continue
-        if isinstance(out, Optimal) and stats.retries:
+        out, stats, path = solve(RngStream(900 + s, 1), open_box_instance(s))
+        if stats.retries:
+            assert isinstance(out, Optimal)
             seen[s] = (stats.retries, stats.restarts, stats.pivots_phase1,
                        stats.pivots_phase2, stats.pivots_phase3)
     assert seen == {
-        3: (1, 4, 9, 0, 0), 4: (1, 2, 4, 0, 1), 7: (1, 6, 14, 0, 1),
-        12: (1, 3, 7, 0, 1), 14: (1, 2, 6, 0, 1), 17: (2, 4, 10, 0, 0),
-        19: (2, 9, 18, 0, 1), 24: (2, 6, 13, 0, 0), 25: (2, 4, 9, 0, 1),
-        26: (1, 4, 8, 0, 0), 27: (1, 2, 5, 0, 1), 33: (2, 3, 7, 0, 0),
-        35: (2, 4, 9, 0, 0),
+        0: (1, 2, 4, 0, 0), 3: (1, 5, 12, 0, 0), 4: (1, 5, 10, 0, 0),
+        5: (1, 2, 6, 0, 0), 7: (1, 5, 11, 0, 1), 9: (1, 2, 4, 0, 0),
+        11: (1, 4, 8, 0, 1), 12: (1, 3, 7, 0, 0), 13: (1, 4, 8, 0, 0),
+        14: (1, 2, 6, 0, 0), 15: (1, 5, 11, 0, 1), 17: (1, 3, 9, 0, 1),
+        19: (1, 5, 10, 0, 0), 20: (1, 4, 8, 0, 0), 21: (1, 3, 7, 0, 1),
+        24: (1, 6, 14, 0, 0), 25: (1, 4, 10, 0, 1), 26: (1, 5, 11, 0, 0),
+        27: (1, 2, 5, 0, 0), 28: (1, 4, 8, 0, 1), 29: (1, 5, 11, 0, 0),
+        33: (1, 6, 13, 0, 0), 34: (1, 3, 7, 0, 1), 35: (1, 3, 8, 0, 1),
+        37: (1, 6, 12, 0, 1),
     }
 
 
-def test_solve_open_box_agrees_with_highs_or_raises():
-    # the region is unbounded but c is not; a ray that does not improve c is
-    # never returned as an answer
-    raised = []
+# family: (instance of seed s, the solve's stream for seed s)
+HIGHS_FAMILIES = {
+    "empty": (empty_slab_instance, lambda s: RngStream(31, s)),
+    "rank-deficient": (rank_deficient_instance, lambda s: RngStream(31, s)),
+    "open-box": (open_box_instance, lambda s: RngStream(900 + s, 1)),
+    "apex": (apex_instance, lambda s: RngStream(31, s)),
+    "orthant": (orthant_instance, lambda s: RngStream(31, s)),
+}
+
+
+@pytest.mark.parametrize("family", HIGHS_FAMILIES)
+def test_solve_agrees_with_highs_on_ray_families(family):
+    # families where a Gaussian phase-1 objective often ends on a ray: empty
+    # slabs, bounded LPs on unbounded regions (open box, apex) and unbounded
+    # LPs.  Every solve matches HiGHS's class and objective, except that A
+    # without full column rank has no vertex and raises NoVertex
+    make, stream = HIGHS_FAMILIES[family]
+    kinds = {0: "optimal", 2: "infeasible", 3: "unbounded"}
     for s in range(40):
-        inst = open_box_instance(s)
-        ref = linprog(-inst.c, A_ub=inst.A, b_ub=inst.b, bounds=[(None, None)] * 3,
+        inst = make(s)
+        ref = linprog(-inst.c, A_ub=inst.A, b_ub=inst.b, bounds=[(None, None)] * inst.d,
                       method="highs")
-        assert ref.status == 0
-        try:
-            out, stats, path = solve(RngStream(900 + s, 1), inst)
-        except NonImprovingRay:
-            raised.append(s)
+        if family == "rank-deficient":
+            with pytest.raises(NoVertex):
+                solve(stream(s), inst)
             continue
-        assert isinstance(out, Optimal)
-        assert abs(inst.c @ out.x + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
-    assert raised == [0, 5, 9, 11, 13, 15, 20, 21, 28, 29, 34, 37]
+        out, stats, path = solve(stream(s), inst)
+        assert out.kind == kinds[ref.status], s
+        if ref.status == 0:
+            assert abs(inst.c @ out.x + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), s
 
 
 def test_solve_unbounded_in_c():
@@ -306,8 +326,16 @@ def test_verify_outcome_rejects_bad_certificates():
     inst = cube_instance()
     with pytest.raises(CertificateInvalid):
         verify_outcome(inst, Optimal(basis_indices=(0, 2, 4), x=np.array([2.0, 0.0, 0.0])))
-    with pytest.raises(CertificateInvalid):
-        verify_outcome(inst, Unbounded(ray=np.array([1.0, 0.0, 0.0])))
+    with pytest.raises(CertificateInvalid, match="leaves recession cone"):
+        verify_outcome(inst, Unbounded(ray=np.array([1.0, 0.0, 0.0]), x=np.zeros(3)))
+    # a ray of the region's recession cone needs a feasible point to leave from
+    wedge = LPInstance(np.array([[-1.0, 0.0, 0.0]]), np.array([1.0]), np.array([1.0, 0.0, 0.0]))
+    ray = np.array([1.0, 0.0, 0.0])
+    verify_outcome(wedge, Unbounded(ray=ray, x=np.zeros(3)))
+    with pytest.raises(CertificateInvalid, match="without a feasible point"):
+        verify_outcome(wedge, Unbounded(ray=ray))
+    with pytest.raises(CertificateInvalid, match="point infeasible"):
+        verify_outcome(wedge, Unbounded(ray=ray, x=np.array([-2.0, 0.0, 0.0])))
     with pytest.raises(CertificateInvalid):
         verify_outcome(inst, Infeasible(certificate=np.ones(6)))
     # a correct optimal certificate passes
