@@ -7,10 +7,16 @@ linear objective's maximizer and minimizer.  The chain asserted here is
 deterministic in the measured quantities: inner/outer radii, the maximum
 polar facet diameter, and the BFS distance on the discovered 1-skeleton.
 
-The dense set is a greedy eta-packing of streamed sphere points.  Once it
-saturates, nearly every candidate lies deep inside some kept point's
-eta-ball, so a covered-cell table (`_CoverTable`) rejects those without
-normalizing them or comparing them with the packing.  The table cuts the
+The dense set is a greedy eta-packing of streamed sphere points, stopped
+once a streak of consecutive candidates is rejected and then audited with
+fresh samples.  A packing that fails its audit is resumed, not rebuilt: its
+points, cover table and streak carry over while the stream continues to a
+4x longer streak (dense_set_with_retry).
+
+Once the packing saturates, nearly every candidate lies deep inside some
+kept point's eta-ball, so a covered-cell table (`_CoverTable`) rejects
+those without normalizing them or comparing them with the packing.  The
+table cuts the
 sphere by the cube map: a direction g lands on the cube surface at
 g / max|g_j|, on one of 2d faces, each split into G^(d-1) squares of side
 2/G.  A cell counts as covered once a kept point p lies within
@@ -209,7 +215,19 @@ def _draw(gen, d: int, size: int, table: Optional[_CoverTable]):
     return g, rows, unit_rows(gen, g if rows is None else g[rows])
 
 
-def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000) -> DenseSet:
+class _Packing:
+    """A greedy packing's progress: its kept points, its cover table (None
+    until a batch accepts a point, or when the grid rule leaves it off) and
+    its rejection streak.  dense_set_with_retry carries one across attempts."""
+
+    def __init__(self, d: int):
+        self.points = np.empty((0, d))
+        self.table: Optional[_CoverTable] = None
+        self.streak = 0
+
+
+def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
+                     *, _packing: Optional[_Packing] = None) -> DenseSet:
     """Stream sphere points, keeping those >= eta from everything kept so far.
 
     The stream is drawn _BATCH candidates at a time and each batch is
@@ -243,6 +261,11 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000) -> D
     is raised if the packing was not yet maximal, with the distance of the
     worst probe in the failing chunk of 16384.  Draws, packing, message and
     the generator's state afterwards do not depend on the table.
+
+    `_packing` is dense_set_with_retry's resume state: the call starts from
+    its points, table and streak instead of an empty packing, and leaves in
+    it what the stream stopped with, before the audit.  Called without it,
+    the packing starts empty with a streak of zero.
     """
     if not 0.0 < eta <= 2.0:
         raise ValueError("eta must be in (0, 2]")
@@ -252,9 +275,8 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000) -> D
         raise ValueError("audit_samples must be >= 1")
     gen = as_generator(rng)
     grid = _cover_grid(d, eta)
-    table = None
-    points = np.empty((0, d))
-    streak = 0
+    packing = _Packing(d) if _packing is None else _packing
+    points, table, streak = packing.points, packing.table, packing.streak
     cos_cut = 1.0 - eta * eta / 2.0
     while streak < audit_samples:
         g, rows, cand = _draw(gen, d, _BATCH, table)
@@ -288,6 +310,7 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000) -> D
                 # are the packing's peak memory
                 table = _CoverTable(d, grid, eta)
             table.fold(cand[acc])
+    packing.points, packing.table, packing.streak = points, table, streak
     # audit: fresh samples must all be within eta of the packing
     remaining = audit_samples
     while remaining > 0:
@@ -310,17 +333,26 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000) -> D
 
 
 def dense_set_with_retry(rng, eta: float, d: int, audit_samples: int = 100_000) -> DenseSet:
-    """greedy_dense_set, quadrupling the rejection streak after audit failures."""
+    """greedy_dense_set, resumed with a 4x longer streak after audit failures.
+
+    Each of at most _ATTEMPTS greedy_dense_set calls continues the packing
+    the previous one left when its audit failed: the kept points, the cover
+    table and the rejection streak carry over, new candidates stream (drawn
+    after the failed audit's samples) until the streak reaches the
+    quadrupled target, and the packing is audited again with fresh samples.
+    A run whose first audit passes draws exactly what greedy_dense_set does.
+    """
     if audit_samples < 1:
         raise ValueError("audit_samples must be >= 1")
     gen = as_generator(rng)
+    packing = _Packing(d)
     streak = audit_samples
     for _ in range(_ATTEMPTS - 1):
         try:
-            return greedy_dense_set(gen, eta, d, audit_samples=streak)
+            return greedy_dense_set(gen, eta, d, audit_samples=streak, _packing=packing)
         except AuditFailed:
             streak *= 4
-    return greedy_dense_set(gen, eta, d, audit_samples=streak)
+    return greedy_dense_set(gen, eta, d, audit_samples=streak, _packing=packing)
 
 
 def default_row_count(sigma: float, d: int) -> int:

@@ -139,14 +139,11 @@ class SmoothedInstance:
         return LPInstance(A=self.A, b=self.b, c=self.c)
 
 
-def smoothed_instance(
-    rng, abar, bbar, c, sigma: float, perturb_b: bool = True
-) -> SmoothedInstance:
+def smoothed_instance(rng, abar, bbar, c, sigma: float) -> SmoothedInstance:
     """Perturb (abar, bbar) with iid N(0, sigma^2) entries.
 
-    Rows of the combined matrix (abar, bbar) must have Euclidean norm at most
-    1.  With perturb_b=False the right-hand side stays exactly bbar (the
-    fixed-rhs mode used for unit LPs with b = 1).
+    Rows of the combined matrix (abar, bbar) must have Euclidean norm at
+    most 1.
     """
     abar = np.asarray(abar, dtype=float)
     bbar = np.asarray(bbar, dtype=float)
@@ -159,10 +156,7 @@ def smoothed_instance(
         raise NormViolation(f"combined row norm {worst:.6f} exceeds 1")
     gen = as_generator(rng)
     A = abar + sigma * gen.standard_normal(abar.shape)
-    if perturb_b:
-        b = bbar + sigma * gen.standard_normal(bbar.shape)
-    else:
-        b = bbar.copy()
+    b = bbar + sigma * gen.standard_normal(bbar.shape)
     # record the effective perturbation so A - abar == a_draws holds exactly
     return SmoothedInstance(
         abar=abar,

@@ -16,13 +16,13 @@ def cube_instance(d=3, c=None):
     return LPInstance(A, b, np.asarray(c, float))
 
 
-def ball_instance(gen, d, n, sigma, perturb_b=True):
+def ball_instance(gen, d, n, sigma):
     """Random unit directions with rhs 1, scaled so combined rows have norm 1."""
     dirs = uniform_sphere(gen, d, n)
     abar = dirs / np.sqrt(2.0)
     bbar = np.full(n, 1.0 / np.sqrt(2.0))
     c = uniform_sphere(gen, d)
-    return smoothed_instance(gen, abar, bbar, c, sigma, perturb_b=perturb_b)
+    return smoothed_instance(gen, abar, bbar, c, sigma)
 
 
 def mixed_instance(gen, d, n, sigma, b_low=-0.12, b_high=0.75):

@@ -117,9 +117,6 @@ def test_smoothed_instance_bookkeeping():
     si = smoothed_instance(gen, abar, bbar, c, sigma=0.05)
     assert np.array_equal(si.A - si.abar, si.a_draws)
     assert np.array_equal(si.b - si.bbar, si.b_draws)
-    fixed = smoothed_instance(gen, abar, np.ones(3) * 0.0, c, 0.05, perturb_b=False)
-    assert np.array_equal(fixed.b, np.zeros(3))
-    assert np.array_equal(fixed.b_draws, np.zeros(3))
 
 
 def test_smoothed_instance_norm_violation():

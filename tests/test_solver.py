@@ -12,6 +12,7 @@ from shadowlp.errors import (
     NoVertex,
     RestartLimitExceeded,
 )
+from shadowlp.experiments import scaling_instance
 from shadowlp.oracle import enumerate_feasible_bases, lp_optimum_oracle
 from shadowlp.simplex import Basis, make_basis, multipliers
 from shadowlp.solver import (
@@ -310,6 +311,24 @@ def test_solve_agrees_with_highs_on_ray_families(family):
         assert out.kind == kinds[ref.status], s
         if ref.status == 0:
             assert abs(inst.c @ out.x + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), s
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e-6, 1.0, 5.0, 7.0, 10.0, 1e6, 1e9])
+def test_solve_agrees_with_highs_under_row_scaling(k):
+    # d=6, n=200 ball instances with every (a_i, b_i) multiplied by k: the
+    # same LP, so the same optimum as HiGHS finds for the unscaled one.
+    # Without the power-of-two rescale, k = 1e-9 raised NotOptimal on 7 of
+    # 10 and every k >= 7 raised RestartLimitExceeded on 10 of 10
+    for s in range(10):
+        si = scaling_instance(RngStream(4242, s).generator(), 6, 200, 0.05, "ball")
+        ref = linprog(-si.c, A_ub=si.A, b_ub=si.b, bounds=[(None, None)] * 6,
+                      method="highs")
+        assert ref.status == 0
+        scaled = LPInstance(k * si.A, k * si.b, si.c)
+        out, stats, path = solve(RngStream(4242, 100 + s), scaled)
+        assert isinstance(out, Optimal), s
+        assert (si.A @ out.x - si.b).max() <= 1e-9, s
+        assert abs(si.c @ out.x + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), s
 
 
 def test_solve_unbounded_in_c():
