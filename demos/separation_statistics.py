@@ -16,7 +16,6 @@ from shadowlp.analysis import (
     classify_path,
     compose_far_sets_inequality,
     compose_paths_inequality,
-    good_multiplier_threshold,
     relative_gap_threshold,
     run_schedule,
     triples_inequality,
@@ -38,10 +37,9 @@ z = gen.standard_normal(d)
 start = make_basis(inst.A, inst.b, lp_optimum_oracle(inst, z, bases=bases).basis_indices)
 path, _ = run_shadow_path(inst.A, inst.b, z, si.c, start)
 
-m = good_multiplier_threshold(d)
 g = relative_gap_threshold(sigma, d, n)
-rep = classify_path(path, inst, m=m, g=g, rho=0.4)
-print(f"thresholds: m = {m:.6f}, g = {g:.3e}, rho = 0.4")
+rep = classify_path(path, inst, g=g, rho=0.4)
+print(f"thresholds: m = {rep.m:.6f}, g = {g:.3e}, rho = 0.4")
 print(f"{'rows':<14}{'margin':>10}{'slack':>12}{'|proj|':>9}  M  G  far  triple")
 for i in range(len(rep)):
     print(
@@ -61,7 +59,7 @@ lhs, rhs = compose_paths_inequality(segments, full)
 print(f"\ndoubling schedule with k={sched.k}: {len(segments)} segments of lengths "
       f"{[len(p) for p in segments]}")
 print(f"composition inequality: sum {lhs} <= full {len(full)} + slack -> {rhs}")
-seg_reports = [classify_path(p, inst, m=m, g=g, rho=0.4) for p in segments]
-full_report = classify_path(full, inst, m=m, g=g, rho=0.4)
+seg_reports = [classify_path(p, inst, g=g, rho=0.4) for p in segments]
+full_report = classify_path(full, inst, g=g, rho=0.4)
 lhs, rhs = compose_far_sets_inequality(seg_reports, full_report)
 print(f"far-set composition: sum {lhs} <= {rhs}")

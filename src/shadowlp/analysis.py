@@ -188,16 +188,15 @@ def triples_inequality(member: np.ndarray) -> tuple[int, int]:
 def classify_path(
     path: ShadowPath,
     inst,
-    m: Optional[float] = None,
     g: Optional[float] = None,
     rho: float = 0.5,
 ) -> PathReport:
     """Label every path basis with its separation memberships.
 
-    The objectives are the path's own, y and y2.  m defaults to
-    ln(1/0.99)/(2d) and g must be supplied by the caller when a meaningful
-    sigma exists (else it defaults to 0, making the relative-gap mask a
-    plain feasibility mask).
+    The objectives are the path's own, y and y2.  The multiplier threshold
+    m is good_multiplier_threshold(d), and g must be supplied by the caller
+    when a meaningful sigma exists (else it defaults to 0, making the
+    relative-gap mask a plain feasibility mask).
 
     The multipliers of every basis at y and y2 are stacked, and
     `multiplier_margins` evaluates the breakpoint candidates of all bases in
@@ -209,8 +208,7 @@ def classify_path(
     """
     c, c2 = path.y, path.y2
     d = len(c)
-    if m is None:
-        m = good_multiplier_threshold(d)
+    m = good_multiplier_threshold(d)
     if g is None:
         g = 0.0
     frame = orthonormal_frame(c, c2)

@@ -264,9 +264,7 @@ def run_scaling_trial(params: tuple) -> dict[str, Any]:
         if isinstance(outcome, Optimal):
             row["objective_value"] = float(si.c @ outcome.x)
         if path is not None and len(path) >= 1:
-            rep = classify_path(
-                path, si, m=row["m_threshold"], g=row["g_threshold"], rho=rho
-            )
+            rep = classify_path(path, si, g=row["g_threshold"], rho=rho)
             row.update((name, getattr(rep, name)) for name in _REPORT_CELLS)
     except ShadowLpError as exc:
         row.update(_error_cells(exc))

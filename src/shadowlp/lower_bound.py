@@ -59,7 +59,6 @@ class DenseSet:
 
     eta: float
     points: np.ndarray  # (m, d) unit rows, pairwise distances >= eta
-    audited: bool
     audit_samples: int
 
     def __len__(self) -> int:
@@ -328,8 +327,7 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
                 "increase the rejection streak"
             )
         remaining -= take
-    return DenseSet(eta=float(eta), points=points, audited=True,
-                    audit_samples=audit_samples)
+    return DenseSet(eta=float(eta), points=points, audit_samples=audit_samples)
 
 
 def dense_set_with_retry(rng, eta: float, d: int, audit_samples: int = 100_000) -> DenseSet:

@@ -118,33 +118,44 @@ class RatioResult:
     direction: np.ndarray  # w = A_I^{-1} e_j; the vertex moves along -w
 
 
+def _blocking_row(A, b, x, w, tight) -> tuple[float, Optional[int], float]:
+    """First row of A y <= b to block the ray x - s w, s >= 0.
+
+    Row i blocks iff a_i^T w < -TOL_DIR, at step (b_i - a_i^T x) / (-a_i^T w);
+    rows in `tight` never block.  Returns (step, row, slack of row); ties go
+    to the smallest row, and (inf, None, nan) when nothing blocks.
+    """
+    rates = A @ w
+    slack = b - A @ x
+    rates.put(tight, 0.0)
+    rows = (rates < -TOL_DIR).nonzero()[0]
+    if rows.size == 0:
+        return np.inf, None, np.nan
+    steps = slack[rows] / (-rates[rows])
+    best = int(steps.argmin())  # first minimum: ties go to the smallest row
+    row = int(rows[best])
+    return float(steps[best]), row, float(slack[row])
+
+
 def ratio_test(A: np.ndarray, b: np.ndarray, basis: Basis, leaving: int) -> RatioResult:
     """Step length to the first constraint blocking the edge that relaxes `leaving`.
 
     The edge direction is -w with w = A_I^{-1} e_j (j = position of leaving in
-    the basis), so constraint i blocks iff a_i^T w < -TOL_DIR, at step
-    (b_i - a_i^T x_I) / (-a_i^T w).  Returns step = inf and entering = None
-    when nothing blocks (the edge is an unbounded ray).
+    the basis); `_blocking_row` picks the entering row among the nonbasic
+    ones.  Returns step = inf and entering = None when nothing blocks (the
+    edge is an unbounded ray).
     """
     pos = basis.indices.index(leaving)
     e = np.zeros(basis.d)
     e[pos] = 1.0
     w = linalg.solve(basis.factorization, e)
-    rates = A @ w
-    slack = b - A @ basis.x
-    rates.put(basis.indices, 0.0)  # basic rows never block
-    rows = (rates < -TOL_DIR).nonzero()[0]
-    if rows.size == 0:
-        return RatioResult(np.inf, None, w)
-    steps = slack[rows] / (-rates[rows])
-    best = int(steps.argmin())  # first minimum: ties go to the smallest row
-    step = float(steps[best])
+    step, entering, slack = _blocking_row(A, b, basis.x, w, basis.indices)
     if step < -1e-9:
         raise NegativeStep(
             f"step {step:.3e} for leaving row {leaving}; slack "
-            f"{slack[rows[best]]:.3e} on row {int(rows[best])}"
+            f"{slack:.3e} on row {entering}"
         )
-    return RatioResult(max(step, 0.0), int(rows[best]), w)
+    return RatioResult(max(step, 0.0), entering, w)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from .simplex import (
     Finished,
     ShadowPath,
     UnboundedRay,
+    _blocking_row,
     make_basis,
     multipliers,
     run_shadow_path,
@@ -88,8 +89,13 @@ SolveOutcome = Union[Optimal, Unbounded, Infeasible]
 
 def verify_outcome(inst, outcome: SolveOutcome) -> None:
     """Re-check an outcome's certificate against the instance, independently
-    of how it was produced.  Raises CertificateInvalid on any violation."""
-    A, b, c = inst.A, inst.b, inst.c
+    of how it was produced.  Raises CertificateInvalid on any violation.
+
+    The check runs on `_row_scaled(inst)`, the exact copy that `solve`
+    solves, whose row norms fit the absolute tolerances below.
+    """
+    scaled = _row_scaled(inst)
+    A, b, c = scaled.A, scaled.b, scaled.c
     if isinstance(outcome, (Optimal, Unbounded)):
         if outcome.x is None:
             raise CertificateInvalid("unbounded ray without a feasible point")
@@ -154,45 +160,20 @@ def regular_simplex_directions(d: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class UnitLpPrime:
-    """The unit system plus d artificial rows (R s_i)^T x <= 1."""
+def build_unit_lp_prime(
+    rng, A: np.ndarray, sigma: float, z=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Append d artificial constraints (R s_i)^T x <= 1 around a rotated simplex.
 
-    A: np.ndarray
-    s_bar: np.ndarray        # (d, d), unperturbed artificial points
-    rotation: np.ndarray     # (d, d) member of SO(d)
-    z: np.ndarray            # random objective
-    combined_A: np.ndarray   # (n + d, d)
-    combined_b: np.ndarray   # all ones
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def artificial_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.n, self.n + self.d))
-
-    @property
-    def start_objective(self) -> np.ndarray:
-        return self.rotation[:, self.d - 1]  # R e_d
-
-
-def build_unit_lp_prime(rng, A: np.ndarray, sigma: float, z=None) -> UnitLpPrime:
-    """Append d artificial constraints around a rotated simplex.
-
-    The unperturbed points sit on the hyperplane {x : e_d^T x = 3} at
+    The unperturbed points s_i sit on the hyperplane {x : e_d^T x = 3} at
     distance 1/(10*sqrt(ln d)) from 3 e_d, are perturbed with standard
-    deviation sigma, and are rotated by a fresh Haar rotation.  The basic
+    deviation sigma, and are rotated by a fresh Haar rotation R.  The basic
     solution of the artificial rows is feasible and optimal for the rotated
     objective R e_d with constant probability.  z=None draws a Gaussian z.
+    Returns (A with the d artificial rows appended, R e_d, z).
     """
     A = np.asarray(A, dtype=float)
-    n, d = A.shape
+    d = A.shape[1]
     if d < 3:
         raise DimensionTooSmall(f"artificial basis construction needs d >= 3, got {d}")
     gen = as_generator(rng)
@@ -200,31 +181,21 @@ def build_unit_lp_prime(rng, A: np.ndarray, sigma: float, z=None) -> UnitLpPrime
     s_bar = 3.0 * np.eye(d)[d - 1] + radius * regular_simplex_directions(d)
     s = s_bar + sigma * gen.standard_normal((d, d))
     rot = random_rotation(gen, d)
-    rows = s @ rot.T  # row i is (R s_i)^T
     z = gen.standard_normal(d) if z is None else z
-    combined_A = np.vstack([A, rows])
-    combined_b = np.ones(n + d)
-    return UnitLpPrime(
-        A=A, s_bar=s_bar, rotation=rot, z=z, combined_A=combined_A, combined_b=combined_b,
-    )
+    return np.vstack([A, s @ rot.T]), rot[:, d - 1], z
 
 
-@dataclass
-class Phase1Result:
-    basis: Basis          # basis of the unit system Ax <= 1, optimal for z
-    z: np.ndarray
-    attempts: int
-
-
-def _artificial_start(ulp: UnitLpPrime) -> Optional[Basis]:
-    """Basis of the artificial rows, or None when construction failed."""
+def _artificial_start(A: np.ndarray, A_art: np.ndarray, objective: np.ndarray) -> Optional[Basis]:
+    """Basis of the artificial rows of A_art (A plus d rows), or None when
+    it is singular, infeasible for A x <= 1 or not optimal for `objective`."""
+    n, d = A.shape
     try:
-        basis = make_basis(ulp.combined_A, ulp.combined_b, ulp.artificial_indices)
+        basis = make_basis(A_art, np.ones(n + d), range(n, n + d))
     except SingularError:
         return None
-    if (ulp.A @ basis.x).max() > 1.0 + TOL_FEAS:
+    if (A @ basis.x).max() > 1.0 + TOL_FEAS:
         return None
-    mu = multipliers(basis, ulp.start_objective)
+    mu = multipliers(basis, objective)
     if mu.min() < -TOL_OPT:
         return None
     return basis
@@ -234,52 +205,43 @@ def phase1_solve(
     rng,
     A: np.ndarray,
     sigma: float,
-    stats: Optional[SolveStats] = None,
+    stats: SolveStats,
     z: Optional[np.ndarray] = None,
-) -> Union[Phase1Result, Unbounded]:
-    """Solve max z^T x, Ax <= 1 for `z`, or a fresh Gaussian z per attempt.
+) -> Union[tuple[Basis, np.ndarray], Unbounded]:
+    """Solve max z^T x, Ax <= 1 for `z`, or a fresh Gaussian z per attempt;
+    returns (basis of Ax <= 1 optimal for z, z).
 
     Rebuilds the artificial system with fresh randomness, at most
     MAX_RESTARTS times in all, whenever the starting basis fails to
     materialize or the optimum leans on an artificial row (the artificial
     simplex cut off the true optimum).
     An unbounded shadow run returns its ray, which says nothing about the
-    input LP: the unit system never reads b.  The pivot and attempt counts
-    are added to `stats.pivots_phase1` and `stats.restarts` however it ends.
+    input LP: the unit system never reads b.  Every attempt adds to
+    `stats.restarts` and every walk to `stats.pivots_phase1`.
     """
     gen = as_generator(rng)
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    pivots = 0
-    attempt = 0
+    n, d = A.shape
     reasons: list[str] = []
-    try:
-        for attempt in range(1, MAX_RESTARTS + 1):
-            ulp = build_unit_lp_prime(gen, A, sigma, z)
-            start = _artificial_start(ulp)
-            if start is None:
-                reasons.append("start-construction")
-                continue
-            try:
-                path, out = run_shadow_path(
-                    ulp.combined_A, ulp.combined_b, ulp.start_objective, ulp.z, start
-                )
-            except (NumericalStall, CycleDetected) as exc:
-                reasons.append(f"engine:{type(exc).__name__}")
-                continue
-            pivots += path.pivots
-            if isinstance(out, UnboundedRay):
-                return Unbounded(ray=out.ray)
-            assert isinstance(out, Finished)
-            if any(i >= n for i in out.basis.indices):
-                reasons.append("cut-off")
-                continue
-            basis = make_basis(A, np.ones(n), out.basis.indices)
-            return Phase1Result(basis=basis, z=ulp.z, attempts=attempt)
-    finally:
-        if stats is not None:
-            stats.pivots_phase1 += pivots
-            stats.restarts += attempt
+    for _ in range(MAX_RESTARTS):
+        stats.restarts += 1
+        A_art, objective, z_try = build_unit_lp_prime(gen, A, sigma, z)
+        start = _artificial_start(A, A_art, objective)
+        if start is None:
+            reasons.append("start-construction")
+            continue
+        try:
+            path, out = run_shadow_path(A_art, np.ones(n + d), objective, z_try, start)
+        except (NumericalStall, CycleDetected) as exc:
+            reasons.append(f"engine:{type(exc).__name__}")
+            continue
+        stats.pivots_phase1 += path.pivots
+        if isinstance(out, UnboundedRay):
+            return Unbounded(ray=out.ray)
+        if any(i >= n for i in out.basis.indices):
+            reasons.append("cut-off")
+            continue
+        return make_basis(A, np.ones(n), out.basis.indices), z_try
     raise RestartLimitExceeded(
         f"phase 1 failed {MAX_RESTARTS} times; failure reasons: {reasons}"
     )
@@ -319,7 +281,7 @@ def phase2_solve(
     inst,
     unit_basis: Basis,
     z: np.ndarray,
-    stats: Optional[SolveStats] = None,
+    stats: SolveStats,
 ) -> Union[Basis, Infeasible, Unbounded]:
     """Carry a z-optimal unit-system basis to a z-optimal input-system basis.
 
@@ -350,23 +312,13 @@ def phase2_solve(
     y_target = np.zeros(d + 1)
     y_target[d] = 1.0
 
-    # Move along the edge {A_I x + (1-b_I) t = 1} in the +t direction.
-    dx = -linalg.solve(unit_basis.factorization, 1.0 - b[idx])
-    v = np.append(dx, 1.0)
-    p0 = np.append(unit_basis.x, 0.0)
-    rates = lifted @ v
-    slack0 = ones - lifted @ p0
-    rates[idx] = 0.0  # the unit basis rows stay tight along the edge
-    rows = np.flatnonzero(rates > TOL_DIR)
-    if rows.size == 0:
-        # t grows to 1 with nothing in the way; the unit basis rows are tight
-        # at t = 1 where A_I x = b_I.
+    # The edge {A_I x + (1-b_I) t = 1} leaves (x_I, 0) along -w in the +t
+    # direction and reaches t = 1, where A_I x = b_I, at step 1; when no row
+    # blocks it before that, the unit basis rows are the crossing basis
+    w = np.append(linalg.solve(unit_basis.factorization, 1.0 - b[idx]), -1.0)
+    step, entering, _ = _blocking_row(lifted, ones, np.append(unit_basis.x, 0.0), w, idx)
+    if step >= 1.0:
         return _crossing_basis(A, b, idx, z)
-    steps = slack0[rows] / rates[rows]
-    first = int(np.argmin(steps))  # ties go to the smallest row, as in ratio_test
-    if float(steps[first]) >= 1.0:
-        return _crossing_basis(A, b, idx, z)
-    entering = int(rows[first])
 
     def crossed(basis_hat, leaving):
         # the rows of basis_hat other than `leaving` are tight at t = 1
@@ -383,8 +335,7 @@ def phase2_solve(
 
     start = make_basis(lifted, ones, (*unit_basis.indices, entering))
     path, out = run_shadow_path(lifted, ones, y_start, y_target, start, stop=crossing)
-    if stats is not None:
-        stats.pivots_phase2 += path.pivots
+    stats.pivots_phase2 += path.pivots
     if isinstance(out, Basis):
         return out
     if isinstance(out, Finished):
@@ -393,9 +344,7 @@ def phase2_solve(
             raise CertificateInvalid(
                 f"t-maximum {t_star} above 1 without a detected crossing"
             )
-        infeasible = Infeasible(certificate=_farkas_from_lifted(out.basis, n))
-        verify_outcome(inst, infeasible)
-        return infeasible
+        return Infeasible(certificate=_farkas_from_lifted(out.basis, n))
     if out.ray[d] > TOL_DIR:
         # the unbounded edge escapes through t = 1
         return crossed(out.basis, out.leaving)
@@ -455,15 +404,21 @@ class SolveStats:
 
 
 def _solve_once(gen, inst, art_sigma, stats, z=None):
-    p1 = phase1_solve(gen, inst.A, art_sigma, stats=stats, z=z)
+    p1 = phase1_solve(gen, inst.A, art_sigma, stats, z)
     if isinstance(p1, Unbounded):
         return p1, None
-    p2 = phase2_solve(gen, inst, p1.basis, p1.z, stats=stats)
+    unit_basis, z = p1
+    p2 = phase2_solve(gen, inst, unit_basis, z, stats)
     if isinstance(p2, (Infeasible, Unbounded)):
         return p2, None
-    outcome, paths = phase3_solve(inst, p2, p1.z)
+    outcome, paths = phase3_solve(inst, p2, z)
     stats.pivots_phase3 = sum(p.pivots for p in paths)
     return outcome, paths[-1]
+
+
+def _max_row_sq(A: np.ndarray, b: np.ndarray) -> float:
+    with np.errstate(over="ignore"):  # an overflow to inf is handled by the caller
+        return float((np.einsum("ij,ij->i", A, A) + b * b).max(initial=0.0))
 
 
 def _row_scaled(inst: LPInstance) -> LPInstance:
@@ -474,14 +429,20 @@ def _row_scaled(inst: LPInstance) -> LPInstance:
     rows (at height 3, radius 1/(10 sqrt(ln d))) and the absolute guards
     are sized.  Dividing by a power of two is exact, so the copy has the
     feasible region, vertices and rays of inst, and a Farkas y for the copy
-    is one for inst.
+    is one for inst.  When the squared norms under- or overflow, the norms
+    are taken of (A, b) / 2^k instead, 2^k the scale of the largest entry.
     """
     A, b = inst.A, inst.b
-    top = math.sqrt(float((np.einsum("ij,ij->i", A, A) + b * b).max(initial=0.0)))
+    k = 0
+    sq = _max_row_sq(A, b)
+    if sq == 0.0 or sq == math.inf:
+        k = math.frexp(max(np.abs(A).max(initial=0.0), np.abs(b).max(initial=0.0)))[1]
+        sq = _max_row_sq(np.ldexp(A, -k), np.ldexp(b, -k))
+    top = math.sqrt(sq)  # the largest row norm over 2^k
     low, high = ROW_NORM_RANGE
-    if top == 0.0 or not math.isfinite(top) or low <= top <= high:
+    if top == 0.0 or low <= math.ldexp(top, k) <= high:
         return inst
-    e = math.frexp(top)[1]
+    e = math.frexp(top)[1] + k
     return LPInstance(np.ldexp(A, -e), np.ldexp(b, -e), inst.c)
 
 
@@ -491,7 +452,8 @@ def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
     Only phase 3, starting at a feasible vertex, answers with a ray.  When
     phase 1 or 2 ends on one, phases 1-2 rerun once with z = A^T |g|,
     g ~ N(0, I_n), in the cone of the rows: every objective on their paths
-    is then bounded.  Raises NoVertex when rank A < d.
+    is then bounded.  Raises NoVertex when rank A < d: up front when n < d,
+    else when a phase 1-2 ray calls for the rank.
 
     When the largest row norm of (A, b) is outside ROW_NORM_RANGE, the
     phases and the verification run on (A, b) divided by an exact power of
@@ -500,6 +462,8 @@ def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
     """
     inst_lp = _row_scaled(inst.lp() if hasattr(inst, "lp") else inst)
     n, d = inst_lp.A.shape
+    if n < d:
+        raise NoVertex(f"n = {n} < d = {d}: the region has no vertex")
     # keep the artificial noise well below the simplex radius
     # 1/(10 sqrt(ln d)); near it the start construction rarely yields
     # nonnegative multipliers and the restart loop churns

@@ -42,7 +42,7 @@ from shadowlp.oracle import (
     shadow_polygon_oracle,
 )
 from shadowlp.simplex import Finished, make_basis, run_shadow_path
-from shadowlp.solver import Optimal, phase1_solve
+from shadowlp.solver import Optimal, SolveStats, phase1_solve
 
 from helpers import ball_instance, cube_instance, mixed_instance
 
@@ -318,8 +318,9 @@ def test_criterion_8_phase1_restart_economics():
     for t in range(500):
         gen = RngStream(8008, t).generator()
         si = ball_instance(gen, 4, 30, 0.05)
-        res = phase1_solve(gen, si.A, sigma=0.05)
-        attempts.append(res.attempts)
+        stats = SolveStats()
+        phase1_solve(gen, si.A, 0.05, stats)
+        attempts.append(stats.restarts)
     geo = math.exp(np.mean(np.log(attempts)))
     assert geo <= 10.0, geo
     elapsed = time.time() - started

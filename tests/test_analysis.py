@@ -311,7 +311,7 @@ def test_classify_path_matches_per_basis_reference(sigma):
         si = scaling_instance(gen, d, n, sigma, "ball")
         _, _, path = solve(gen, si)
         for rho in (0.5, 0.02):
-            got = classify_path(path, si, m=m, g=g, rho=rho)
+            got = classify_path(path, si, g=g, rho=rho)
             want = _classify_path_per_basis(path, si, m, g, rho)
             assert got.indices == want.indices
             assert (got.m, got.g, got.rho) == (want.m, want.g, want.rho)

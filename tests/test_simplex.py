@@ -4,7 +4,9 @@ import pytest
 from shadowlp import NotOptimal, RngStream, ShadowLpError
 from shadowlp.oracle import enumerate_feasible_bases, lp_optimum_oracle
 from shadowlp.simplex import (
+    TOL_DIR,
     Finished,
+    _blocking_row,
     UnboundedRay,
     make_basis,
     max_lambda,
@@ -213,6 +215,23 @@ def test_ratio_test_exact_tie_enters_smaller_row():
         res = ratio_test(A, b, make_basis(A, b, (0, 1)), 0)
         assert res.step == 2.0
         assert res.entering == 2
+
+
+def test_blocking_row_ties_threshold_and_tight_rows():
+    # x = 0 and w = e_1, so row i's rate a_i^T w is A[i, 0] and its slack b_i
+    x, w = np.zeros(2), np.array([1.0, 0.0])
+    A = np.array([[-5.0, 0.0], [-TOL_DIR, 1.0], [-2.0, 0.0], [-1.0, 3.0], [1.0, 0.0],
+                  [-4.0, 1.0]])
+    b = np.array([0.0, 1e-20, 2.0, 1.0, 0.5, 4.0])
+    # rows 2, 3 and 5 block at step exactly 1 and the smallest row enters;
+    # row 1's rate of exactly -TOL_DIR does not block, and tight row 0 never
+    # blocks, though its rate is negative and its slack 0
+    assert _blocking_row(A, b, x, w, [0]) == (1.0, 2, 2.0)
+    assert _blocking_row(A, b, x, w, [0, 2]) == (1.0, 3, 1.0)
+    A[1, 0] = np.nextafter(-TOL_DIR, -1.0)  # past the threshold, row 1 blocks first
+    assert _blocking_row(A, b, x, w, [0])[1] == 1
+    step, row, _ = _blocking_row(A, b, x, w, [0, 1, 2, 3, 5])
+    assert step == np.inf and row is None
 
 
 def _max_lambda_sequential(basis, y, y2, lambda_lo):

@@ -18,7 +18,6 @@ from shadowlp.simplex import Basis, make_basis, multipliers
 from shadowlp.solver import (
     Infeasible,
     Optimal,
-    Phase1Result,
     SolveStats,
     Unbounded,
     build_unit_lp_prime,
@@ -59,12 +58,16 @@ def test_regular_simplex_directions():
 def test_build_unit_lp_prime_geometry():
     gen = RngStream(40, 0).generator()
     A = cube_instance().A
-    ulp = build_unit_lp_prime(gen, A, sigma=0.0)
+    A_art, objective, z = build_unit_lp_prime(gen, A, sigma=0.0)
     radius = 1.0 / (10.0 * math.sqrt(math.log(3)))
     assert abs(radius - 0.09541) < 5e-5
-    # all unperturbed points sit on the plane {e_3 . x = 3}
-    assert np.allclose(ulp.s_bar[:, 2], 3.0)
-    assert np.allclose(np.linalg.norm(ulp.s_bar - 3.0 * np.eye(3)[2], axis=1), radius)
+    assert np.array_equal(A_art[:6], A) and z.shape == (3,)
+    # all unperturbed points R s_i sit on the plane {R e_3 . x = 3}, at the
+    # simplex radius from 3 R e_3
+    art = A_art[6:]
+    assert abs(np.linalg.norm(objective) - 1.0) < 1e-12
+    assert np.allclose(art @ objective, 3.0)
+    assert np.allclose(np.linalg.norm(art - 3.0 * objective, axis=1), radius)
 
 
 def test_unperturbed_artificial_start_is_valid():
@@ -73,10 +76,10 @@ def test_unperturbed_artificial_start_is_valid():
     gen = RngStream(41, 0).generator()
     A = cube_instance().A
     for _ in range(20):
-        ulp = build_unit_lp_prime(gen, A, sigma=0.0)
-        start = _artificial_start(ulp)
+        A_art, objective, _ = build_unit_lp_prime(gen, A, sigma=0.0)
+        start = _artificial_start(A, A_art, objective)
         assert start is not None
-        mu = multipliers(start, ulp.start_objective)
+        mu = multipliers(start, objective)
         assert mu.min() >= -1e-9
 
 
@@ -92,7 +95,8 @@ def test_start_construction_success_rate():
     trials = 1000
     for _ in range(trials):
         A = 2.0 * uniform_sphere(gen, d, n) * gen.uniform(0.0, 1.0, (n, 1))
-        if _artificial_start(build_unit_lp_prime(gen, A, sigma)) is not None:
+        A_art, objective, _ = build_unit_lp_prime(gen, A, sigma)
+        if _artificial_start(A, A_art, objective) is not None:
             ok += 1
     assert ok / trials >= 0.85
 
@@ -106,12 +110,10 @@ def test_dimension_too_small():
 def test_phase1_box_matches_unit_oracle():
     gen = RngStream(44, 0).generator()
     A = cube_instance().A
-    res = phase1_solve(gen, A, sigma=0.01)
-    assert isinstance(res, Phase1Result)
-    unit = LPInstance(A, np.ones(6), res.z)
-    oracle = lp_optimum_oracle(unit, res.z)
+    basis, z = phase1_solve(gen, A, 0.01, SolveStats())
+    oracle = lp_optimum_oracle(LPInstance(A, np.ones(6), z), z)
     assert isinstance(oracle, Optimal)
-    assert np.allclose(res.basis.x, oracle.x, atol=1e-8)
+    assert np.allclose(basis.x, oracle.x, atol=1e-8)
 
 
 def test_phase1_stops_at_the_restart_budget(monkeypatch):
@@ -119,32 +121,31 @@ def test_phase1_stops_at_the_restart_budget(monkeypatch):
     # when it runs
     A = cube_instance().A
     stats = SolveStats()
-    assert isinstance(phase1_solve(RngStream(60, 1), A, sigma=0.01, stats=stats), Phase1Result)
+    basis, z = phase1_solve(RngStream(60, 1), A, 0.01, stats)
     assert stats.restarts == 2
     monkeypatch.setattr(solver, "MAX_RESTARTS", 1)
     stats = SolveStats()
     with pytest.raises(RestartLimitExceeded, match="phase 1 failed 1 times"):
-        phase1_solve(RngStream(60, 1), A, sigma=0.01, stats=stats)
+        phase1_solve(RngStream(60, 1), A, 0.01, stats)
     assert stats.restarts == 1
 
 
 def test_phase1_handles_zero_row():
     gen = RngStream(45, 0).generator()
     A = np.vstack([cube_instance().A, np.zeros(3)])
-    res = phase1_solve(gen, A, sigma=0.01)
-    assert isinstance(res, Phase1Result)
-    oracle = lp_optimum_oracle(LPInstance(A, np.ones(7), res.z), res.z)
-    assert np.allclose(res.basis.x, oracle.x, atol=1e-8)
+    basis, z = phase1_solve(gen, A, 0.01, SolveStats())
+    oracle = lp_optimum_oracle(LPInstance(A, np.ones(7), z), z)
+    assert np.allclose(basis.x, oracle.x, atol=1e-8)
 
 
 def test_phase2_all_ones_rhs_returns_unit_basis():
     gen = RngStream(46, 0).generator()
     inst = cube_instance(c=np.array([0.3, -1.0, 0.5]))
-    res1 = phase1_solve(gen, inst.A, sigma=0.01)
     stats = SolveStats()
-    res2 = phase2_solve(gen, inst, res1.basis, res1.z, stats=stats)
+    unit_basis, z = phase1_solve(gen, inst.A, 0.01, stats)
+    res2 = phase2_solve(gen, inst, unit_basis, z, stats)
     assert isinstance(res2, Basis)
-    assert res2.indices == res1.basis.indices
+    assert res2.indices == unit_basis.indices
     assert stats.pivots_phase2 == 0
 
 
@@ -154,8 +155,9 @@ def test_phase2_infeasible_with_farkas():
     A = cube_instance().A
     inst = LPInstance(A, -np.ones(6), np.array([1.0, 0.0, 0.0]))
     assert isinstance(lp_optimum_oracle(inst, inst.c), Infeasible)
-    res1 = phase1_solve(gen, A, sigma=0.01)
-    out = phase2_solve(gen, inst, res1.basis, res1.z)
+    stats = SolveStats()
+    unit_basis, z = phase1_solve(gen, A, 0.01, stats)
+    out = phase2_solve(gen, inst, unit_basis, z, stats)
     assert isinstance(out, Infeasible)
     y = out.certificate
     assert y.min() >= 0.0
@@ -172,26 +174,27 @@ def test_phase2_basis_is_z_optimal():
         oracle = lp_optimum_oracle(inst, inst.c, bases=bases)
         if not isinstance(oracle, Optimal):
             continue
-        res1 = phase1_solve(gen, inst.A, sigma=min(si.sigma, 0.02))
+        stats = SolveStats()
+        res1 = phase1_solve(gen, inst.A, min(si.sigma, 0.02), stats)
         if isinstance(res1, Unbounded):
             continue
-        res2 = phase2_solve(gen, inst, res1.basis, res1.z)
+        unit_basis, z = res1
+        res2 = phase2_solve(gen, inst, unit_basis, z, stats)
         assert isinstance(res2, Basis)
-        z_oracle = lp_optimum_oracle(inst, res1.z, bases=bases)
+        z_oracle = lp_optimum_oracle(inst, z, bases=bases)
         assert isinstance(z_oracle, Optimal)
-        assert abs(res1.z @ res2.x - res1.z @ z_oracle.x) <= 1e-7 * (
-            1 + abs(res1.z @ z_oracle.x)
-        )
+        assert abs(z @ res2.x - z @ z_oracle.x) <= 1e-7 * (1 + abs(z @ z_oracle.x))
         done += 1
 
 
 def test_phase3_parallel_objective_zero_pivots():
     gen = RngStream(49, 0).generator()
     inst = cube_instance()
-    res1 = phase1_solve(gen, inst.A, sigma=0.01)
-    res2 = phase2_solve(gen, inst, res1.basis, res1.z)
-    parallel = LPInstance(inst.A, inst.b, 2.0 * res1.z)
-    outcome, paths = phase3_solve(parallel, res2, res1.z)
+    stats = SolveStats()
+    unit_basis, z = phase1_solve(gen, inst.A, 0.01, stats)
+    res2 = phase2_solve(gen, inst, unit_basis, z, stats)
+    parallel = LPInstance(inst.A, inst.b, 2.0 * z)
+    outcome, paths = phase3_solve(parallel, res2, z)
     assert isinstance(outcome, Optimal)
     assert sum(p.pivots for p in paths) == 0
 
@@ -203,10 +206,11 @@ def test_phase3_antipodal_objective():
     oracle = lp_optimum_oracle(inst, inst.c, bases=bases)
     if not isinstance(oracle, Optimal):
         pytest.skip("drew an infeasible instance")
-    res1 = phase1_solve(gen, inst.A, sigma=0.02)
-    res2 = phase2_solve(gen, inst, res1.basis, res1.z)
-    anti = LPInstance(inst.A, inst.b, -res1.z)
-    outcome, paths = phase3_solve(anti, res2, res1.z)
+    stats = SolveStats()
+    unit_basis, z = phase1_solve(gen, inst.A, 0.02, stats)
+    res2 = phase2_solve(gen, inst, unit_basis, z, stats)
+    anti = LPInstance(inst.A, inst.b, -z)
+    outcome, paths = phase3_solve(anti, res2, z)
     assert isinstance(outcome, Optimal)
     anti_oracle = lp_optimum_oracle(anti, anti.c, bases=bases)
     assert abs(anti.c @ outcome.x - anti.c @ anti_oracle.x) <= 1e-7 * (
@@ -329,6 +333,51 @@ def test_solve_agrees_with_highs_under_row_scaling(k):
         assert isinstance(out, Optimal), s
         assert (si.A @ out.x - si.b).max() <= 1e-9, s
         assert abs(si.c @ out.x + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), s
+
+
+@pytest.mark.parametrize("k", [1e200, 1e300, 1e-200, 1e-310])
+def test_solve_cube_at_extreme_row_scales(k):
+    # the squared row norms overflow to inf or underflow to 0 at these
+    # scales; before _row_scaled took them from (A, b) / 2^k, such LPs were
+    # never rescaled and every seed raised RestartLimitExceeded
+    cube = cube_instance(c=np.array([1.0, 0.3, -0.2]))
+    empty = LPInstance(cube.A, -cube.b, cube.c)
+    for s in range(5):
+        out, stats, path = solve(RngStream(58, s), LPInstance(k * cube.A, k * cube.b, cube.c))
+        assert isinstance(out, Optimal) and np.array_equal(out.x, [1.0, 1.0, -1.0]), s
+        out, stats, path = solve(RngStream(58, s), LPInstance(k * empty.A, k * empty.b, cube.c))
+        assert isinstance(out, Infeasible), s
+        verify_outcome(empty, out)
+
+
+@pytest.mark.parametrize("make, base", [(infeasible_instance, 52), (unbounded_in_c_instance, 53)])
+def test_verify_outcome_accepts_row_scaled_certificates(make, base):
+    # every (a_i, b_i) times 1e9: verify_outcome checks the power-of-two copy
+    # that solve() solves.  With its absolute tolerances applied to the rows
+    # as given, it rejected 5 of 5 Farkas certificates and 4 of 5 unbounded
+    # points here
+    kind = "infeasible" if make is infeasible_instance else "unbounded"
+    for s in range(5):
+        inst = make(RngStream(base + s, 0).generator(), 3, 12)
+        scaled = LPInstance(1e9 * inst.A, 1e9 * inst.b, inst.c)
+        out, stats, path = solve(RngStream(base + s, 1), scaled)
+        assert out.kind == kind, s
+        verify_outcome(scaled, out)
+        verify_outcome(inst, out)
+    # the scaled copy still rejects a wrong certificate
+    cube = cube_instance()
+    with pytest.raises(CertificateInvalid):
+        verify_outcome(LPInstance(1e9 * cube.A, 1e9 * cube.b, cube.c),
+                       Infeasible(certificate=np.ones(6)))
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_solve_raises_no_vertex_below_d_rows(n):
+    # n < d rows leave rank A < d; with n = 0 solve() used to raise a bare
+    # numpy ValueError from the artificial start
+    inst = LPInstance(np.eye(3)[:n], np.ones(n), np.ones(3))
+    with pytest.raises(NoVertex, match=f"n = {n} < d = 3"):
+        solve(RngStream(54, 1), inst)
 
 
 def test_solve_unbounded_in_c():
