@@ -344,8 +344,8 @@ def _edge_annulus_integral(p: np.ndarray, q: np.ndarray, R: float, r: float) -> 
     return total
 
 
-def boundary_integral(points: np.ndarray, R: float, r: float, closed: bool = True) -> float:
-    """Integral of 1/||x|| over the polygon boundary clipped to D(R, r).
+def boundary_integral(points: np.ndarray, R: float, r: float) -> float:
+    """Integral of 1/||x|| over the closed polygon boundary clipped to D(R, r).
 
     Piecewise closed form (no quadrature), so the annulus bound
     4*pi*ceil(log2(R/r)) can be asserted without integration error.
@@ -355,8 +355,7 @@ def boundary_integral(points: np.ndarray, R: float, r: float, closed: bool = Tru
     pts = np.asarray(points, dtype=float)
     m = len(pts)
     total = 0.0
-    last = m if closed else m - 1
-    for i in range(last):
+    for i in range(m):
         total += _edge_annulus_integral(pts[i], pts[(i + 1) % m], R, r)
     return total
 

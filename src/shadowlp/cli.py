@@ -105,29 +105,29 @@ def _run_study(args) -> int:
                 f"config is for experiment {cfg['experiment']!r}, expected {expected!r}"
             )
         rows, summary = runner(cfg, args)
-    except (OSError, ShadowLpError) as exc:
+        out = _out_dir(args)
+        # every study validates a positive number of trials, configs or
+        # runs, so there is a first row to take the columns from
+        (out / f"{expected}.csv").write_text(rows_to_csv(list(rows[0]), rows), encoding="utf-8")
+        (out / f"{expected}_summary.json").write_text(summary_to_json(summary), encoding="utf-8")
+        if cfg.get("svg"):  # a scaling-study key
+            finite = [
+                (p["sigma"], p["mean_pivots"])
+                for p in summary["per_sigma"]
+                if np.isfinite(p["mean_pivots"])
+            ]
+            if finite:
+                write_loglog_svg(
+                    out / "shadow_scaling.svg",
+                    [f[0] for f in finite],
+                    [f[1] for f in finite],
+                    summary["loglog_slope"],
+                    summary["loglog_intercept"],
+                    f"mean pivots vs sigma (d={cfg['d']}, n={cfg['n']})",
+                )
+    except (OSError, UnicodeDecodeError, ShadowLpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = _out_dir(args)
-    # every study validates a positive number of trials, configs or runs, so
-    # there is a first row to take the columns from
-    (out / f"{expected}.csv").write_text(rows_to_csv(list(rows[0]), rows), encoding="utf-8")
-    (out / f"{expected}_summary.json").write_text(summary_to_json(summary), encoding="utf-8")
-    if cfg.get("svg"):  # a scaling-study key
-        finite = [
-            (p["sigma"], p["mean_pivots"])
-            for p in summary["per_sigma"]
-            if np.isfinite(p["mean_pivots"])
-        ]
-        if finite:
-            write_loglog_svg(
-                out / "shadow_scaling.svg",
-                [f[0] for f in finite],
-                [f[1] for f in finite],
-                summary["loglog_slope"],
-                summary["loglog_intercept"],
-                f"mean pivots vs sigma (d={cfg['d']}, n={cfg['n']})",
-            )
     print(f"wrote {out / (expected + '.csv')}")
     print(f"wrote {out / (expected + '_summary.json')}")
     return 0

@@ -2,10 +2,10 @@
 
 Everything here trades cycles for independence from the pivot engine:
 feasible bases by exhaustive enumeration, LP optima by scanning vertices,
-shadow polygons by projecting every vertex and taking a planar convex
-hull, and combinatorial distances by BFS on the vertex graph.  Guards cap
-the enumeration size; the lower-bound experiments swap enumeration for
-pivot-based vertex discovery.
+shadow polygons of bounded regions by projecting every vertex and taking
+a planar convex hull, and combinatorial distances by BFS on the vertex
+graph.  Guards cap the enumeration size; the lower-bound experiments swap
+enumeration for pivot-based vertex discovery.
 """
 
 from __future__ import annotations
@@ -47,17 +47,16 @@ def orthonormal_frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.vstack([f1, resid / nr])
 
 
-def enumerate_feasible_bases(inst, guard: Optional[int] = None) -> list[Basis]:
+def enumerate_feasible_bases(inst) -> list[Basis]:
     """All index sets I with A_I invertible and A x_I <= b + 1e-9.
 
-    Raises TooLarge past `guard` index sets (default ENUM_GUARD).
+    Raises TooLarge past ENUM_GUARD index sets.
     """
     A, b = np.asarray(inst.A, float), np.asarray(inst.b, float)
     n, d = A.shape
     total = comb(n, d)
-    guard = ENUM_GUARD if guard is None else guard
-    if total > guard:
-        raise TooLarge(f"binom({n},{d}) = {total} exceeds guard {guard}")
+    if total > ENUM_GUARD:
+        raise TooLarge(f"binom({n},{d}) = {total} exceeds guard {ENUM_GUARD}")
     out: list[Basis] = []
     combos = combinations(range(n), d)
     while True:
@@ -188,55 +187,23 @@ def convex_hull_2d(points: np.ndarray) -> list[int]:
 class ShadowPolygon:
     """Projection of the feasible vertices onto span(c, z), hull-ordered.
 
-    For bounded regions `points` walk the full boundary counterclockwise
-    (closed=True).  For unbounded regions the walk is an open chain and
-    `ray_dirs` holds the two escape directions attached at its ends.
+    `points` walk the full boundary of the bounded shadow counterclockwise.
     """
 
     frame: np.ndarray          # (2, d)
     points: np.ndarray         # (m, 2) hull vertices, CCW
     bases: list[tuple[int, ...]]
     vertices: np.ndarray       # (m, d) pre-image vertices
-    closed: bool
-    ray_dirs: Optional[np.ndarray] = None  # (2, 2) unit directions when open
-
-
-def _recession_extreme_rays(A: np.ndarray) -> np.ndarray:
-    """Extreme rays of {r : Ar <= 0} from (d-1)-subsets of rows."""
-    n, d = A.shape
-    if d < 2:
-        raise ValueError("recession ray enumeration needs d >= 2")
-    if comb(n, d - 1) > ENUM_GUARD:
-        raise TooLarge(f"binom({n},{d-1}) exceeds guard {ENUM_GUARD}")
-    rays = []
-    for subset in combinations(range(n), d - 1):
-        sub = A[list(subset)]
-        _, s, vt = np.linalg.svd(sub)
-        if s.size and s.min() <= 1e-9 * max(s.max(), 1.0):
-            continue  # rank-deficient subset; no 1-dim null direction
-        u = vt[-1]
-        for cand in (u, -u):
-            vals = A @ cand
-            if vals.max() <= 1e-9:
-                rays.append(cand / np.linalg.norm(cand))
-    if not rays:
-        return np.zeros((0, d))
-    rays = np.array(rays)
-    # dedupe
-    keep = []
-    for r in rays:
-        if all(np.linalg.norm(r - k) > 1e-9 for k in keep):
-            keep.append(r)
-    return np.array(keep)
 
 
 def shadow_polygon_oracle(
     inst, c: np.ndarray, z: np.ndarray, bases: Optional[list[Basis]] = None
 ) -> ShadowPolygon:
-    """Project all feasible vertices to span(c, z) and hull them.
+    """Project a bounded region's feasible vertices to span(c, z) and hull them.
 
-    Raises DegenerateShadow when a hull vertex has more than one pre-image
-    within 1e-9 (the projection is then degenerate and path labels would be
+    Raises ValueError when the region has no vertex or is unbounded, and
+    DegenerateShadow when a hull vertex has more than one pre-image within
+    1e-9 (the projection is then degenerate and path labels would be
     ambiguous).
     """
     frame = orthonormal_frame(c, z)
@@ -244,43 +211,11 @@ def shadow_polygon_oracle(
         bases = enumerate_feasible_bases(inst)
     if not bases:
         raise ValueError("no feasible vertices to project")
+    if not region_bounded(inst, bases):
+        raise ValueError("region is unbounded; its shadow is not a polygon")
     verts = np.array([bs.x for bs in bases])
     proj = verts @ frame.T  # (m, 2)
-
-    closed = True
-    ray_dirs = None
-    rays = _recession_extreme_rays(inst.A)
-    sentinel_pts = np.zeros((0, 2))
-    if len(rays):
-        closed = False
-        pray = rays @ frame.T
-        nr = np.linalg.norm(pray, axis=1)
-        keepers = pray[nr > 1e-12] / nr[nr > 1e-12][:, None]
-        # dedupe projected directions
-        dirs: list[np.ndarray] = []
-        for rdir in keepers:
-            if all(np.linalg.norm(rdir - d0) > 1e-9 for d0 in dirs):
-                dirs.append(rdir)
-        ray_dirs = np.array(dirs)
-        scale = max(1.0, float(np.abs(proj).max()))
-        center = proj.mean(axis=0)
-        sentinel_pts = center[None, :] + 1e9 * scale * ray_dirs
-
-    all_pts = np.vstack([proj, sentinel_pts])
-    hull = convex_hull_2d(all_pts)
-
-    if not closed:
-        sentinels = {i for i in hull if i >= len(bases)}
-        if sentinels:
-            # rotate the cycle so it starts right after a sentinel, then drop them
-            k = len(hull)
-            start = next(
-                (j + 1) % k for j in range(k) if hull[j] in sentinels
-            )
-            rotated = [hull[(start + j) % k] for j in range(k)]
-            hull = [i for i in rotated if i < len(bases)]
-
-    hull_points = all_pts[hull]
+    hull_points = proj[convex_hull_2d(proj)]
     hull_bases = []
     pre_ids = []
     for p in hull_points:
@@ -301,8 +236,6 @@ def shadow_polygon_oracle(
         points=hull_points,
         bases=hull_bases,
         vertices=verts[pre_ids],
-        closed=closed,
-        ray_dirs=ray_dirs,
     )
 
 
@@ -322,8 +255,6 @@ def hull_arc(polygon: ShadowPolygon, y: np.ndarray, y2: np.ndarray) -> list[tupl
     m = len(polygon.points)
     start = int(np.argmax(polygon.points @ py))
     end = int(np.argmax(polygon.points @ py2))
-    if not polygon.closed and start != end:
-        raise ValueError("arc extraction requires a closed polygon")
     arc = [polygon.bases[start]]
     i = start
     while i != end:
@@ -346,14 +277,6 @@ class VertexGraph:
 
     def __len__(self) -> int:
         return len(self.bases)
-
-    def id_of(self, indices) -> int:
-        key = tuple(sorted(int(i) for i in indices))
-        try:
-            return self._lookup[key]
-        except AttributeError:
-            self._lookup = {bs: i for i, bs in enumerate(self.bases)}
-            return self._lookup[key]
 
     @property
     def edge_count(self) -> int:

@@ -30,7 +30,7 @@ TOL_OPT = 1e-9
 TOL_FEAS = 1e-8
 TOL_DIR = 1e-11
 
-DEFAULT_PIVOT_LIMIT = 10**6
+PIVOT_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -204,13 +204,12 @@ def run_shadow_path(
     y: np.ndarray,
     y2: np.ndarray,
     start: Basis,
-    limit: int = DEFAULT_PIVOT_LIMIT,
     stop: Optional[Callable[[ShadowPath, int, RatioResult], Any]] = None,
 ) -> tuple[ShadowPath, PivotOutcome]:
     """Follow the shadow path from y to y2 starting at a y-optimal basis.
 
     Returns the recorded path plus Finished(basis optimal for y2) or
-    UnboundedRay.  Raises PivotLimitExceeded past `limit` pivots,
+    UnboundedRay.  Raises PivotLimitExceeded past PIVOT_LIMIT pivots,
     CycleDetected if a basis repeats, and NumericalStall when two
     consecutive pivots fail to advance lambda by at least 1e-12.
 
@@ -227,6 +226,7 @@ def run_shadow_path(
     lam = 0.0
     stalls = 0
     pivots = 0
+    limit = PIVOT_LIMIT
     while True:
         lam_new, leaving = max_lambda(basis, path.y, path.y2, lam)
         if leaving is None:

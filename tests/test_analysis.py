@@ -373,10 +373,11 @@ def test_boundary_integral_respects_annulus_bound():
 
 
 def test_boundary_integral_radial_edge():
-    # an edge pointing straight at the origin exercises the radial branch
+    # an edge pointing straight at the origin exercises the radial branch;
+    # the two-vertex polygon walks it out and back
     seg = np.array([[0.2, 0.0], [3.0, 0.0]])
-    val = boundary_integral(seg, 2.0, 0.5, closed=False)
-    assert abs(val - (math.log(2.0) - math.log(0.5))) < 1e-12
+    val = boundary_integral(seg, 2.0, 0.5)
+    assert abs(val - 2 * (math.log(2.0) - math.log(0.5))) < 1e-12
 
 
 def test_exterior_angles_square_and_hexagon():

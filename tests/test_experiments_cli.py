@@ -335,6 +335,27 @@ def test_cli_rejects_configs_the_study_cannot_run(tmp_path, command, text, messa
     assert "Traceback" not in res.stderr
 
 
+def test_cli_study_rejects_config_that_is_not_utf8(tmp_path):
+    cfgfile = tmp_path / "cone.cfg"
+    cfgfile.write_bytes(b"experiment = cone\nd = 3\n# \xff\xfe\n")
+    res = _run_cli(["montecarlo-cone", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ") and "utf-8" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_study_rejects_out_that_names_a_file(tmp_path):
+    cfgfile = tmp_path / "cone.cfg"
+    cfgfile.write_text("experiment = cone\nd = 3\nconfigs = 1\ntrials = 100\n")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    res = _run_cli(["montecarlo-cone", str(cfgfile), "--out", str(taken)])
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ") and str(taken) in res.stderr
+    assert res.stdout == ""
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_cli_lowerbound_rows_below_packing_size_is_an_error_row(tmp_path):
     cfgfile = tmp_path / "lb.cfg"
     cfgfile.write_text("experiment = lowerbound\nd = 3\nsigma = 0.25\nn = 5\nruns = 1\n"

@@ -39,11 +39,12 @@ def test_simplex_has_four_bases():
     assert len(enumerate_feasible_bases(inst)) == 4
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     gen = RngStream(30, 0).generator()
     si = ball_instance(gen, 3, 20, 0.05)
+    monkeypatch.setattr(oracle, "ENUM_GUARD", 10)
     with pytest.raises(TooLarge):
-        enumerate_feasible_bases(si.lp(), guard=10)
+        enumerate_feasible_bases(si.lp())
 
 
 def test_enumeration_count_matches_graph_reachability():
@@ -101,7 +102,7 @@ def test_square_shadow_polygon():
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     inst = LPInstance(A, np.ones(4), np.array([1.0, 0.0]))
     poly = shadow_polygon_oracle(inst, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert poly.closed and len(poly.points) == 4
+    assert len(poly.points) == 4
 
 
 def test_cube_axis_projection_is_degenerate():
@@ -125,7 +126,6 @@ def test_seeded_polygon_angle_sum():
     si, bases = bounded_ball_instance(gen, 3, 15, 0.05)
     z = gen.standard_normal(3)
     poly = shadow_polygon_oracle(si.lp(), si.c, z, bases=bases)
-    assert poly.closed
     assert abs(exterior_angles(poly.points).sum() - 2 * np.pi) < 1e-6
 
 
@@ -143,14 +143,12 @@ def test_engine_path_equals_hull_arc():
         assert hull_arc(poly, y, si.c) == path.index_sequence
 
 
-def test_wedge_polygon_open_chain():
-    # 2-d wedge: unbounded shadow, open chain with two rays
+def test_wedge_polygon_unbounded_raises():
+    # 2-d wedge open upward: its shadow is no polygon
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
     inst = LPInstance(A, np.ones(3), np.array([0.0, 1.0]))
-    poly = shadow_polygon_oracle(inst, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert not poly.closed
-    assert len(poly.points) == 2  # the two bottom corners
-    assert poly.ray_dirs is not None and len(poly.ray_dirs) >= 1
+    with pytest.raises(ValueError, match="unbounded"):
+        shadow_polygon_oracle(inst, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 def test_vertex_graph_degrees_and_bfs():
@@ -158,10 +156,10 @@ def test_vertex_graph_degrees_and_bfs():
     bases = enumerate_feasible_bases(inst)
     graph = build_vertex_graph(bases)
     assert all(len(adj) == 3 for adj in graph.adjacency)
-    corner = graph.id_of(
+    corner = graph.bases.index(
         bases[int(np.argmax([b.x.sum() for b in bases]))].indices
     )
-    opposite = graph.id_of(
+    opposite = graph.bases.index(
         bases[int(np.argmin([b.x.sum() for b in bases]))].indices
     )
     assert bfs_distance(graph, corner, opposite) == 3

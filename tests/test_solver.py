@@ -437,7 +437,8 @@ def test_interpolation_slice_matches_unit_region():
         checked += 1
 
 
-def test_pivot_limit_exceeded():
+def test_pivot_limit_exceeded(monkeypatch):
+    from shadowlp import simplex
     from shadowlp.errors import PivotLimitExceeded
     from shadowlp.simplex import run_shadow_path as run
 
@@ -450,8 +451,9 @@ def test_pivot_limit_exceeded():
     ref, _ = run(inst.A, inst.b, y, inst.c, start)
     if ref.pivots < 2:
         pytest.skip("path too short to exercise the cap")
+    monkeypatch.setattr(simplex, "PIVOT_LIMIT", ref.pivots - 1)
     with pytest.raises(PivotLimitExceeded):
-        run(inst.A, inst.b, y, inst.c, start, limit=ref.pivots - 1)
+        run(inst.A, inst.b, y, inst.c, start)
 
 
 def test_solve_accepts_smoothed_instance():
