@@ -17,6 +17,7 @@ from .errors import (
     NotOptimal,
     NumericalStall,
     PivotLimitExceeded,
+    RerunRay,
     RestartLimitExceeded,
     ShadowLpError,
     SingularError,
@@ -43,7 +44,7 @@ __all__ = [
     "AuditFailed", "CertificateInvalid", "ConfigError", "CycleDetected",
     "DegenerateShadow", "DimensionTooSmall", "NegativeStep", "NoVertex", "NonConvexInput",
     "NonpositiveRhs", "NormViolation", "NotOptimal",
-    "NumericalStall", "PivotLimitExceeded", "RestartLimitExceeded", "ShadowLpError",
+    "NumericalStall", "PivotLimitExceeded", "RerunRay", "RestartLimitExceeded", "ShadowLpError",
     "SingularError", "TooFewRows", "TooLarge", "Unreachable", "ZeroVertex",
     "LPInstance", "dump_instance", "load_instance",
     "BasisFactorization", "factorize", "linsolve", "solve_transpose",

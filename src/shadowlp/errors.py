@@ -45,6 +45,12 @@ class CertificateInvalid(ShadowLpError):
     """A produced certificate failed its own invariant re-check."""
 
 
+class RerunRay(ShadowLpError):
+    """Phases 1-2 ended on a ray after their rerun with z = A^T|g|, whose
+    objectives are bounded in exact arithmetic: a numerical failure, seen
+    on rows whose norms span many orders of magnitude."""
+
+
 class NoVertex(ShadowLpError):
     """rank A < d: the region {Ax <= b} has no vertex to start a path from."""
 

@@ -3,11 +3,16 @@
 File format (used by the CLI and demos): one header line "n d", then n lines
 of d+1 reals giving (a_i, b_i), then one line of d reals giving c.  Plain
 text, whitespace separated, trivially parseable and diff-friendly.
+`loads_instance` reads the layout `dumps_instance` writes in one exact
+vectorized pass and any other text on the general path, to the same values.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -61,6 +66,104 @@ def _parse_floats(line: str, count: int, lineno: int) -> list[float]:
 
 
 def loads_instance(text: str) -> LPInstance:
+    data, c = _parse_exact(text) or _parse_general(text)
+    # C-contiguous copies, not views, so the parsed block is freed
+    return LPInstance(A=data[:, :-1].copy(), b=data[:, -1].copy(), c=np.array(c))
+
+
+# _parse_exact needs x87 extended precision (a 64-bit significand in the low
+# 8 of 16 little-endian bytes), in which every mantissa below 10^18 and every
+# power of ten up to 10^22 is exact
+_EXTENDED = (
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and sys.byteorder == "little"
+)
+_ULP_63 = np.longdouble(2.0**-63)
+_POW10 = np.array([10.0**k for k in range(23)], dtype=np.longdouble)
+_EXP_TOKEN = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?e[-+][0-9]+(?=[ \n]|\Z)")
+_DIGIT0, _NEWLINE, _SPACE, _MINUS, _DOT = np.uint8(48), 10, 32, 45, 46
+
+
+def _parse_exact(text: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The (n, d+1) rows and the d-vector c of text in `dumps_instance`'s
+    layout, in one vectorized pass, or None to leave text to the general path.
+
+    The layout is ASCII: "n d", n rows of d+1 tokens and a row of d tokens,
+    one ' ' between tokens and '\n' after every line, each token -?D+.D+ or
+    repr's exponent form.  Clinger's fast path reads the plain tokens: one
+    with mantissa m < 10^18 and f <= 22 fraction digits is m / 10^f, both
+    exact in extended precision, so the quotient is rounded once to 64 bits,
+    and rounding that to double gives float(token) unless it lies exactly
+    halfway between two doubles (low 11 significand bits 0x400).  float()
+    re-reads those, zeros (for -0.0), exponent tokens and longer mantissas.
+    Where they exceed 1 in 64 tokens, or anything is outside the layout, the
+    general path parses the text, so values and error messages are its own.
+    """
+    if not (_EXTENDED and text.isascii() and np.longdouble(1) + _ULP_63 != 1):
+        return None
+    head, _, body = text.partition("\n")
+    n, _, d = head.partition(" ")
+    if not (n.isdigit() and d.isdigit() and body.endswith("\n")):
+        return None
+    n, d = int(n), int(d)
+    if n < 1 or d < 1:
+        return None
+    tokens = n * (d + 1) + d
+    raw = bytearray(body[:-1], "ascii")
+    # float() reads each exponent token; a zero of its length holds its place
+    exps = {}
+    at = raw.find(b"e")
+    while at >= 0:
+        start = max(raw.rfind(b" ", 0, at), raw.rfind(b"\n", 0, at)) + 1
+        token = _EXP_TOKEN.match(raw, start)
+        if token is None or 64 * len(exps) >= tokens:
+            return None
+        exps[start] = float(token[0])
+        raw[start : token.end()] = b"0.".ljust(token.end() - start, b"0")
+        at = raw.find(b"e", token.end())
+    u = np.frombuffer(raw, np.uint8)
+    # one dot per token: dots and separators alternate
+    marks = np.flatnonzero((u <= _SPACE) | (u == _DOT))
+    if marks.size != 2 * tokens - 1:
+        return None
+    dots, seps = marks[0::2], marks[1::2]
+    newline = u[seps] == _NEWLINE
+    if not (
+        (u[dots] == _DOT).all()
+        and (newline | (u[seps] == _SPACE)).all()
+        and np.count_nonzero(newline) == n
+        and newline[d :: d + 1].all()
+        and 0 < dots[0] and dots[-1] < u.size - 1
+        and ((u[dots - 1] - _DIGIT0) < 10).all()
+        and ((u[dots + 1] - _DIGIT0) < 10).all()
+        # a minus only at the start of a token, and every other byte a digit
+        and not ((u[1:] == _MINUS) & (u[:-1] > _SPACE)).any()
+        and np.count_nonzero((u - _DIGIT0) < 10) + np.count_nonzero(u == _MINUS)
+        == u.size - marks.size
+    ):
+        return None
+    mantissa = np.fromstring(bytes(raw.replace(b".", b"")), dtype=np.int64, sep=" ")
+    ends = np.append(seps, u.size)
+    frac = ends - dots - 1
+    q = mantissa.astype(np.longdouble) / _POW10[np.minimum(frac, 22)]
+    values = q.astype(np.float64)
+    redo = np.flatnonzero(
+        ((q.view(np.uint64)[::2] & 0x7FF) == 0x400)
+        | (mantissa == 0) | (mantissa >= 10**18) | (mantissa <= -10**18) | (frac > 22)
+    )
+    if 64 * redo.size > tokens:
+        return None
+    starts = np.append(0, seps + 1)
+    values[redo] = [float(raw[s:e]) for s, e in zip(starts[redo].tolist(), ends[redo].tolist())]
+    values[np.searchsorted(seps, list(exps))] = list(exps.values())
+    rows = n * (d + 1)
+    return values[:rows].reshape(n, d + 1), values[rows:]
+
+
+def _parse_general(text: str) -> tuple[np.ndarray, list[float]]:
+    """The rows and c of any instance text, or a line-numbered
+    InstanceParseError naming the first fault."""
     lines = [
         (i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()
     ]
@@ -82,13 +185,12 @@ def loads_instance(text: str) -> LPInstance:
         )
     data = _parse_rows(lines[1 : 1 + n], d + 1)
     lineno, ln = lines[1 + n]
-    c = _parse_floats(ln, d, lineno)
-    # C-contiguous copies, not views, so the parsed block is freed
-    return LPInstance(A=data[:, :d].copy(), b=data[:, d].copy(), c=np.array(c))
+    return data, _parse_floats(ln, d, lineno)
 
 
 def _parse_rows(lines: list[tuple[int, str]], count: int) -> np.ndarray:
-    """The (lineno, line) data rows as a (len(lines), count) array.
+    """The (lineno, line) data rows as a (len(lines), count) array, for text
+    that `_parse_exact` left to the general path.
 
     One `np.loadtxt` call parses well-formed rows; it rounds every token as
     `float()` does.  Anything it rejects or shapes differently (ragged rows,

@@ -30,6 +30,7 @@ from .errors import (
     DimensionTooSmall,
     NoVertex,
     NumericalStall,
+    RerunRay,
     RestartLimitExceeded,
     SingularError,
 )
@@ -453,7 +454,9 @@ def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
     phase 1 or 2 ends on one, phases 1-2 rerun once with z = A^T |g|,
     g ~ N(0, I_n), in the cone of the rows: every objective on their paths
     is then bounded.  Raises NoVertex when rank A < d: up front when n < d,
-    else when a phase 1-2 ray calls for the rank.
+    else when a phase 1-2 ray calls for the rank.  A ray from the rerun is a
+    numerical failure and raises RerunRay.  Raises DimensionTooSmall up
+    front when d < 3.
 
     When the largest row norm of (A, b) is outside ROW_NORM_RANGE, the
     phases and the verification run on (A, b) divided by an exact power of
@@ -462,6 +465,8 @@ def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
     """
     inst_lp = _row_scaled(inst.lp() if hasattr(inst, "lp") else inst)
     n, d = inst_lp.A.shape
+    if d < 3:
+        raise DimensionTooSmall(f"artificial basis construction needs d >= 3, got {d}")
     if n < d:
         raise NoVertex(f"n = {n} < d = {d}: the region has no vertex")
     # keep the artificial noise well below the simplex radius
@@ -483,5 +488,12 @@ def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
         stats.retries = 1
         z = inst_lp.A.T @ np.abs(gen.standard_normal(n))
         outcome, path = _solve_once(gen, inst_lp, art_sigma, stats, z)
+        if isinstance(outcome, Unbounded) and outcome.x is None:
+            norms = np.hypot(np.linalg.norm(inst_lp.A, axis=1), inst_lp.b)
+            raise RerunRay(
+                "phases 1-2 ended on a ray after the rerun with z = A^T|g|, "
+                "which is bounded in exact arithmetic: a numerical failure; "
+                f"the (a_i, b_i) row norms of the LP solved span {norms.min():.3e} to {norms.max():.3e}"
+            )
     verify_outcome(inst_lp, outcome)
     return outcome, stats, path

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from shadowlp.errors import (
     CertificateInvalid,
     DimensionTooSmall,
     NoVertex,
+    RerunRay,
     RestartLimitExceeded,
 )
 from shadowlp.experiments import scaling_instance
@@ -413,10 +415,26 @@ def test_verify_outcome_rejects_bad_certificates():
 
 
 def test_solve_rejects_small_dimension():
-    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    inst = LPInstance(A, np.ones(4), np.array([1.0, 0.0]))
-    with pytest.raises(DimensionTooSmall):
-        solve(RngStream(54, 0), inst)
+    # up front, before the artificial-noise cap divides by log(d) = 0 at d = 1
+    for d in (1, 2):
+        inst = cube_instance(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionTooSmall, match=f"got {d}"):
+                solve(RngStream(54, 0), inst)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solve_names_a_ray_from_the_rerun(seed):
+    # the unit cube with row norms from 1e-12 to 1e12: HiGHS finds it
+    # optimal, but phases 1-2 end on a ray even after the rerun with
+    # z = A^T|g|, which is bounded in exact arithmetic
+    inst = cube_instance(3, c=[1.0, 0.3, -0.2])
+    inst = LPInstance(inst.A, np.array([1e-12, 1, 1, 1, 1, 1e12]), inst.c)
+    ref = linprog(-inst.c, A_ub=inst.A, b_ub=inst.b, bounds=[(None, None)] * 3, method="highs")
+    assert ref.status == 0
+    with pytest.raises(RerunRay, match="numerical failure.*row norms .* span 9.095e-13 to 9.095e-01"):
+        solve(RngStream(seed, 0), inst)
 
 
 def test_interpolation_slice_matches_unit_region():
