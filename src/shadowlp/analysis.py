@@ -109,17 +109,6 @@ def relative_slack(inst, basis: Basis) -> float:
     return float(np.minimum.reduce(slack) / norm)
 
 
-def _turn_angles(points: np.ndarray) -> np.ndarray:
-    """Unsigned turn angle at each interior point of an open planar chain."""
-    steps = points[1:] - points[:-1]
-    xy = steps.tolist()
-    out = np.full(len(points), np.nan)
-    for i in range(1, len(steps)):
-        (x0, y0), (x1, y1) = xy[i - 1], xy[i]
-        out[i] = abs(math.atan2(x0 * y1 - y0 * x1, float(steps[i - 1] @ steps[i])))
-    return out
-
-
 @dataclass
 class PathReport:
     """Per-basis separation measurements for one recorded shadow path."""
@@ -130,7 +119,6 @@ class PathReport:
     rel_slacks: np.ndarray         # nan where the vertex norm was below threshold
     proj: np.ndarray               # (m, 2) coordinates in the (c, c2) frame
     proj_norms: np.ndarray
-    exterior_angles: np.ndarray    # nan at endpoints
     good_multiplier: np.ndarray    # bool, margin >= m
     relative_gap: np.ndarray       # bool, slack >= g
     far_from_neighbors: np.ndarray  # bool, all path neighbors >= rho * proj norm
@@ -227,7 +215,6 @@ def classify_path(
         proj[i] = frame @ basis.x
     margins, witnesses = multiplier_margins(mu0, mu1)
     norms = np.linalg.norm(proj, axis=1)
-    angles = _turn_angles(proj)
     good = margins >= m
     gap = np.where(np.isnan(slacks), False, slacks >= g)
     # each edge's length serves both endpoints; np.linalg.norm's 1-D
@@ -245,7 +232,6 @@ def classify_path(
         rel_slacks=slacks,
         proj=proj,
         proj_norms=norms,
-        exterior_angles=angles,
         good_multiplier=good,
         relative_gap=gap,
         far_from_neighbors=far,
@@ -437,8 +423,6 @@ def segment_cone_trial(rng, B: np.ndarray, c: np.ndarray, c2: np.ndarray,
 class ObjectiveSchedule:
     """Objectives Z, Z+c, Z+2c, ..., Z+2^k c, then c (just (Z, c) for k=0)."""
 
-    c: np.ndarray
-    z: np.ndarray
     k: int
     objectives: list[np.ndarray]
 
@@ -461,7 +445,7 @@ def build_schedule(c: np.ndarray, z: np.ndarray, n: int, d: int,
         objectives = [z, c]
     else:
         objectives = [z] + [z + (2.0**i) * c for i in range(k + 1)] + [c]
-    return ObjectiveSchedule(c=c, z=z, k=k, objectives=objectives)
+    return ObjectiveSchedule(k=k, objectives=objectives)
 
 
 def run_schedule(A: np.ndarray, b: np.ndarray, schedule: ObjectiveSchedule,

@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .instance import InstanceParseError, load_instance
 from .rng import RngStream
-from .solver import Infeasible, Optimal, Unbounded, solve
+from .solver import Infeasible, Optimal, solve
 
 
 def _out_dir(args) -> Path:
@@ -75,12 +75,10 @@ def cmd_solve(args) -> int:
     elif isinstance(outcome, Infeasible):
         doc["certificate"] = [float(v) for v in outcome.certificate]
         code = 2
-    elif isinstance(outcome, Unbounded):
+    else:
         doc["ray"] = [float(v) for v in outcome.ray]
         doc["x"] = [float(v) for v in outcome.x]
         code = 3
-    else:  # pragma: no cover
-        return 1
     print(json.dumps(doc, indent=2, sort_keys=True))
     return code
 

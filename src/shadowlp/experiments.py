@@ -24,7 +24,6 @@ from typing import Any
 import numpy as np
 
 from .analysis import (
-    ConeTrial,
     PathReport,
     classify_path,
     good_multiplier_threshold,
@@ -215,10 +214,6 @@ SCALING_COLUMNS = [
     "min_proj_norm", "max_proj_norm",
 ]
 
-CONE_COLUMNS = [
-    "schema_version", "experiment", "config_id", "seed", "stream", "d",
-    *(f.name for f in fields(ConeTrial)), "satisfied",
-]
 LOWERBOUND_COLUMNS = [
     "schema_version", "experiment", "run", "seed", "stream",
     *(f.name for f in fields(DiameterRecord)),

@@ -52,19 +52,6 @@ class BasisFactorization:
     def d(self) -> int:
         return self.lu.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        """Multiply the factors back together (test/diagnostic helper)."""
-        lower = np.tril(self.lu, -1) + np.eye(self.d)
-        upper = np.triu(self.lu)
-        m = lower @ upper
-        # getrf records row i <-> piv[i] swaps in elimination order; undo them
-        # in reverse to recover the original row order.
-        for i in range(self.d - 1, -1, -1):
-            j = self.piv[i]
-            if j != i:
-                m[[i, j]] = m[[j, i]]
-        return m
-
 
 def factorize(m: np.ndarray) -> BasisFactorization:
     """LU-factorize a square matrix, raising SingularError below the pivot floor."""

@@ -393,7 +393,6 @@ def build_lb_instance(rng, dense: DenseSet, sigma: float,
 
 @dataclass
 class SandwichResult:
-    eta: float
     inner_radius: float  # min_i b_i / ||a_i||
     outer_radius: Optional[float]  # max vertex norm, when vertices given
     inner_ok: bool
@@ -415,7 +414,6 @@ def sandwich_check(inst, eta: float, vertices: Optional[np.ndarray] = None) -> S
         outer_radius = float(np.linalg.norm(vertices, axis=1).max())
         outer_ok = outer_radius <= 1.0 + 4.0 * eta
     return SandwichResult(
-        eta=float(eta),
         inner_radius=inner_radius,
         outer_radius=outer_radius,
         inner_ok=inner_radius >= 1.0 - 2.0 * eta,
@@ -503,8 +501,8 @@ def diameter_experiment(rng, d: int, sigma: float, eta: Optional[float] = None,
     )
     # measured perturbation level; with it the density/perturbation
     # preconditions become checkable facts rather than probability events
-    pert_a = float(np.linalg.norm(inst.a_draws, axis=1).max()) if inst.n else 0.0
-    pert_b = float(np.abs(inst.b_draws).max()) if inst.n else 0.0
+    pert_a = float(np.linalg.norm(inst.a_draws, axis=1).max())
+    pert_b = float(np.abs(inst.b_draws).max())
     rec.eta_event = max(eta, pert_a, pert_b)
     rec.event_holds = rec.eta_event <= 0.125
 

@@ -171,8 +171,6 @@ def convex_hull_2d(points: np.ndarray) -> list[int]:
     lower = build(order)
     upper = build(order[::-1])
     hull = lower[:-1] + upper[:-1]
-    if len(hull) == 0:  # all points coincide
-        return [int(order[0])]
     # coincident input points can survive as repeated hull vertices
     cleaned = [hull[0]]
     for idx in hull[1:]:
@@ -193,7 +191,6 @@ class ShadowPolygon:
     frame: np.ndarray          # (2, d)
     points: np.ndarray         # (m, 2) hull vertices, CCW
     bases: list[tuple[int, ...]]
-    vertices: np.ndarray       # (m, d) pre-image vertices
 
 
 def shadow_polygon_oracle(
@@ -217,7 +214,6 @@ def shadow_polygon_oracle(
     proj = verts @ frame.T  # (m, 2)
     hull_points = proj[convex_hull_2d(proj)]
     hull_bases = []
-    pre_ids = []
     for p in hull_points:
         matches = np.flatnonzero(np.linalg.norm(proj - p, axis=1) <= 1e-9)
         # count geometrically distinct pre-images
@@ -229,14 +225,8 @@ def shadow_polygon_oracle(
             raise DegenerateShadow(
                 f"hull point {p} has {len(distinct)} pre-image vertices"
             )
-        pre_ids.append(distinct[0])
         hull_bases.append(bases[distinct[0]].indices)
-    return ShadowPolygon(
-        frame=frame,
-        points=hull_points,
-        bases=hull_bases,
-        vertices=verts[pre_ids],
-    )
+    return ShadowPolygon(frame=frame, points=hull_points, bases=hull_bases)
 
 
 def hull_arc(polygon: ShadowPolygon, y: np.ndarray, y2: np.ndarray) -> list[tuple[int, ...]]:

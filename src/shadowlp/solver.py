@@ -51,8 +51,9 @@ from .simplex import (
 )
 
 MAX_RESTARTS = 64
-# solve() rescales an LP whose largest (a_i, b_i) norm lies outside this
-# range; the seeded corpora (norms 1.04-2.03) lie inside it
+# solve() rescales (A, b) when its largest (a_i, b_i) norm, and c when its
+# norm, lies outside this range; the seeded corpora (row norms 1.04-2.03,
+# unit c) lie inside it
 ROW_NORM_RANGE = (0.25, 4.0)
 
 
@@ -356,36 +357,12 @@ def phase2_solve(
 # Phase 3 and the full pipeline
 
 
-def phase3_solve(
-    inst, z_basis: Basis, z: np.ndarray
-) -> tuple[SolveOutcome, list[ShadowPath]]:
-    """Follow the shadow path from the random objective z to the input c.
-
-    An exactly antiparallel c degenerates the shadow plane (the sweep would
-    pass through the zero objective), so that case detours through an
-    intermediate objective orthogonal to z; path composition makes the two
-    legs end at the same c-optimal basis.
-    """
-    c = inst.c
-    z_norm = float(np.linalg.norm(z))
-    zhat = z / z_norm
-    resid = c - (c @ zhat) * zhat
-    paths: list[ShadowPath] = []
-    basis = z_basis
-    if np.linalg.norm(resid) <= 1e-10 * max(1.0, np.linalg.norm(c)) and c @ z < 0.0:
-        k = int(np.argmin(np.abs(zhat)))
-        w = np.eye(len(zhat))[k] - zhat[k] * zhat
-        path, out = run_shadow_path(inst.A, inst.b, z, w, basis)
-        paths.append(path)
-        if isinstance(out, UnboundedRay):
-            return Unbounded(ray=out.ray, x=out.basis.x), paths
-        basis = out.basis
-        z = w
-    path, out = run_shadow_path(inst.A, inst.b, z, c, basis)
-    paths.append(path)
+def phase3_solve(inst, z_basis: Basis, z: np.ndarray) -> tuple[SolveOutcome, ShadowPath]:
+    """Follow the shadow path from the random objective z to the input c."""
+    path, out = run_shadow_path(inst.A, inst.b, z, inst.c, z_basis)
     if isinstance(out, Finished):
-        return Optimal(basis_indices=out.basis.indices, x=out.basis.x), paths
-    return Unbounded(ray=out.ray, x=out.basis.x), paths
+        return Optimal(basis_indices=out.basis.indices, x=out.basis.x), path
+    return Unbounded(ray=out.ray, x=out.basis.x), path
 
 
 @dataclass
@@ -412,9 +389,9 @@ def _solve_once(gen, inst, art_sigma, stats, z=None):
     p2 = phase2_solve(gen, inst, unit_basis, z, stats)
     if isinstance(p2, (Infeasible, Unbounded)):
         return p2, None
-    outcome, paths = phase3_solve(inst, p2, z)
-    stats.pivots_phase3 = sum(p.pivots for p in paths)
-    return outcome, paths[-1]
+    outcome, path = phase3_solve(inst, p2, z)
+    stats.pivots_phase3 = path.pivots
+    return outcome, path
 
 
 def _max_row_sq(A: np.ndarray, b: np.ndarray) -> float:
@@ -422,18 +399,13 @@ def _max_row_sq(A: np.ndarray, b: np.ndarray) -> float:
         return float((np.einsum("ij,ij->i", A, A) + b * b).max(initial=0.0))
 
 
-def _row_scaled(inst: LPInstance) -> LPInstance:
-    """inst with (A, b) divided by 2^e, e the exponent of its largest row
-    norm, when that norm is outside ROW_NORM_RANGE; else inst itself.
+def _scale_exponent(A: np.ndarray, b: np.ndarray) -> int:
+    """e with the largest (a_i, b_i) norm over 2^e in [1/2, 1) when that norm
+    is outside ROW_NORM_RANGE; else 0, which no norm outside it gives.
 
-    The largest (a_i, b_i) norm then lies in [1/2, 1), where the artificial
-    rows (at height 3, radius 1/(10 sqrt(ln d))) and the absolute guards
-    are sized.  Dividing by a power of two is exact, so the copy has the
-    feasible region, vertices and rays of inst, and a Farkas y for the copy
-    is one for inst.  When the squared norms under- or overflow, the norms
-    are taken of (A, b) / 2^k instead, 2^k the scale of the largest entry.
+    When the squared norms under- or overflow, the norms are taken of
+    (A, b) / 2^k instead, 2^k the scale of the largest entry.
     """
-    A, b = inst.A, inst.b
     k = 0
     sq = _max_row_sq(A, b)
     if sq == 0.0 or sq == math.inf:
@@ -442,9 +414,25 @@ def _row_scaled(inst: LPInstance) -> LPInstance:
     top = math.sqrt(sq)  # the largest row norm over 2^k
     low, high = ROW_NORM_RANGE
     if top == 0.0 or low <= math.ldexp(top, k) <= high:
+        return 0
+    return math.frexp(top)[1] + k
+
+
+def _row_scaled(inst: LPInstance) -> LPInstance:
+    """inst with (A, b) divided by the power of two that puts its largest
+    row norm in [1/2, 1), and c by the one that puts its norm there, each
+    only when that norm is outside ROW_NORM_RANGE; else inst itself.
+
+    The artificial rows (at height 3, radius 1/(10 sqrt(ln d))) and the
+    absolute guards are sized for such norms.  Dividing by a power of two
+    is exact, so the copy has the feasible region, vertices, rays and
+    optimal vertices of inst, and a Farkas y for the copy is one for inst.
+    """
+    e = _scale_exponent(inst.A, inst.b)
+    f = _scale_exponent(inst.c[None, :], np.zeros(1))
+    if e == 0 and f == 0:
         return inst
-    e = math.frexp(top)[1] + k
-    return LPInstance(np.ldexp(A, -e), np.ldexp(b, -e), inst.c)
+    return LPInstance(np.ldexp(inst.A, -e), np.ldexp(inst.b, -e), np.ldexp(inst.c, -f))
 
 
 def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
@@ -458,10 +446,11 @@ def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
     numerical failure and raises RerunRay.  Raises DimensionTooSmall up
     front when d < 3.
 
-    When the largest row norm of (A, b) is outside ROW_NORM_RANGE, the
-    phases and the verification run on (A, b) divided by an exact power of
-    two (_row_scaled).  The answer's x, ray and Farkas y hold for the input
-    as they are; the phase-3 path is that of the scaled copy.
+    When the largest row norm of (A, b), or the norm of c, is outside
+    ROW_NORM_RANGE, the phases and the verification run on a copy with
+    (A, b), or c, divided by an exact power of two (_row_scaled).  The
+    answer's x, ray and Farkas y hold for the input as they are; the
+    phase-3 path is that of the scaled copy.
     """
     inst_lp = _row_scaled(inst.lp() if hasattr(inst, "lp") else inst)
     n, d = inst_lp.A.shape

@@ -1,10 +1,21 @@
-"""Shared instance families for the test suite."""
+"""Shared instance families for the test suite.
+
+The ball and mixed families are the package's and the benchmark's own
+definitions, imported so that the tests draw the same instances.
+"""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from shadowlp import LPInstance, RngStream, smoothed_instance
+from shadowlp import LPInstance, RngStream
+from shadowlp.experiments import scaling_instance
 from shadowlp.oracle import enumerate_feasible_bases, region_bounded
 from shadowlp.rng import uniform_sphere
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository root
+from bench.workloads import mixed_instance  # noqa: E402
 
 
 def cube_instance(d=3, c=None):
@@ -17,22 +28,9 @@ def cube_instance(d=3, c=None):
 
 
 def ball_instance(gen, d, n, sigma):
-    """Random unit directions with rhs 1, scaled so combined rows have norm 1."""
-    dirs = uniform_sphere(gen, d, n)
-    abar = dirs / np.sqrt(2.0)
-    bbar = np.full(n, 1.0 / np.sqrt(2.0))
-    c = uniform_sphere(gen, d)
-    return smoothed_instance(gen, abar, bbar, c, sigma)
-
-
-def mixed_instance(gen, d, n, sigma, b_low=-0.12, b_high=0.75):
-    """Random halfspaces with mixed offsets; some instances come out empty."""
-    bbar = gen.uniform(b_low, b_high, n)
-    dirs = uniform_sphere(gen, d, n)
-    radii = np.sqrt(1.0 - bbar**2) * gen.uniform(0.5, 1.0, n)
-    abar = dirs * radii[:, None]
-    c = uniform_sphere(gen, d)
-    return smoothed_instance(gen, abar, bbar, c, sigma)
+    """The scaling study's ball family: unit directions with rhs 1, scaled so
+    combined rows have norm 1."""
+    return scaling_instance(gen, d, n, sigma, "ball")
 
 
 def bounded_mixed_instance(gen, d, n, sigma, max_tries=50):

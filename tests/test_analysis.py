@@ -7,7 +7,6 @@ import pytest
 from shadowlp import LPInstance, RngStream
 from shadowlp.analysis import (
     PathReport,
-    _turn_angles,
     annulus_integral_bound,
     boundary_integral,
     build_schedule,
@@ -256,9 +255,6 @@ def test_classify_path_basics():
     # every path basis admits nonnegative multipliers somewhere on the segment
     assert rep.margins.min() >= -1e-12
     assert np.all(np.isnan(rep.rel_slacks) | (rep.rel_slacks >= -1e-9))
-    inner = rep.exterior_angles[1:-1]
-    if len(inner):
-        assert np.all((inner > 0) & (inner < math.pi))
 
 
 def _classify_path_per_basis(path, inst, m, g, rho):
@@ -295,8 +291,8 @@ def _classify_path_per_basis(path, inst, m, g, rho):
     return PathReport(
         indices=path.index_sequence, margins=margins, witness_lambdas=witnesses,
         rel_slacks=slacks, proj=proj, proj_norms=norms,
-        exterior_angles=_turn_angles(proj), good_multiplier=good, relative_gap=gap,
-        far_from_neighbors=far, triple=triple_mask(good & gap),
+        good_multiplier=good, relative_gap=gap, far_from_neighbors=far,
+        triple=triple_mask(good & gap),
         m=float(m), g=float(g), rho=float(rho),
     )
 
@@ -316,8 +312,7 @@ def test_classify_path_matches_per_basis_reference(sigma):
             assert got.indices == want.indices
             assert (got.m, got.g, got.rho) == (want.m, want.g, want.rho)
             for field in ("margins", "witness_lambdas", "rel_slacks", "proj", "proj_norms",
-                          "exterior_angles", "good_multiplier", "relative_gap",
-                          "far_from_neighbors", "triple"):
+                          "good_multiplier", "relative_gap", "far_from_neighbors", "triple"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), field
                 assert a.tobytes() == b.tobytes(), field

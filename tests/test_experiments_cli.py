@@ -11,7 +11,6 @@ from scipy.optimize import linprog
 from shadowlp import cli, experiments
 from shadowlp.errors import ConfigError
 from shadowlp.experiments import (
-    CONE_COLUMNS,
     CONE_SCHEMA,
     LOWERBOUND_COLUMNS,
     SCALING_SCHEMA,
@@ -65,7 +64,7 @@ def test_parse_config_behaviour():
 
 
 def test_study_columns_are_pinned():
-    # the CSV layouts; CONE_COLUMNS and LOWERBOUND_COLUMNS follow the field
+    # the CSV layouts; the cone rows and LOWERBOUND_COLUMNS follow the field
     # order of ConeTrial and DiameterRecord, so reordering a field fails here
     assert SCALING_COLUMNS == [
         "schema_version", "experiment", "trial", "sigma_index", "sigma", "seed",
@@ -75,7 +74,9 @@ def test_study_columns_are_pinned():
         "good_multiplier_frac", "relative_gap_frac", "triple_count", "far_count",
         "min_proj_norm", "max_proj_norm",
     ]
-    assert CONE_COLUMNS == [
+    cone_rows, _ = cone_run(parse_config("experiment = cone\nd = 3\nconfigs = 1\ntrials = 2\n",
+                                         CONE_SCHEMA))
+    assert list(cone_rows[0]) == [
         "schema_version", "experiment", "config_id", "seed", "stream", "d",
         "trials", "m", "p0", "pm", "stderr_diff", "satisfied",
     ]
