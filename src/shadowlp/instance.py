@@ -24,9 +24,11 @@ class LPInstance:
     c: np.ndarray  # (d,)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        # C-contiguous, so the engine gathers basis rows with take, which on
+        # a strided matrix would copy all of it first
+        A = np.asarray(self.A, dtype=float, order="C")
+        b = np.asarray(self.b, dtype=float, order="C")
+        c = np.asarray(self.c, dtype=float, order="C")
         if A.ndim != 2:
             raise ValueError("A must be a 2-d array")
         if b.shape != (A.shape[0],):
@@ -102,15 +104,19 @@ def _parse_exact(text: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """
     if not (_EXTENDED and text.isascii() and np.longdouble(1) + _ULP_63 != 1):
         return None
-    head, _, body = text.partition("\n")
-    n, _, d = head.partition(" ")
-    if not (n.isdigit() and d.isdigit() and body.endswith("\n")):
+    cut = text.find("\n")  # the header ends here
+    n, _, d = text[:cut].partition(" ")
+    if not (0 <= cut < len(text) - 1 and n.isdigit() and d.isdigit() and text.endswith("\n")):
         return None
     n, d = int(n), int(d)
     if n < 1 or d < 1:
         return None
     tokens = n * (d + 1) + d
-    raw = bytearray(body[:-1], "ascii")
+    # the body without its final newline: one copy of the text, then the
+    # header is dropped in place
+    raw = bytearray(text, "ascii")
+    del raw[: cut + 1]
+    del raw[-1]
     # float() reads each exponent token; a zero of its length holds its place
     exps = {}
     at = raw.find(b"e")
@@ -154,8 +160,9 @@ def _parse_exact(text: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
     )
     if 64 * redo.size > tokens:
         return None
-    starts = np.append(0, seps + 1)
-    values[redo] = [float(raw[s:e]) for s, e in zip(starts[redo].tolist(), ends[redo].tolist())]
+    # a re-read token starts after the separator before it, token 0 at 0
+    starts = np.where(redo > 0, seps[redo - 1] + 1, 0)
+    values[redo] = [float(raw[s:e]) for s, e in zip(starts.tolist(), ends[redo].tolist())]
     values[np.searchsorted(seps, list(exps))] = list(exps.values())
     rows = n * (d + 1)
     return values[:rows].reshape(n, d + 1), values[rows:]

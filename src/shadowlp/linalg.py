@@ -8,23 +8,24 @@ bit-identical to the wrappers'.
 
 Every basis is still refactored from scratch.  Replaying the kernel calls of
 six seeded d = 10, n = 500 solves on a 2-vCPU x86-64 host with one BLAS
-thread (best of 9 passes), a pivot's three kernels take about 41 us:
-`ratio_test` 18 (two O(n d) matrix-vector products and the blocking-row
-selection on length-n arrays), `make_basis` 15, of which `factorize` is 6
-around a 2 us getrf and the solve 1.3, and `max_lambda` 8, of which its two
-transpose-solves are 2.6.  Most of what is left is numpy's fixed cost per
-call on arrays of length d, which is why these kernels take argmax/argmin
-in place of max/min reductions, skip `asarray` on float64 arrays, gather
-basis rows with one index array and scan crossings in Python floats.  A
-rank-one-updated inverse could save little more than the getrf, and it would
-move every basic solution and multiplier in its last bits, so seeded paths
-and outputs would no longer reproduce.
+thread (best of 25 passes, lowest of three runs), a pivot's three kernels
+take about 27 us: `ratio_test` 12, of which the blocking-row scan is 9.5
+(two O(n d) matrix-vector products and the selection on length-n arrays),
+`make_basis` 9, of which `factorize` is 4.6 around a 2.5 us getrf and the
+solve 1.1, and `max_lambda` 6, of which its two transpose-solves are 2.2.
+Most of what is left is numpy's fixed cost per call, which is why these
+kernels take argmax/argmin in place of max/min reductions, skip `asarray`
+on float64 arrays, build their records as named tuples, gather basis rows
+with `take` from a sorted index array that the pivot loop carries, and scan
+crossings in Python floats.  A rank-one-updated inverse could save little
+more than the getrf, and it would move every basic solution and multiplier
+in its last bits, so seeded paths and outputs would no longer reproduce.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -40,8 +41,7 @@ _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 _F64 = np.dtype(np.float64)  # float64 ndarrays skip the asarray conversion
 
 
-@dataclass(frozen=True)
-class BasisFactorization:
+class BasisFactorization(NamedTuple):
     """Permuted triangular factors of a square matrix, plus its pivot record."""
 
     lu: np.ndarray
@@ -79,23 +79,34 @@ def factorize(m: np.ndarray) -> BasisFactorization:
     return BasisFactorization(lu, piv, pivots)
 
 
-def _getrs_checked(f: BasisFactorization, rhs, trans: int) -> np.ndarray:
+def solve(f: BasisFactorization, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs for the factorized A."""
     if rhs.__class__ is not np.ndarray or rhs.dtype is not _F64:
         rhs = np.asarray(rhs, dtype=float)
-    d = f.lu.shape[0]
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != d:
-        raise ValueError(f"right-hand side of shape {rhs.shape} for a {d}x{d} basis")
-    x, info = _getrs(f.lu, f.piv, rhs, trans)
+    lu = f.lu
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != lu.shape[0]:
+        raise _rhs_error(rhs, lu)
+    x, info = _getrs(lu, f.piv, rhs, 0)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrs")
     return x
 
 
-def solve(f: BasisFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs for the factorized A."""
-    return _getrs_checked(f, rhs, 0)
-
-
 def solve_transpose(f: BasisFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve A^T x = rhs for the factorized A."""
-    return _getrs_checked(f, rhs, 1)
+    # the body of solve with trans = 1, written out: a shared helper
+    # would add a Python frame to each of a pivot's four solves
+    if rhs.__class__ is not np.ndarray or rhs.dtype is not _F64:
+        rhs = np.asarray(rhs, dtype=float)
+    lu = f.lu
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != lu.shape[0]:
+        raise _rhs_error(rhs, lu)
+    x, info = _getrs(lu, f.piv, rhs, 1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
+
+
+def _rhs_error(rhs: np.ndarray, lu: np.ndarray) -> ValueError:
+    d = lu.shape[0]
+    return ValueError(f"right-hand side of shape {rhs.shape} for a {d}x{d} basis")

@@ -14,8 +14,10 @@ drives unit, interpolation, and input systems.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from functools import lru_cache
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -32,14 +34,24 @@ TOL_DIR = 1e-11
 
 PIVOT_LIMIT = 10**6
 
+_INTP = np.dtype(np.intp)
 
-@dataclass(frozen=True)
-class Basis:
-    """A sorted d-subset of row indices with its factorization and vertex."""
 
-    indices: tuple[int, ...]
-    factorization: linalg.BasisFactorization
-    x: np.ndarray
+class Basis(namedtuple("Basis", "indices factorization x rows")):
+    """A sorted d-subset of row indices with its factorization and vertex.
+
+    `indices` is the sorted tuple of row indices, `factorization` the
+    linalg.BasisFactorization of A_I and `x` the vertex A_I^{-1} b_I.
+    `rows` holds the same indices as an intp array, built from `indices`
+    when not given; the pivot loop gathers and zeroes rows with it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, indices, factorization, x, rows=None):
+        if rows is None:
+            rows = np.array(indices, dtype=np.intp)
+        return tuple.__new__(cls, (indices, factorization, x, rows))
 
     @property
     def d(self) -> int:
@@ -47,14 +59,25 @@ class Basis:
 
 
 def make_basis(A: np.ndarray, b: np.ndarray, indices) -> Basis:
-    """Factorize A_I and compute the basic solution x_I = A_I^{-1} b_I."""
-    idx = tuple(sorted(map(int, indices)))
+    """Factorize A_I and compute the basic solution x_I = A_I^{-1} b_I.
+
+    `indices` is any iterable of row indices.  A 1-d intp array, which the
+    pivot loop passes, is sorted as an array; it is not modified.
+    """
+    if indices.__class__ is np.ndarray and indices.dtype is _INTP and indices.ndim == 1:
+        rows = indices.copy()
+        rows.sort()
+        idx = tuple(rows.tolist())
+    else:
+        idx = tuple(sorted(map(int, indices)))
+        rows = np.array(idx, dtype=np.intp)
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate indices in basis {idx}")
-    rows = np.array(idx, dtype=np.intp)
-    f = linalg.factorize(A[rows])
-    x = linalg.solve(f, b[rows])
-    return Basis(idx, f, x)
+    # take on a C-contiguous A copies only the d rows (on a strided A it
+    # copies the whole matrix first); the bits are those of A[rows]
+    f = linalg.factorize(A.take(rows, axis=0))
+    x = linalg.solve(f, b.take(rows))
+    return Basis(idx, f, x, rows)
 
 
 def multipliers(basis: Basis, y: np.ndarray) -> np.ndarray:
@@ -111,11 +134,19 @@ def max_lambda(
     return best_lam, leaving
 
 
-@dataclass(frozen=True)
-class RatioResult:
+class RatioResult(NamedTuple):
     step: float  # may be inf
     entering: Optional[int]
     direction: np.ndarray  # w = A_I^{-1} e_j; the vertex moves along -w
+
+
+@lru_cache(maxsize=None)
+def _unit_vectors(d: int) -> np.ndarray:
+    """The d x d identity, read-only and kept once per dimension: row j is
+    the e_j of every ratio test."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def _blocking_row(A, b, x, w, tight) -> tuple[float, Optional[int], float]:
@@ -125,8 +156,10 @@ def _blocking_row(A, b, x, w, tight) -> tuple[float, Optional[int], float]:
     rows in `tight` never block.  Returns (step, row, slack of row); ties go
     to the smallest row, and (inf, None, nan) when nothing blocks.
     """
-    rates = A @ w
-    slack = b - A @ x
+    # ndarray.dot reaches the same gemv as @ with less dispatch; on a
+    # strided A it would copy the matrix first, hence contiguous engine data
+    rates = A.dot(w)
+    slack = b - A.dot(x)
     rates.put(tight, 0.0)
     rows = (rates < -TOL_DIR).nonzero()[0]
     if rows.size == 0:
@@ -146,10 +179,8 @@ def ratio_test(A: np.ndarray, b: np.ndarray, basis: Basis, leaving: int) -> Rati
     edge is an unbounded ray).
     """
     pos = basis.indices.index(leaving)
-    e = np.zeros(basis.d)
-    e[pos] = 1.0
-    w = linalg.solve(basis.factorization, e)
-    step, entering, slack = _blocking_row(A, b, basis.x, w, basis.indices)
+    w = linalg.solve(basis.factorization, _unit_vectors(len(basis.indices))[pos])
+    step, entering, slack = _blocking_row(A, b, basis.x, w, basis.rows)
     if step < -1e-9:
         raise NegativeStep(
             f"step {step:.3e} for leaving row {leaving}; slack "
@@ -220,7 +251,9 @@ def run_shadow_path(
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    path = ShadowPath(y=np.asarray(y, float), y2=np.asarray(y2, float), bases=[start], lambdas=[0.0])
+    y, y2 = np.asarray(y, float), np.asarray(y2, float)
+    path = ShadowPath(y=y, y2=y2, bases=[start], lambdas=[0.0])
+    bases, lambdas = path.bases, path.lambdas
     seen = {start.indices}
     basis = start
     lam = 0.0
@@ -228,7 +261,7 @@ def run_shadow_path(
     pivots = 0
     limit = PIVOT_LIMIT
     while True:
-        lam_new, leaving = max_lambda(basis, path.y, path.y2, lam)
+        lam_new, leaving = max_lambda(basis, y, y2, lam)
         if leaving is None:
             return path, Finished(basis)
         res = ratio_test(A, b, basis, leaving)
@@ -249,16 +282,16 @@ def run_shadow_path(
         pivots += 1
         if pivots > limit:
             raise PivotLimitExceeded(f"exceeded {limit} pivots")
-        new_indices = set(basis.indices)
-        new_indices.remove(leaving)
-        new_indices.add(res.entering)
-        basis = make_basis(A, b, new_indices)
+        # the entering row takes the leaving row's place; make_basis sorts
+        rows = basis.rows.copy()
+        rows[basis.indices.index(leaving)] = res.entering
+        basis = make_basis(A, b, rows)
         if basis.indices in seen:
             raise CycleDetected(f"basis {basis.indices} repeated")
         seen.add(basis.indices)
         lam = lam_new
-        path.bases.append(basis)
-        path.lambdas.append(lam)
+        bases.append(basis)
+        lambdas.append(lam)
 
 
 def validate_path(A: np.ndarray, b: np.ndarray, path: ShadowPath) -> None:

@@ -5,6 +5,7 @@ from shadowlp import NotOptimal, RngStream, ShadowLpError
 from shadowlp.oracle import enumerate_feasible_bases, lp_optimum_oracle
 from shadowlp.simplex import (
     TOL_DIR,
+    Basis,
     Finished,
     _blocking_row,
     UnboundedRay,
@@ -204,6 +205,46 @@ def test_make_basis_rejects_duplicates():
     A, b = square_instance()
     with pytest.raises(ValueError):
         make_basis(A, b, (0, 0))
+
+
+def _basis_bits(basis):
+    f = basis.factorization
+    return (basis.indices, *((a.dtype.str, a.shape, a.tobytes()) for a in (basis.rows, f.lu, f.piv, f.pivots, basis.x)))
+
+
+def _basis_or_error(A, b, indices):
+    try:
+        return _basis_bits(make_basis(A, b, indices))
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("strided", [False, True])
+def test_make_basis_index_array_matches_other_forms(strided):
+    # the pivot loop passes an intp array: it must be sorted and checked for
+    # duplicates exactly as a tuple, set or generator is, and left unchanged
+    gen = RngStream(21, 0).generator()
+    A = gen.standard_normal((9, 4))
+    b = gen.standard_normal(9)
+    if strided:  # a column slice: take copies it whole, to the same bits
+        A = np.hstack([A, b[:, None]])[:, :4]
+        assert not A.flags.c_contiguous
+    for rows in ([7, 2, 5, 0], [0, 3, 6, 8], [8, 6, 3, 1]):
+        arr = np.array(rows, dtype=np.intp)
+        want = _basis_or_error(A, b, tuple(rows))
+        assert want[0] == tuple(sorted(rows))
+        for form in (set(rows), (i for i in rows), arr):
+            assert _basis_or_error(A, b, form) == want
+        assert arr.tolist() == rows
+    for rows in ([5, 2, 5, 0], [1, 1, 1, 1]):
+        want = _basis_or_error(A, b, tuple(rows))
+        assert want == (ValueError, f"duplicate indices in basis {tuple(sorted(rows))}")
+        assert _basis_or_error(A, b, (i for i in rows)) == want
+        assert _basis_or_error(A, b, np.array(rows, dtype=np.intp)) == want
+    # a Basis built without rows derives them from its indices
+    basis = make_basis(A, b, (0, 3, 6, 8))
+    rebuilt = Basis(indices=basis.indices, factorization=basis.factorization, x=basis.x)
+    assert _basis_bits(rebuilt) == _basis_bits(basis)
 
 
 def test_ratio_test_exact_tie_enters_smaller_row():
