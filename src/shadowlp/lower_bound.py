@@ -36,6 +36,13 @@ grid of the cube).  The table is off where it covers too little to pay for
 itself: when G < 16, which is from d = 4 on (the budget allows G <= 12) and
 for eta above about 0.53 sqrt(d-1) (packings of a few dozen points), and
 when r > 3 eta / 4 (eta below about 0.036 at d = 3).
+
+A saturated packing keeps nothing from almost every batch.  On criterion
+7's packings (d = 3, eta = 0.25) about 0.8% of a batch lands outside
+covered cells, so such a batch costs its Philox draw, the cell lookup (|g|
+taken once into a (d, rows) buffer that then holds the grid coordinates)
+and a (packing size) x (uncovered rows) matmul; when no inner product is
+at or near the cut, the batch only lengthens the rejection streak.
 """
 
 from __future__ import annotations
@@ -78,10 +85,13 @@ def _max_cos(points: np.ndarray, probes: np.ndarray) -> np.ndarray:
     For unit vectors ||x - s||^2 = 2 - 2 x.s, so this is the nearest-point
     test; -inf where `points` is empty.
     """
-    out = np.full(len(probes), -np.inf)
-    if len(points):
-        for lo in range(0, len(probes), _CHUNK):
-            out[lo:lo + _CHUNK] = (points @ probes[lo:lo + _CHUNK].T).max(axis=0)
+    if not len(points):
+        return np.full(len(probes), -np.inf)
+    if len(probes) <= _CHUNK:  # the one chunk is probes itself
+        return (points @ probes.T).max(axis=0)
+    out = np.empty(len(probes))
+    for lo in range(0, len(probes), _CHUNK):
+        out[lo:lo + _CHUNK] = (points @ probes[lo:lo + _CHUNK].T).max(axis=0)
     return out
 
 
@@ -178,20 +188,25 @@ class _CoverTable:
     def uncovered(self, g: np.ndarray) -> Optional[np.ndarray]:
         """Positions of the rows of g (raw normals) outside covered cells;
         None (every row) when a row is so short its norm may underflow."""
-        top = np.abs(g[:, 0])
-        for j in range(1, g.shape[1]):
-            np.maximum(top, np.abs(g[:, j]), out=top)
+        n, d = g.shape
+        # |g| once, one contiguous row per axis; the same buffer then holds
+        # the grid coordinates
+        k = np.abs(g.T, out=np.empty((d, n)))
+        top = np.maximum(k[0], k[1])
+        for j in range(2, d):
+            np.maximum(top, k[j], out=top)
         if top.min() < _TINY:
             return None
-        # grid coordinates (g / top + 1) G / 2 in [0, G], one contiguous row
-        # per axis; a rounding just below 0 truncates to 0 like a floor
+        # grid coordinates (g / top + 1) G / 2 in [0, G]; a rounding just
+        # below 0 truncates to 0 like a floor
         half = self.grid / 2.0
-        k = np.multiply(g.T, half / top, out=np.empty(g.shape[::-1]))
+        np.divide(half, top, out=top)
+        np.multiply(g.T, top, out=k)
         k += half
         np.trunc(k, out=k)
         np.minimum(k, self.grid - 1, out=k)
         voxel = (self.weights @ k).astype(np.intp)
-        return np.flatnonzero(self.open_count[voxel])
+        return self.open_count[voxel].nonzero()[0]
 
     def fold(self, points: np.ndarray) -> None:
         """Mark the open cells within eta - r - 1e-9 of `points` covered."""
@@ -211,7 +226,7 @@ def _draw(gen, d: int, size: int, table: Optional[_CoverTable]):
     """
     g = gen.standard_normal((size, d))
     rows = None if table is None else table.uncovered(g)
-    return g, rows, unit_rows(gen, g if rows is None else g[rows])
+    return g, rows, unit_rows(gen, g if rows is None else g.take(rows, axis=0))
 
 
 class _Packing:
@@ -254,12 +269,13 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
 
     A rejection streak counts consecutive rejected candidates across
     batches and restarts at every acceptance.  The stream stops at the
-    candidate where the streak reaches `audit_samples`; points accepted
-    later in that batch are dropped.  The packing is then audited with
-    fresh samples, which must all have a kept point within eta; AuditFailed
-    is raised if the packing was not yet maximal, with the distance of the
-    worst probe in the failing chunk of 16384.  Draws, packing, message and
-    the generator's state afterwards do not depend on the table.
+    candidate where the streak reaches `audit_samples`, which is the streak
+    it stops with; points accepted later in that batch are dropped.  The
+    packing is then audited with fresh samples, which must all have a kept
+    point within eta; AuditFailed is raised if the packing was not yet
+    maximal, with the distance of the worst probe in the failing chunk of
+    16384.  Draws, packing, message and the generator's state afterwards do
+    not depend on the table.
 
     `_packing` is dense_set_with_retry's resume state: the call starts from
     its points, table and streak instead of an empty packing, and leaves in
@@ -280,6 +296,11 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
     while streak < audit_samples:
         g, rows, cand = _draw(gen, d, _BATCH, table)
         best = _max_cos(points, cand)
+        if not len(best) or best.min() - cos_cut >= _NEAR_CUT:
+            # every candidate is rejected, and none near enough to the cut
+            # to be recomputed: the batch only lengthens the streak
+            streak = min(streak + _BATCH, audit_samples)
+            continue
         if rows is not None:  # see _NEAR_CUT
             for i in np.flatnonzero(np.abs(best - cos_cut) < _NEAR_CUT):
                 lo = rows[i] - rows[i] % _CHUNK
@@ -301,7 +322,9 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
             acc = acc[:stop[0]]
             streak = audit_samples
         else:
-            streak = _BATCH - 1 - pos[-1] if len(pos) else streak + _BATCH
+            # the stream stops where the trailing run reaches audit_samples
+            run = _BATCH - 1 - pos[-1] if len(pos) else streak + _BATCH
+            streak = min(run, audit_samples)
         points = np.concatenate((points, cand[acc]))
         if grid and len(acc):
             if table is None:
@@ -427,17 +450,25 @@ def polar_facet_diameter(inst, vertex_basis) -> float:
     Those points span the facet of the polar polytope that corresponds to
     the vertex; all basis rows must have b_i > 0.
     """
-    indices = list(getattr(vertex_basis, "indices", vertex_basis))
-    rhs = inst.b[indices]
-    if rhs.min() <= 0.0:
-        raise NonpositiveRhs(f"basis row with b = {rhs.min():.3e}")
-    pts = inst.A[indices] / rhs[:, None]
-    diam = 0.0
-    for i in range(len(pts)):
-        d2 = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
-        if len(d2):
-            diam = max(diam, float(d2.max()))
-    return diam
+    return _facet_diameter(inst, [getattr(vertex_basis, "indices", vertex_basis)])
+
+
+def _facet_diameter(inst, bases) -> float:
+    """The largest polar_facet_diameter over `bases` (equal-length index
+    sequences), in one array step; NonpositiveRhs names the first basis
+    with a row of b_i <= 0."""
+    idx = np.array(bases, dtype=np.intp)
+    rhs = inst.b[idx]
+    low = rhs.min(axis=1)
+    bad = (low <= 0.0).nonzero()[0]
+    if len(bad):
+        raise NonpositiveRhs(f"basis row with b = {low[bad[0]]:.3e}")
+    pts = inst.A[idx] / rhs[:, :, None]
+    # p_j - p_i for every pair i < j of each basis
+    first, second = np.triu_indices(idx.shape[1], 1)
+    diff = pts[:, second] - pts[:, first]
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    return float(dist.max(initial=0.0))
 
 
 @dataclass
@@ -467,10 +498,7 @@ class DiameterRecord:
 
 
 def _max_facet_diameter(inst_like, graph: VertexGraph) -> float:
-    gamma = 0.0
-    for indices in graph.bases:
-        gamma = max(gamma, polar_facet_diameter(inst_like, indices))
-    return gamma
+    return _facet_diameter(inst_like, graph.bases)
 
 
 def diameter_experiment(rng, d: int, sigma: float, eta: Optional[float] = None,

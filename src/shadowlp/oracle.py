@@ -273,25 +273,6 @@ class VertexGraph:
         return sum(len(a) for a in self.adjacency) // 2
 
 
-def build_vertex_graph(bases: list[Basis]) -> VertexGraph:
-    """Graph on enumerated bases: adjacent iff they share d-1 indices and
-    their vertices are geometrically distinct."""
-    m = len(bases)
-    adjacency = [set() for _ in range(m)]
-    sets = [frozenset(bs.indices) for bs in bases]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if len(sets[i] & sets[j]) == len(sets[i]) - 1:
-                if np.linalg.norm(bases[i].x - bases[j].x) > 1e-9:
-                    adjacency[i].add(j)
-                    adjacency[j].add(i)
-    return VertexGraph(
-        bases=[bs.indices for bs in bases],
-        points=np.array([bs.x for bs in bases]),
-        adjacency=adjacency,
-    )
-
-
 def discover_vertex_graph(A: np.ndarray, b: np.ndarray, start_indices) -> VertexGraph:
     """Explore the 1-skeleton by pivoting outward from one feasible basis.
 

@@ -69,14 +69,20 @@ def unit_rows(gen: np.random.Generator, g: np.ndarray) -> np.ndarray:
     redrawn from `gen`, so such a row advances the stream.
     """
     d = g.shape[-1]
-    norms = np.linalg.norm(g, axis=-1, keepdims=True)
+    norms = _row_norms(g)
     # A zero draw has probability 0; resample defensively if it ever happens.
-    while np.any(norms == 0.0):
+    while not norms.all():
         bad = (norms == 0.0).reshape(-1)
         g.reshape(-1, d)[bad] = gen.standard_normal((bad.sum(), d))
-        norms = np.linalg.norm(g, axis=-1, keepdims=True)
+        norms = _row_norms(g)
     g /= norms
     return g
+
+
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(g, axis=-1, keepdims=True), the same arithmetic
+    without the wrapper's argument handling."""
+    return np.sqrt(np.add.reduce(g * g, axis=-1, keepdims=True))
 
 
 def exp_ball_sample(rng, d: int, size: int | None = None) -> np.ndarray:

@@ -119,8 +119,7 @@ def max_lambda(
         m0 = mu_lo[p]
         num = (1.0 - lo) * m0
         den = m0 - m1
-        # a zero denominator divides as numpy does: +-inf or nan, with a warning
-        lam = lo + (num / den if den else float(np.divide(num, den)))
+        lam = lo + (num / den if den else _divide_by_zero(num, den))
         if lam < lo:  # the clamp keeps nan, as np.maximum/np.minimum do
             lam = lo
         if lam > 1.0:
@@ -132,6 +131,13 @@ def max_lambda(
     if leaving is None or best_lam >= 1.0:
         return 1.0, None
     return best_lam, leaving
+
+
+def _divide_by_zero(num: float, den: float) -> float:
+    """num / den for a zero den, as numpy divides: +-inf, or nan for a zero
+    or nan num; without numpy's divide-by-zero warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(num, den))
 
 
 class RatioResult(NamedTuple):
@@ -292,19 +298,3 @@ def run_shadow_path(
         lam = lam_new
         bases.append(basis)
         lambdas.append(lam)
-
-
-def validate_path(A: np.ndarray, b: np.ndarray, path: ShadowPath) -> None:
-    """Assert every recorded basis is feasible and optimal at its breakpoint."""
-    for basis, lam in zip(path.bases, path.lambdas):
-        resid = (A @ basis.x - b).max()
-        if resid > TOL_FEAS:
-            raise AssertionError(
-                f"basis {basis.indices} infeasible by {resid:.3e} at lambda={lam}"
-            )
-        y_lam = (1.0 - lam) * path.y + lam * path.y2
-        mu = multipliers(basis, y_lam)
-        if mu.min() < -1e-8:
-            raise AssertionError(
-                f"basis {basis.indices} multiplier {mu.min():.3e} at lambda={lam}"
-            )

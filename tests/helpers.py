@@ -1,7 +1,9 @@
-"""Shared instance families for the test suite.
+"""Shared instance families and checks for the test suite.
 
 The ball and mixed families are the package's and the benchmark's own
 definitions, imported so that the tests draw the same instances.
+`build_vertex_graph` and `validate_path` check the engine against
+enumeration and are used only here.
 """
 
 import sys
@@ -11,8 +13,9 @@ import numpy as np
 
 from shadowlp import LPInstance, RngStream
 from shadowlp.experiments import scaling_instance
-from shadowlp.oracle import enumerate_feasible_bases, region_bounded
+from shadowlp.oracle import VertexGraph, enumerate_feasible_bases, region_bounded
 from shadowlp.rng import uniform_sphere
+from shadowlp.simplex import TOL_FEAS, multipliers
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository root
 from bench.workloads import mixed_instance  # noqa: E402
@@ -144,3 +147,38 @@ def orthant_instance(seed, d=4):
         -np.abs(gen.standard_normal((6, d))),
     ])
     return LPInstance(A, np.ones(d + 6), np.abs(gen.standard_normal(d)))
+
+
+def build_vertex_graph(bases):
+    """Graph on enumerated bases: adjacent iff they share d-1 indices and
+    their vertices are geometrically distinct."""
+    m = len(bases)
+    adjacency = [set() for _ in range(m)]
+    sets = [frozenset(bs.indices) for bs in bases]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if len(sets[i] & sets[j]) == len(sets[i]) - 1:
+                if np.linalg.norm(bases[i].x - bases[j].x) > 1e-9:
+                    adjacency[i].add(j)
+                    adjacency[j].add(i)
+    return VertexGraph(
+        bases=[bs.indices for bs in bases],
+        points=np.array([bs.x for bs in bases]),
+        adjacency=adjacency,
+    )
+
+
+def validate_path(A, b, path):
+    """Assert every recorded basis is feasible and optimal at its breakpoint."""
+    for basis, lam in zip(path.bases, path.lambdas):
+        resid = (A @ basis.x - b).max()
+        if resid > TOL_FEAS:
+            raise AssertionError(
+                f"basis {basis.indices} infeasible by {resid:.3e} at lambda={lam}"
+            )
+        y_lam = (1.0 - lam) * path.y + lam * path.y2
+        mu = multipliers(basis, y_lam)
+        if mu.min() < -1e-8:
+            raise AssertionError(
+                f"basis {basis.indices} multiplier {mu.min():.3e} at lambda={lam}"
+            )

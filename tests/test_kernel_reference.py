@@ -84,7 +84,9 @@ def ref_max_lambda(basis, y, y2, lambda_lo):
             f"(multiplier {mu_lo.min():.3e})"
         )
     pos = (mu1 < 0.0).nonzero()[0]
-    lams = lambda_lo + (1.0 - lambda_lo) * mu_lo[pos] / (mu_lo[pos] - mu1[pos])
+    # a zero denominator gives +-inf or nan, without a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lams = lambda_lo + (1.0 - lambda_lo) * mu_lo[pos] / (mu_lo[pos] - mu1[pos])
     lams = np.minimum(np.maximum(lams, lambda_lo), 1.0)
     best_lam = 1.0
     leaving = None

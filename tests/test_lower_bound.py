@@ -163,6 +163,34 @@ def test_greedy_dense_set_matches_one_at_a_time_forced(monkeypatch, seed, eta, d
     _check_against_one_at_a_time(seed, eta, d, audit_samples)
 
 
+# inner products of the uncovered rows alone pushed up by 0.04, with a
+# near-cut band of 0.05: only the recomputation in the whole batch's shape
+# can restore a survivor that now sits just above the cut, so a batch with
+# a value in the band must be decided, not skipped as keeping nothing
+@pytest.mark.parametrize("seed,eta,d,audit_samples", [
+    (4, 0.5, 3, 20000),
+    (0, 0.25, 3, 4096),   # audit fails
+])
+def test_near_cut_values_are_recomputed_in_the_batch_shape(monkeypatch, seed, eta, d,
+                                                           audit_samples):
+    draw, max_cos = lower_bound._draw, lower_bound._max_cos
+    uncovered = []
+
+    def marked_draw(gen, d, size, table):
+        g, rows, cand = draw(gen, d, size, table)
+        uncovered[:] = [cand] if rows is not None else []
+        return g, rows, cand
+
+    def pushed_max_cos(points, probes):
+        out = max_cos(points, probes)
+        return out + 0.04 if uncovered and probes is uncovered[0] else out
+
+    monkeypatch.setattr(lower_bound, "_NEAR_CUT", 0.05)
+    monkeypatch.setattr(lower_bound, "_draw", marked_draw)
+    monkeypatch.setattr(lower_bound, "_max_cos", pushed_max_cos)
+    _check_against_one_at_a_time(seed, eta, d, audit_samples)
+
+
 # packings whose first audit fails, and the streak whose audit passed:
 # (0, 0.25, 3, 4096) passes the last of four, criterion 7's streams 0, 1
 # and 4 (seed 7007, the default streak) pass their second
@@ -179,6 +207,22 @@ def test_dense_set_with_retry_resumes_like_one_at_a_time(seed, stream, audit_sam
     dense = dense_set_with_retry(gen, 0.25, 3, audit_samples=audit_samples)
     assert np.array_equal(dense.points, ref)
     assert dense.audit_samples == final
+    np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+
+# streaks below the 4096 batch, where a stream can stop in a batch's
+# trailing run of rejections: the resumed stream must count its streak from
+# the stop, as the one-at-a-time loop does, not from the batch's end
+@pytest.mark.parametrize("seed,eta,audit_samples", [
+    (1, 0.3, 1000),    # the stop ends a batch that keeps nothing
+    (17, 0.4, 600),    # the stop follows an acceptance in the same batch
+    (8, 0.3, 300),     # every attempt's audit fails
+])
+def test_dense_set_with_retry_resumes_from_the_stop(seed, eta, audit_samples):
+    ref_gen = RngStream(seed, 0).generator()
+    ref = _run_packing(_retry_one_at_a_time, ref_gen, eta, 3, audit_samples)
+    gen = RngStream(seed, 0).generator()
+    _assert_same_packing(_run_packing(dense_set_with_retry, gen, eta, 3, audit_samples), ref)
     np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
 
 
@@ -337,6 +381,69 @@ def test_polar_facet_diameter_cases():
     inst3 = LPInstance(np.eye(3), np.array([1.0, -1.0, 1.0]), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(NonpositiveRhs):
         polar_facet_diameter(inst3, (0, 1, 2))
+
+
+def _facet_diameter_one_basis_at_a_time(inst, graph):
+    """The largest polar facet diameter as a loop over bases and over each
+    basis's points, the reference for the batched _max_facet_diameter."""
+    gamma = 0.0
+    for indices in graph.bases:
+        indices = list(indices)
+        rhs = inst.b[indices]
+        if rhs.min() <= 0.0:
+            raise NonpositiveRhs(f"basis row with b = {rhs.min():.3e}")
+        pts = inst.A[indices] / rhs[:, None]
+        diam = 0.0
+        for i in range(len(pts)):
+            d2 = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
+            if len(d2):
+                diam = max(diam, float(d2.max()))
+        gamma = max(gamma, diam)
+    return gamma
+
+
+def _criterion_7_facet_calls(monkeypatch, stream):
+    """The (description, graph, diameter) triples of criterion 7's run's
+    _max_facet_diameter calls: the origin description, then the recentred
+    one."""
+    calls = []
+    measure = lower_bound._max_facet_diameter
+
+    def record(inst, graph):
+        calls.append((inst, graph, measure(inst, graph)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(lower_bound, "_max_facet_diameter", record)
+    diameter_experiment(RngStream(7007, stream), d=3, sigma=0.25)
+    return calls
+
+
+@pytest.mark.parametrize("stream", range(5))
+def test_max_facet_diameter_matches_one_basis_at_a_time(monkeypatch, stream):
+    calls = _criterion_7_facet_calls(monkeypatch, stream)
+    assert len(calls) == 2 and calls[0][1] is calls[1][1]
+    origin, recentred = calls[0][0], calls[1][0]
+    assert not np.array_equal(origin.b, recentred.b)
+    for inst, graph, got in calls:
+        assert got.hex() == _facet_diameter_one_basis_at_a_time(inst, graph).hex()
+
+
+def test_max_facet_diameter_names_the_first_nonpositive_basis(monkeypatch):
+    (inst, graph, _), _ = _criterion_7_facet_calls(monkeypatch, 0)
+    # a row first met in the third basis, and a smaller b on a row first
+    # met in a later one
+    first = set().union(*graph.bases[:2])
+    third = min(set(graph.bases[2]) - first)
+    later = min(set().union(*graph.bases[3:]) - first - set(graph.bases[2]))
+    b = inst.b.copy()
+    b[third] = -0.5
+    b[later] = -2.0
+    bad = LPInstance(inst.A, b, inst.c)
+    with pytest.raises(NonpositiveRhs) as ref:
+        _facet_diameter_one_basis_at_a_time(bad, graph)
+    with pytest.raises(NonpositiveRhs) as got:
+        lower_bound._facet_diameter(bad, graph.bases)
+    assert str(got.value) == str(ref.value) == "basis row with b = -5.000e-01"
 
 
 def test_rel_diam_bound_formula():

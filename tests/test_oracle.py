@@ -5,7 +5,6 @@ from shadowlp import LPInstance, RngStream, oracle
 from shadowlp.errors import DegenerateShadow, TooLarge, Unreachable
 from shadowlp.oracle import (
     bfs_distance,
-    build_vertex_graph,
     convex_hull_2d,
     discover_vertex_graph,
     enumerate_feasible_bases,
@@ -21,6 +20,7 @@ from shadowlp.solver import Infeasible, Optimal, Unbounded
 from helpers import (
     ball_instance,
     bounded_ball_instance,
+    build_vertex_graph,
     cube_instance,
     infeasible_instance,
     unbounded_in_c_instance,

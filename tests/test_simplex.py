@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from shadowlp import NotOptimal, RngStream, ShadowLpError
+from shadowlp import NotOptimal, RngStream, ShadowLpError, simplex
 from shadowlp.oracle import enumerate_feasible_bases, lp_optimum_oracle
 from shadowlp.simplex import (
     TOL_DIR,
@@ -14,11 +16,10 @@ from shadowlp.simplex import (
     multipliers,
     ratio_test,
     run_shadow_path,
-    validate_path,
 )
 from shadowlp.solver import Optimal
 
-from helpers import ball_instance, bounded_ball_instance
+from helpers import ball_instance, bounded_ball_instance, validate_path
 
 
 def square_instance():
@@ -42,6 +43,38 @@ def test_max_lambda_affine_root_by_hand():
     lam, leaving = max_lambda(basis, y, y2, 0.0)
     assert abs(lam - 0.5) < 1e-15
     assert leaving == 0
+
+
+@pytest.mark.parametrize("lo,expected", [
+    (0.0, (0.0, 2)),     # -1e-9 / 0 = -inf, clamped up to lambda_lo
+    (0.5, (0.5, 2)),
+    (1.0, (1.0, None)),  # -0.0 / 0 = nan, which blocks nothing
+])
+def test_max_lambda_divides_a_zero_denominator_without_a_warning(lo, expected):
+    # identity rows: the multipliers are y and y2 themselves, and with
+    # y = y2 the third one is the same negative number at every lambda
+    basis = make_basis(np.eye(3), np.ones(3), (0, 1, 2))
+    y = np.array([1.0, 1.0, -1e-9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = max_lambda(basis, y, y.copy(), lo)
+    assert got == expected
+    # the numpy division the zero-denominator branch stands for
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = float(np.divide((1.0 - lo) * -1e-9, 0.0))
+    assert (step == -np.inf) if lo < 1.0 else np.isnan(step)
+
+
+def test_zero_denominator_divides_to_numpys_bits():
+    for num in (-1e-9, 2.0, 0.0, -0.0, np.nan, -np.inf):
+        for den in (0.0, -0.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = simplex._divide_by_zero(num, den)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.divide(num, den)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes()
 
 
 def test_max_lambda_matches_grid_scan():
