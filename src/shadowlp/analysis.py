@@ -117,8 +117,7 @@ class PathReport:
     margins: np.ndarray            # best multiplier margin on [c, c2]
     witness_lambdas: np.ndarray
     rel_slacks: np.ndarray         # nan where the vertex norm was below threshold
-    proj: np.ndarray               # (m, 2) coordinates in the (c, c2) frame
-    proj_norms: np.ndarray
+    proj_norms: np.ndarray         # norms of the (c, c2)-frame coordinates
     good_multiplier: np.ndarray    # bool, margin >= m
     relative_gap: np.ndarray       # bool, slack >= g
     far_from_neighbors: np.ndarray  # bool, all path neighbors >= rho * proj norm
@@ -230,7 +229,6 @@ def classify_path(
         margins=margins,
         witness_lambdas=witnesses,
         rel_slacks=slacks,
-        proj=proj,
         proj_norms=norms,
         good_multiplier=good,
         relative_gap=gap,
@@ -300,20 +298,13 @@ def _edge_annulus_integral(p: np.ndarray, q: np.ndarray, R: float, r: float) -> 
     hi = min(length, inside_R[1])
     if lo >= hi:
         return 0.0
-    pieces = [(lo, hi)]
     inside_r = ball_interval(r)
-    if inside_r is not None:
+    if inside_r is None:
+        pieces = [(lo, hi)]
+    else:
+        # the parts of [lo, hi] before and after the inner ball
         a, b = inside_r
-        new_pieces = []
-        for x0, x1 in pieces:
-            if b <= x0 or a >= x1:
-                new_pieces.append((x0, x1))
-                continue
-            if a > x0:
-                new_pieces.append((x0, min(a, x1)))
-            if b < x1:
-                new_pieces.append((max(b, x0), x1))
-        pieces = [(x0, x1) for x0, x1 in new_pieces if x1 > x0]
+        pieces = [(x0, x1) for x0, x1 in ((lo, min(a, hi)), (max(b, lo), hi)) if x1 > x0]
 
     radial = min_sq <= 1e-24 * max(c2, 1.0)
     total = 0.0
@@ -323,10 +314,9 @@ def _edge_annulus_integral(p: np.ndarray, q: np.ndarray, R: float, r: float) -> 
             a0, a1 = x0 + beta, x1 + beta
             total += abs(math.log(abs(a1)) - math.log(abs(a0)))
         else:
-            def antideriv(s):
-                return math.log(s + beta + math.sqrt(s * s + 2.0 * beta * s + c2))
-
-            total += antideriv(x1) - antideriv(x0)
+            # ||x||^2 = (s + beta)^2 + min_sq; asinh does not cancel where s + beta < 0
+            h = math.sqrt(min_sq)
+            total += math.asinh((x1 + beta) / h) - math.asinh((x0 + beta) / h)
     return total
 
 

@@ -31,7 +31,7 @@ from .analysis import (
     segment_cone_trial,
 )
 from .errors import ConfigError, ShadowLpError
-from .lower_bound import DiameterRecord, diameter_experiment
+from .lower_bound import DiameterRecord, default_row_count, diameter_experiment
 from .rng import RngStream, gaussian_vector, smoothed_instance, uniform_sphere
 from .solver import Optimal, SolveStats, solve
 
@@ -127,6 +127,8 @@ LOWERBOUND_SCHEMA = {
     "pad": (bool, True),
     "audit_samples": (int, 100_000),
 }
+# the most rows a lowerbound study builds; criterion 7 builds 4096
+LOWERBOUND_MAX_ROWS = 10**7
 
 
 def validate_scaling_config(cfg: dict[str, Any]) -> None:
@@ -137,6 +139,10 @@ def validate_scaling_config(cfg: dict[str, Any]) -> None:
             raise ConfigError(f"{key} must be positive")
     if cfg["n"] < 2:
         raise ConfigError("n must be at least 2; the relative-gap threshold divides by log n")
+    d = cfg["d"]
+    if d < 3 or cfg["n"] < d:
+        raise ConfigError(f"need d >= 3 and n >= d, got d = {d}, n = {cfg['n']}: the "
+                          "solver's artificial start needs d >= 3, and n < d rows have no vertex")
     grid = cfg["sigma_grid"]
     if not grid or any(s <= 0 for s in grid):
         raise ConfigError("sigma_grid must contain positive values")
@@ -144,9 +150,8 @@ def validate_scaling_config(cfg: dict[str, Any]) -> None:
         raise ConfigError("sigma_grid must be strictly increasing")
     if cfg["family"] not in ("product", "ball"):
         raise ConfigError(f"unknown family {cfg['family']!r}")
-    d = cfg["d"]
     need = 3 * (d // 2) + 2 * (d % 2)  # a triangle per coordinate pair, a slab for odd d
-    if cfg["family"] == "product" and (d < 2 or cfg["n"] < need):
+    if cfg["family"] == "product" and cfg["n"] < need:
         raise ConfigError(f"the product family needs d >= 2 and n >= {need} at d = {d}")
 
 
@@ -258,7 +263,7 @@ def run_scaling_trial(params: tuple) -> dict[str, Any]:
         row.update((name, getattr(stats, name)) for name in _STATS_CELLS)
         if isinstance(outcome, Optimal):
             row["objective_value"] = float(si.c @ outcome.x)
-        if path is not None and len(path) >= 1:
+        if path is not None:
             rep = classify_path(path, si, g=row["g_threshold"], rho=rho)
             row.update((name, getattr(rep, name)) for name in _REPORT_CELLS)
     except ShadowLpError as exc:
@@ -367,8 +372,17 @@ def cone_run(cfg: dict[str, Any]):
 
 
 def lowerbound_run(cfg: dict[str, Any]):
-    if cfg["d"] < 2 or cfg["sigma"] < 0 or cfg["runs"] <= 0 or cfg["n"] < 0:
-        raise ConfigError("need d >= 2, sigma >= 0, runs > 0, n >= 0")
+    if cfg["d"] < 3 or cfg["sigma"] < 0 or cfg["runs"] <= 0 or cfg["n"] < 0:
+        raise ConfigError("need d >= 3, sigma >= 0, runs > 0, n >= 0")
+    rows = cfg["n"]
+    if rows == 0 and cfg["pad"] and cfg["sigma"] > 0:  # floor((4/sigma)^d)
+        try:
+            rows = default_row_count(cfg["sigma"], cfg["d"])
+        except OverflowError:  # the power is past the largest float
+            rows = math.inf
+    if rows > LOWERBOUND_MAX_ROWS:
+        raise ConfigError(f"{rows} rows exceed the row bound {LOWERBOUND_MAX_ROWS} "
+                          "(n = 0 with pad takes floor((4/sigma)^d))")
     eta = cfg["eta"] if cfg["eta"] > 0 else cfg["sigma"]
     if not 0.0 < eta <= 2.0:
         raise ConfigError(f"eta must be in (0, 2], got {eta} (eta = 0 takes sigma)")
@@ -441,8 +455,6 @@ def summary_to_json(summary: dict) -> str:
 
 def write_loglog_svg(path, xs, ys, slope: float, intercept: float, title: str) -> None:
     """Minimal log-log scatter with the fitted power law; no plotting deps."""
-    xs = [x for x in xs]
-    ys = [y for y in ys]
     w, h, pad = 640, 440, 60
     lx = [math.log10(x) for x in xs]
     ly = [math.log10(y) for y in ys]

@@ -28,8 +28,8 @@ every direction s in the cell has |s - c| <= r, hence |s - p| < eta - 1e-9
 and s.p > 1 - eta^2/2 with a margin of about 1e-9 eta, far above the
 rounding of the cell lookup and of the inner products.  A candidate in a
 covered cell is therefore one the nearest-point test rejects too, and,
-with the other candidates' near-cut inner products recomputed in the whole
-batch's matmul shape (greedy_dense_set), the packing, the audit and the
+as a batch with an inner product near the cut takes them all from the
+whole batch's matmul (greedy_dense_set), the packing, the audit and the
 random stream are the same bits as without the table.  G is the smallest grid with r <= eta/8, capped at the largest
 with at most 2^14 cells and 2^18 voxels (the lookup indexes the G^d voxel
 grid of the cube).  The table is off where it covers too little to pay for
@@ -129,8 +129,9 @@ _TINY = 1e-150
 # a matmul's last bit depends on its shape (a one-probe product takes
 # another BLAS kernel, and the column's place in a block matters), so
 # _max_cos of the uncovered rows alone can differ by an ulp from the whole
-# batch's; values this close to the cut are taken in the whole batch's
-# 512-row chunk instead
+# batch's; when a value is this close to the cut, the batch takes all of
+# them from the whole batch's product, and an ulp cannot move the others
+# across the cut
 _NEAR_CUT = 1e-12
 
 
@@ -257,9 +258,9 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
     cell's half-diagonal, so every direction in it is within eta - 1e-9 of
     that point and the nearest-point test rejects it too.  Only the other
     candidates are normalized and compared with the packing, in smaller
-    matmuls whose last bit can differ from the whole batch's; an inner
-    product within 1e-12 of the cut is recomputed in the whole batch's
-    512-row chunk, and so is an audit chunk's minimum.  The table
+    matmuls whose last bit can differ from the whole batch's; when an inner
+    product lies within 1e-12 of the cut, the batch's are all taken from the
+    whole batch's product, and so is an audit chunk's minimum.  The table
     grows by the points each batch accepts; its grid G is the smallest with
     r = sqrt(d-1)/G <= eta/8, capped at the largest with 2d G^(d-1) <= 2^14
     cells and G^d <= 2^18 voxels, and it is off when G < 16 or r > 3 eta/4.
@@ -301,11 +302,8 @@ def greedy_dense_set(rng, eta: float, d: int, audit_samples: int = 100_000,
             # to be recomputed: the batch only lengthens the streak
             streak = min(streak + _BATCH, audit_samples)
             continue
-        if rows is not None:  # see _NEAR_CUT
-            for i in np.flatnonzero(np.abs(best - cos_cut) < _NEAR_CUT):
-                lo = rows[i] - rows[i] % _CHUNK
-                chunk = unit_rows(gen, g[lo:lo + _CHUNK].copy())
-                best[i] = _max_cos(points, chunk)[rows[i] - lo]
+        if rows is not None and (np.abs(best - cos_cut) < _NEAR_CUT).any():
+            best = _max_cos(points, unit_rows(gen, g))[rows]  # see _NEAR_CUT
         survivors = np.flatnonzero(best <= cos_cut)
         taken = np.zeros(len(cand), dtype=bool)
         for lo in range(0, len(survivors), _CHUNK):
@@ -407,11 +405,7 @@ def build_lb_instance(rng, dense: DenseSet, sigma: float,
     if c is None:
         c = np.zeros(d)
         c[0] = 1.0
-    return SmoothedInstance(
-        abar=rows, bbar=bbar, sigma=float(sigma),
-        A=A, b=b, c=np.asarray(c, float),
-        a_draws=A - rows, b_draws=b - bbar,
-    )
+    return SmoothedInstance(A=A, b=b, c=c, abar=rows, bbar=bbar, sigma=float(sigma))
 
 
 @dataclass
@@ -444,19 +438,11 @@ def sandwich_check(inst, eta: float, vertices: Optional[np.ndarray] = None) -> S
     )
 
 
-def polar_facet_diameter(inst, vertex_basis) -> float:
-    """Max pairwise distance among the normalized rows a_i / b_i of a basis.
-
-    Those points span the facet of the polar polytope that corresponds to
-    the vertex; all basis rows must have b_i > 0.
-    """
-    return _facet_diameter(inst, [getattr(vertex_basis, "indices", vertex_basis)])
-
-
 def _facet_diameter(inst, bases) -> float:
-    """The largest polar_facet_diameter over `bases` (equal-length index
-    sequences), in one array step; NonpositiveRhs names the first basis
-    with a row of b_i <= 0."""
+    """The largest polar facet diameter over `bases` (equal-length index
+    sequences) in one array step: a basis's rows a_i / b_i span its vertex's
+    polar facet, whose diameter is their largest pairwise distance.
+    NonpositiveRhs names the first basis with a row of b_i <= 0."""
     idx = np.array(bases, dtype=np.intp)
     rhs = inst.b[idx]
     low = rhs.min(axis=1)
@@ -529,8 +515,8 @@ def diameter_experiment(rng, d: int, sigma: float, eta: Optional[float] = None,
     )
     # measured perturbation level; with it the density/perturbation
     # preconditions become checkable facts rather than probability events
-    pert_a = float(np.linalg.norm(inst.a_draws, axis=1).max())
-    pert_b = float(np.abs(inst.b_draws).max())
+    pert_a = float(np.linalg.norm(inst.A - inst.abar, axis=1).max())
+    pert_b = float(np.abs(inst.b - inst.bbar).max())
     rec.eta_event = max(eta, pert_a, pert_b)
     rec.event_holds = rec.eta_event <= 0.125
 

@@ -250,8 +250,6 @@ def hull_arc(polygon: ShadowPolygon, y: np.ndarray, y2: np.ndarray) -> list[tupl
     while i != end:
         i = (i + step) % m
         arc.append(polygon.bases[i])
-        if len(arc) > m:
-            raise RuntimeError("arc walk failed to terminate")
     return arc
 
 

@@ -9,7 +9,7 @@ can own stream `base + trial_index` and run in any order or in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,25 +121,13 @@ def random_rotation(rng, d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SmoothedInstance:
-    """An LP instance together with its unperturbed data and recorded noise."""
+class SmoothedInstance(LPInstance):
+    """An LP whose A and b are abar + sigma G and bbar + sigma g; the
+    unperturbed data and sigma are a record kept about it."""
 
     abar: np.ndarray
     bbar: np.ndarray
     sigma: float
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    a_draws: np.ndarray = field(repr=False)
-    b_draws: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.A.shape[1]
 
     def lp(self) -> LPInstance:
         return LPInstance(A=self.A, b=self.b, c=self.c)
@@ -153,24 +141,12 @@ def smoothed_instance(rng, abar, bbar, c, sigma: float) -> SmoothedInstance:
     """
     abar = np.asarray(abar, dtype=float)
     bbar = np.asarray(bbar, dtype=float)
-    c = np.asarray(c, dtype=float)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    combined = np.linalg.norm(np.column_stack([abar, bbar]), axis=1)
-    worst = combined.max()
+    worst = np.linalg.norm(np.column_stack([abar, bbar]), axis=1).max()
     if worst > 1.0 + 1e-12:
         raise NormViolation(f"combined row norm {worst:.6f} exceeds 1")
     gen = as_generator(rng)
     A = abar + sigma * gen.standard_normal(abar.shape)
     b = bbar + sigma * gen.standard_normal(bbar.shape)
-    # record the effective perturbation so A - abar == a_draws holds exactly
-    return SmoothedInstance(
-        abar=abar,
-        bbar=bbar,
-        sigma=float(sigma),
-        A=A,
-        b=b,
-        c=c,
-        a_draws=A - abar,
-        b_draws=b - bbar,
-    )
+    return SmoothedInstance(A=A, b=b, c=c, abar=abar, bbar=bbar, sigma=float(sigma))

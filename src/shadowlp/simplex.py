@@ -264,8 +264,6 @@ def run_shadow_path(
     basis = start
     lam = 0.0
     stalls = 0
-    pivots = 0
-    limit = PIVOT_LIMIT
     while True:
         lam_new, leaving = max_lambda(basis, y, y2, lam)
         if leaving is None:
@@ -285,9 +283,8 @@ def run_shadow_path(
                 )
         else:
             stalls = 0
-        pivots += 1
-        if pivots > limit:
-            raise PivotLimitExceeded(f"exceeded {limit} pivots")
+        if len(bases) > PIVOT_LIMIT:
+            raise PivotLimitExceeded(f"exceeded {PIVOT_LIMIT} pivots")
         # the entering row takes the leaving row's place; make_basis sorts
         rows = basis.rows.copy()
         rows[basis.indices.index(leaving)] = res.entering

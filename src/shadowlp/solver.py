@@ -452,7 +452,7 @@ def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
     answer's x, ray and Farkas y hold for the input as they are; the
     phase-3 path is that of the scaled copy.
     """
-    inst_lp = _row_scaled(inst.lp() if hasattr(inst, "lp") else inst)
+    inst_lp = _row_scaled(inst)
     n, d = inst_lp.A.shape
     if d < 3:
         raise DimensionTooSmall(f"artificial basis construction needs d >= 3, got {d}")

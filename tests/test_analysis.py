@@ -290,7 +290,7 @@ def _classify_path_per_basis(path, inst, m, g, rho):
         far[i] = all(dist >= rho * norms[i] for dist in dists)
     return PathReport(
         indices=path.index_sequence, margins=margins, witness_lambdas=witnesses,
-        rel_slacks=slacks, proj=proj, proj_norms=norms,
+        rel_slacks=slacks, proj_norms=norms,
         good_multiplier=good, relative_gap=gap, far_from_neighbors=far,
         triple=triple_mask(good & gap),
         m=float(m), g=float(g), rho=float(rho),
@@ -311,7 +311,7 @@ def test_classify_path_matches_per_basis_reference(sigma):
             want = _classify_path_per_basis(path, si, m, g, rho)
             assert got.indices == want.indices
             assert (got.m, got.g, got.rho) == (want.m, want.g, want.rho)
-            for field in ("margins", "witness_lambdas", "rel_slacks", "proj", "proj_norms",
+            for field in ("margins", "witness_lambdas", "rel_slacks", "proj_norms",
                           "good_multiplier", "relative_gap", "far_from_neighbors", "triple"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), field
@@ -373,6 +373,42 @@ def test_boundary_integral_radial_edge():
     seg = np.array([[0.2, 0.0], [3.0, 0.0]])
     val = boundary_integral(seg, 2.0, 0.5)
     assert abs(val - 2 * (math.log(2.0) - math.log(0.5))) < 1e-12
+
+
+def _edge_integral_by_quadrature(p, q, R, r):
+    """The integral of 1/||x|| along [p, q] within r <= ||x|| <= R, by
+    adaptive quadrature between the points where ||x|| crosses r or R (found
+    by bracketing on a grid of the edge parameter)."""
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    v = q - p
+    length = math.hypot(*v)
+
+    def norm(t):
+        return math.hypot(*(p + t * v))
+
+    ts = np.linspace(0.0, 1.0, 4097)
+    cuts = [0.0, 1.0]
+    for radius in (r, R):
+        f = [norm(t) - radius for t in ts]
+        for i in np.flatnonzero(np.multiply(f[:-1], f[1:]) < 0.0):
+            cuts.append(brentq(lambda t: norm(t) - radius, ts[i], ts[i + 1], xtol=1e-16))
+    cuts.sort()
+    return sum(
+        quad(lambda t: length / norm(t), a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(cuts, cuts[1:]) if r <= norm((a + b) / 2.0) <= R
+    )
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-9])
+def test_boundary_integral_edge_passing_near_the_origin(delta):
+    # the edge from (-2, 1 + delta) to (2, -1) passes within about delta/2
+    # of the origin without going through it; the integral is about 6.750145
+    # at every delta (the inner ball removes the part near the origin)
+    pts = np.array([[2.0, -1.0], [3.0, 3.0], [-2.0, 1.0 + delta]])
+    want = sum(_edge_integral_by_quadrature(pts[i], pts[(i + 1) % 3], 4.0, 0.5) for i in range(3))
+    assert abs(boundary_integral(pts, 4.0, 0.5) - want) <= 1e-12 * want
 
 
 def test_exterior_angles_square_and_hexagon():

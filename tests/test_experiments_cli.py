@@ -326,6 +326,22 @@ def test_cli_rejects_config_for_other_experiment(tmp_path):
     ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = 0.25\nn = -5\n", "n >= 0"),
     ("montecarlo-cone", "experiment = cone\nd = 3\nconfigs = 1\ntrials = 1\n",
      "trials at least 2"),
+    # every trial of these would end in DimensionTooSmall or NoVertex
+    ("lowerbound", "experiment = lowerbound\nd = 2\nsigma = 0.25\nruns = 1\n"
+     "audit_samples = 2000\n", "need d >= 3"),
+    ("experiment", "experiment = shadow_scaling\nd = 2\nn = 12\nsigma_grid = 0.1\n"
+     "trials = 1\nfamily = ball\n", "need d >= 3 and n >= d, got d = 2, n = 12"),
+    ("experiment", "experiment = shadow_scaling\nd = 4\nn = 3\nsigma_grid = 0.1\n"
+     "trials = 1\nfamily = ball\n", "need d >= 3 and n >= d, got d = 4, n = 3"),
+    # row counts past the bound: floor((4/sigma)^d) is 6.4e28 at sigma = 1e-9
+    # and past the largest float at sigma = 1e-300
+    ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = 1e-9\neta = 0.4\n",
+     "63999999999999974462124457984 rows exceed the row bound 10000000"),
+    ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = 1e-300\neta = 0.4\n",
+     "inf rows exceed the row bound 10000000"),
+    ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = 0.25\neta = 0.4\nruns = 1\n"
+     "audit_samples = 2000\nn = 100000000000000000000\n",
+     "100000000000000000000 rows exceed the row bound 10000000"),
 ])
 def test_cli_rejects_configs_the_study_cannot_run(tmp_path, command, text, message):
     cfgfile = tmp_path / "study.cfg"

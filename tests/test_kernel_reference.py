@@ -18,7 +18,6 @@ import pytest
 
 from shadowlp import linalg, simplex, solver
 from shadowlp.errors import NegativeStep, NotOptimal, ShadowLpError, SingularError
-from shadowlp.instance import dumps_instance, loads_instance
 from shadowlp.linalg import SINGULAR_RTOL, BasisFactorization
 from shadowlp.rng import RngStream
 from shadowlp.simplex import TOL_DIR, Basis, RatioResult
@@ -192,8 +191,6 @@ def _recorded_calls(d, n, family, seed):
             gen = RngStream(seed, k).generator()
             make = ball_instance if family == "ball" else mixed_instance
             inst = make(gen, d, n, 0.05).lp()
-            if k == 1:  # a parsed file holds A as a column slice of one array
-                inst = loads_instance(dumps_instance(inst))
             solver.solve(RngStream(seed, 100 + k), inst)
     return calls
 
@@ -206,7 +203,10 @@ def test_kernels_match_reference_on_seeded_solves(d, n, family):
     assert {d, d + 1} <= dims  # input/unit systems and the lifted phase-2 system
     gen = RngStream(77, d).generator()
     for A, b, indices in calls["make_basis"]:
-        assert_same(simplex.make_basis, ref_make_basis, A, b, indices)
+        # and on a strided A: LPInstance stores A in C order, so no solve
+        # passes one, but the kernels take any matrix
+        for a in (A, np.asfortranarray(A)):
+            assert_same(simplex.make_basis, ref_make_basis, a, b, indices)
         m = A[sorted(indices)]
         assert_same(linalg.factorize, ref_factorize, m)
     for basis, y, y2, lam in calls["max_lambda"]:
@@ -219,7 +219,8 @@ def test_kernels_match_reference_on_seeded_solves(d, n, family):
         for lo in (0.0, 0.5, 1.0, float(gen.uniform())):
             assert_same(simplex.max_lambda, ref_max_lambda, basis, y, y2, lo)
     for A, b, basis, leaving in calls["ratio_test"]:
-        assert_same(simplex.ratio_test, ref_ratio_test, A, b, basis, leaving)
+        for a in (A, np.asfortranarray(A)):
+            assert_same(simplex.ratio_test, ref_ratio_test, a, b, basis, leaving)
         for other in basis.indices[:3]:
             assert_same(simplex.ratio_test, ref_ratio_test, A, b, basis, other)
 

@@ -18,7 +18,6 @@ from shadowlp.lower_bound import (
     dense_set_with_retry,
     diameter_experiment,
     greedy_dense_set,
-    polar_facet_diameter,
     sandwich_check,
 )
 from shadowlp.oracle import discover_vertex_graph
@@ -350,8 +349,8 @@ def test_perturbation_norm_event():
     for k in range(5):
         inst = build_lb_instance(RngStream(72, k), dense, sigma=0.02, n=len(dense))
         cut = 4 * 0.02 * math.sqrt(3 * math.log(inst.n))
-        assert np.linalg.norm(inst.a_draws, axis=1).max() <= cut
-        assert np.abs(inst.b_draws).max() <= cut
+        assert np.linalg.norm(inst.A - inst.abar, axis=1).max() <= cut
+        assert np.abs(inst.b - inst.bbar).max() <= cut
 
 
 def test_sandwich_violation_constructed():
@@ -372,15 +371,15 @@ def test_polar_facet_diameter_cases():
     # rows e_1, e_2, e_3 with b = 1: pairwise distances sqrt(2)
     inst = LPInstance(np.eye(3), np.ones(3), np.array([1.0, 0.0, 0.0]))
     basis = make_basis(inst.A, inst.b, (0, 1, 2))
-    assert abs(polar_facet_diameter(inst, basis) - math.sqrt(2)) < 1e-12
+    assert abs(lower_bound._facet_diameter(inst, [basis.indices]) - math.sqrt(2)) < 1e-12
     # near-parallel rows: diameter near 0
     A = np.array([[1.0, 0.0, 0.0], [0.9999, 0.0141, 0.0], [0.9999, 0.0, 0.0141]])
     inst2 = LPInstance(A, np.ones(3), np.array([1.0, 0.0, 0.0]))
-    assert polar_facet_diameter(inst2, (0, 1, 2)) < 0.05
+    assert lower_bound._facet_diameter(inst2, [(0, 1, 2)]) < 0.05
     # nonpositive rhs is out of the polar's regime
     inst3 = LPInstance(np.eye(3), np.array([1.0, -1.0, 1.0]), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(NonpositiveRhs):
-        polar_facet_diameter(inst3, (0, 1, 2))
+        lower_bound._facet_diameter(inst3, [(0, 1, 2)])
 
 
 def _facet_diameter_one_basis_at_a_time(inst, graph):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shadowlp import (
+    LPInstance,
     NormViolation,
     RngStream,
     exp_ball_sample,
@@ -115,8 +116,15 @@ def test_smoothed_instance_bookkeeping():
     bbar = np.array([0.5, 0.5, 0.1])
     c = np.array([1.0, 0.0])
     si = smoothed_instance(gen, abar, bbar, c, sigma=0.05)
-    assert np.array_equal(si.A - si.abar, si.a_draws)
-    assert np.array_equal(si.b - si.bbar, si.b_draws)
+    # a smoothed LP is an LP; abar, bbar and sigma are a record about it
+    assert isinstance(si, LPInstance) and (si.n, si.d, si.sigma) == (3, 2, 0.05)
+    assert si.A.flags.c_contiguous
+    replay = RngStream(11, 0).generator()
+    assert np.array_equal(si.A, abar + 0.05 * replay.standard_normal(abar.shape))
+    assert np.array_equal(si.b, bbar + 0.05 * replay.standard_normal(bbar.shape))
+    plain = si.lp()
+    assert type(plain) is LPInstance and not hasattr(plain, "sigma")
+    assert plain.A is si.A and plain.b is si.b and plain.c is si.c
 
 
 def test_smoothed_instance_norm_violation():
