@@ -3,7 +3,6 @@ machinery around it: brute-force oracles, path-separation statistics, and
 near-ball diameter experiments."""
 
 from .errors import (
-    AuditFailed,
     CertificateInvalid,
     ConfigError,
     CycleDetected,
@@ -23,6 +22,7 @@ from .errors import (
     SingularError,
     TooFewRows,
     TooLarge,
+    UncoveredCell,
     Unreachable,
     ZeroVertex,
 )
@@ -41,11 +41,11 @@ from .simplex import Basis, ShadowPath, make_basis, run_shadow_path
 from .solver import Infeasible, Optimal, SolveStats, Unbounded, solve, verify_outcome
 
 __all__ = [
-    "AuditFailed", "CertificateInvalid", "ConfigError", "CycleDetected",
+    "CertificateInvalid", "ConfigError", "CycleDetected",
     "DegenerateShadow", "DimensionTooSmall", "NegativeStep", "NoVertex", "NonConvexInput",
     "NonpositiveRhs", "NormViolation", "NotOptimal",
     "NumericalStall", "PivotLimitExceeded", "RerunRay", "RestartLimitExceeded", "ShadowLpError",
-    "SingularError", "TooFewRows", "TooLarge", "Unreachable", "ZeroVertex",
+    "SingularError", "TooFewRows", "TooLarge", "UncoveredCell", "Unreachable", "ZeroVertex",
     "LPInstance", "dump_instance", "load_instance",
     "BasisFactorization", "factorize", "linsolve", "solve_transpose",
     "RngStream", "SmoothedInstance", "exp_ball_sample", "gaussian_vector",

@@ -75,8 +75,9 @@ class ZeroVertex(ShadowLpError):
     """Basic solution has norm below threshold; relative slack is undefined."""
 
 
-class AuditFailed(ShadowLpError):
-    """A density audit point was farther than eta from every set member."""
+class UncoveredCell(ShadowLpError):
+    """The dense set's cell refinement stopped with a cell open, so the
+    packing is not proven eta-dense."""
 
 
 class TooFewRows(ShadowLpError, ValueError):

@@ -125,7 +125,6 @@ LOWERBOUND_SCHEMA = {
     "eta": (float, 0.0),        # 0 means: use sigma
     "n": (int, 0),              # 0 means: floor((4/sigma)^d) when pad, else packing size
     "pad": (bool, True),
-    "audit_samples": (int, 100_000),
 }
 # the most rows a lowerbound study builds; criterion 7 builds 4096
 LOWERBOUND_MAX_ROWS = 10**7
@@ -386,9 +385,6 @@ def lowerbound_run(cfg: dict[str, Any]):
     eta = cfg["eta"] if cfg["eta"] > 0 else cfg["sigma"]
     if not 0.0 < eta <= 2.0:
         raise ConfigError(f"eta must be in (0, 2], got {eta} (eta = 0 takes sigma)")
-    if cfg["audit_samples"] < 1:
-        raise ConfigError("audit_samples must be positive; the packing stops after "
-                          "that many rejections in a row")
     rows = []
     for k in range(cfg["runs"]):
         stream = cfg["stream_base"] + k
@@ -403,7 +399,6 @@ def lowerbound_run(cfg: dict[str, Any]):
                 eta=eta,
                 n=cfg["n"] if cfg["n"] > 0 else None,
                 pad=cfg["pad"],
-                audit_samples=cfg["audit_samples"],
             )
             row.update(asdict(rec))
         except ShadowLpError as exc:

@@ -292,7 +292,7 @@ def test_criterion_7_lower_bound_chain():
     small = lowerbound_run(
         parse_config(
             "experiment = lowerbound\nd = 3\nsigma = 0.02\neta = 0.12\nruns = 1\n"
-            "pad = false\naudit_samples = 30000\nseed = 7008\n",
+            "pad = false\nseed = 7008\n",
             LOWERBOUND_SCHEMA,
         )
     )[0][0]
@@ -375,7 +375,7 @@ def test_criterion_9_reproducibility(tmp_path):
     lb_cfg = tmp_path / "lb.cfg"
     lb_cfg.write_text(
         "experiment = lowerbound\nd = 3\nsigma = 0.02\neta = 0.2\nruns = 1\n"
-        "pad = false\naudit_samples = 20000\nseed = 9\n"
+        "pad = false\nseed = 9\n"
     )
     lb_outs = []
     for name in ("l1", "l2"):

@@ -180,7 +180,7 @@ def test_cone_run_small():
 def test_lowerbound_run_small():
     cfg = parse_config(
         "experiment = lowerbound\nd = 3\nsigma = 0.02\neta = 0.15\nruns = 1\n"
-        "pad = false\naudit_samples = 20000\nseed = 8\n",
+        "pad = false\nseed = 8\n",
         LOWERBOUND_SCHEMA,
     )
     rows, summary = lowerbound_run(cfg)
@@ -307,8 +307,9 @@ def test_cli_rejects_config_for_other_experiment(tmp_path):
      "trials = 1\nfamily = product\n", "product family needs d >= 2 and n >= 6"),
     ("experiment", "experiment = shadow_scaling\nd = 3\nn = 1\nsigma_grid = 0.1\n"
      "trials = 1\nfamily = ball\n", "n must be at least 2"),
+    # the packing is proven dense, so no sample count is a key
     ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = 0.25\naudit_samples = 0\n",
-     "audit_samples must be positive"),
+     "unknown key 'audit_samples'"),
     # the restart budget and pivot limit are constants, not config keys
     ("experiment", "experiment = shadow_scaling\nd = 3\nn = 12\nsigma_grid = 0.1\n"
      "trials = 1\nfamily = ball\nmax_restarts = 0\n", "unknown key 'max_restarts'"),
@@ -327,8 +328,8 @@ def test_cli_rejects_config_for_other_experiment(tmp_path):
     ("montecarlo-cone", "experiment = cone\nd = 3\nconfigs = 1\ntrials = 1\n",
      "trials at least 2"),
     # every trial of these would end in DimensionTooSmall or NoVertex
-    ("lowerbound", "experiment = lowerbound\nd = 2\nsigma = 0.25\nruns = 1\n"
-     "audit_samples = 2000\n", "need d >= 3"),
+    ("lowerbound", "experiment = lowerbound\nd = 2\nsigma = 0.25\nruns = 1\n",
+     "need d >= 3"),
     ("experiment", "experiment = shadow_scaling\nd = 2\nn = 12\nsigma_grid = 0.1\n"
      "trials = 1\nfamily = ball\n", "need d >= 3 and n >= d, got d = 2, n = 12"),
     ("experiment", "experiment = shadow_scaling\nd = 4\nn = 3\nsigma_grid = 0.1\n"
@@ -340,7 +341,7 @@ def test_cli_rejects_config_for_other_experiment(tmp_path):
     ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = 1e-300\neta = 0.4\n",
      "inf rows exceed the row bound 10000000"),
     ("lowerbound", "experiment = lowerbound\nd = 3\nsigma = 0.25\neta = 0.4\nruns = 1\n"
-     "audit_samples = 2000\nn = 100000000000000000000\n",
+     "n = 100000000000000000000\n",
      "100000000000000000000 rows exceed the row bound 10000000"),
 ])
 def test_cli_rejects_configs_the_study_cannot_run(tmp_path, command, text, message):
@@ -375,8 +376,7 @@ def test_cli_study_rejects_out_that_names_a_file(tmp_path):
 
 def test_cli_lowerbound_rows_below_packing_size_is_an_error_row(tmp_path):
     cfgfile = tmp_path / "lb.cfg"
-    cfgfile.write_text("experiment = lowerbound\nd = 3\nsigma = 0.25\nn = 5\nruns = 1\n"
-                       "audit_samples = 20000\n")
+    cfgfile.write_text("experiment = lowerbound\nd = 3\nsigma = 0.25\nn = 5\nruns = 1\n")
     res = _run_cli(["lowerbound", str(cfgfile), "--out", str(tmp_path)])
     assert res.returncode == 0, res.stderr
     header, row = (tmp_path / "lowerbound.csv").read_text().splitlines()
