@@ -82,6 +82,123 @@ def test_greedy_dense_set_matches_one_at_a_time(seed, eta, d):
     np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
 
 
+@pytest.mark.parametrize("probes", [512, 513, 1300])
+def test_max_cos_chunks_match_one_matmul(probes):
+    # 512 is the one-chunk path, 513 and 1300 end on a partial chunk; BLAS
+    # may round a chunk's products differently from the whole matmul's, so
+    # the chunks are held to the per-probe maximum within a few ulps
+    pts = uniform_sphere(RngStream(76, 0), 3, size=40)
+    cand = uniform_sphere(RngStream(76, 1), 3, size=probes)
+    ref = np.array([max(float(p @ c) for p in pts) for c in cand])
+    np.testing.assert_allclose(_max_cos(pts, cand), ref, rtol=0.0, atol=1e-15)
+
+
+def test_max_cos_of_an_empty_packing_is_minus_infinity():
+    cand = uniform_sphere(RngStream(76, 2), 4, size=700)
+    assert np.array_equal(_max_cos(np.empty((0, 4)), cand), np.full(700, -np.inf))
+
+
+def _keep_one_at_a_time(cand, best, cos_cut):
+    """Positions of the rows a one-candidate-at-a-time greedy keeps: a row
+    whose best inner product with the packing is at most cos_cut, and whose
+    inner product with every row kept before it is too."""
+    kept = []
+    for i in range(len(cand)):
+        if best[i] <= cos_cut and all(cand[i] @ cand[j] <= cos_cut for j in kept):
+            kept.append(i)
+    return np.array(kept, dtype=np.intp)
+
+
+# (seed, rows, d, eta): a block of one row, a full 512-row block, and a block
+# where most rows are dropped
+@pytest.mark.parametrize("seed,m,d,eta", [
+    (1, 1, 3, 0.5),
+    (2, 512, 3, 0.2),
+    (3, 300, 4, 1.2),
+])
+def test_greedy_block_matches_one_at_a_time(seed, m, d, eta):
+    cand = uniform_sphere(RngStream(seed, 0), d, size=m)
+    cos_cut = 1.0 - eta * eta / 2.0
+    keep = lower_bound._greedy_block(cand, cos_cut)
+    ref = _keep_one_at_a_time(cand, np.full(m, -np.inf), cos_cut)
+    assert np.array_equal(np.flatnonzero(keep), ref)
+
+
+# (seed, candidates, packing size, d, eta): survivors spanning one, two and
+# four 512-row blocks, with and without a packing kept before the batch
+@pytest.mark.parametrize("seed,m,packed,d,eta", [
+    (4, 400, 0, 3, 0.3),
+    (5, 1200, 0, 3, 0.1),
+    (6, 4096, 60, 3, 0.15),
+])
+def test_accept_matches_one_at_a_time(seed, m, packed, d, eta):
+    cos_cut = 1.0 - eta * eta / 2.0
+    pts = uniform_sphere(RngStream(seed, 1), d, size=packed)
+    pts = pts[_keep_one_at_a_time(pts, np.full(packed, -np.inf), cos_cut)]
+    cand = uniform_sphere(RngStream(seed, 0), d, size=m)
+    best = _max_cos(pts, cand)
+    got = lower_bound._accept(cand, best, cos_cut)
+    assert np.array_equal(got, _keep_one_at_a_time(cand, best, cos_cut))
+
+
+# (d, k): children per parent k^(d-1) from 3 to 27
+@pytest.mark.parametrize("d,k", [(2, 3), (3, 2), (3, 5), (4, 3)])
+def test_split_children_tile_their_parent_in_order(d, k):
+    # two parents on different faces, off the face centres
+    cube = np.zeros((2, d))
+    cube[0, 0], cube[1, d - 1] = 1.0, -1.0
+    cube[0, 1:] = 0.25
+    cube[1, :-1] = -0.5
+    axis = np.array([0, d - 1])
+    half = 0.125 / k
+    per = k ** (d - 1)
+    child, ax = lower_bound._split(cube, axis, half, k, 0, 2 * per)
+    expected = []
+    for p in range(2):
+        others = [(axis[p] + 1 + t) % d for t in range(d - 1)]
+        for steps in itertools.product(range(k), repeat=d - 1):
+            c = cube[p].copy()
+            for col, s in zip(others, steps):
+                c[col] += (2.0 * s + 1.0 - k) * half
+            expected.append(c)
+    assert np.array_equal(child, np.array(expected))
+    assert np.array_equal(ax, np.repeat(axis, per))
+    # each child stays on its parent's face, inside the parent's square of
+    # half side k * half
+    parent = np.repeat(cube, per, axis=0)
+    on_face = np.arange(d) == ax[:, None]
+    assert np.array_equal(child[on_face], parent[on_face])
+    assert (np.abs(child - parent)[~on_face] + half <= k * half + 1e-15).all()
+    # any split of the range into chunks gives the same cells
+    parts = [lower_bound._split(cube, axis, half, k, lo, min(lo + 5, 2 * per))[0]
+             for lo in range(0, 2 * per, 5)]
+    assert np.array_equal(np.concatenate(parts), child)
+
+
+# the fill's proof does not lean on the random phase: from no points at all
+# it must still return an eta-separated, eta-dense packing
+@pytest.mark.parametrize("eta,d", [(0.1, 2), (0.3, 3)])
+def test_certified_fill_alone_certifies_an_empty_packing(eta, d):
+    pts = lower_bound._certified_fill(np.empty((0, d)), eta, d)
+    cos_cut = 1.0 - eta * eta / 2.0
+    dots = pts @ pts.T
+    np.fill_diagonal(dots, -1.0)
+    assert len(pts) and dots.max() <= cos_cut + 1e-12
+    probes = uniform_sphere(RngStream(77, d), d, size=20_000)
+    assert (_max_cos(pts, probes) > cos_cut).all()
+
+
+@pytest.mark.parametrize("seed,eta,d", [(7007, 0.25, 3), (4, 0.5, 4)])
+def test_certified_fill_extends_the_random_phase_and_draws_nothing(seed, eta, d):
+    ref_gen = RngStream(seed, 0).generator()
+    random_phase = greedy_dense_set(ref_gen, eta, d)
+    gen = RngStream(seed, 0).generator()
+    dense = dense_set_with_retry(gen, eta, d)
+    assert len(dense) > len(random_phase)
+    assert np.array_equal(dense.points[:len(random_phase)], random_phase)
+    np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+
 def _cell_corners(cube, axis, half):
     """The corners of each cube-map cell (centre on the cube surface, face
     axis, half side), scaled to unit length."""
