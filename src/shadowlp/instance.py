@@ -190,27 +190,11 @@ def _parse_general(text: str) -> tuple[np.ndarray, list[float]]:
         raise InstanceParseError(
             f"expected {1 + n + 1} non-empty lines for n={n}, found {len(lines)}"
         )
-    data = _parse_rows(lines[1 : 1 + n], d + 1)
+    data = np.array(
+        [_parse_floats(ln, d + 1, lineno) for lineno, ln in lines[1 : 1 + n]], dtype=float
+    )
     lineno, ln = lines[1 + n]
     return data, _parse_floats(ln, d, lineno)
-
-
-def _parse_rows(lines: list[tuple[int, str]], count: int) -> np.ndarray:
-    """The (lineno, line) data rows as a (len(lines), count) array, for text
-    that `_parse_exact` left to the general path.
-
-    One `np.loadtxt` call parses well-formed rows; it rounds every token as
-    `float()` does.  Anything it rejects or shapes differently (ragged rows,
-    `1_0`, non-ASCII digits) goes through the per-line parser, which decides
-    what is accepted and words the line-numbered errors.
-    """
-    try:
-        data = np.loadtxt([ln for _, ln in lines], comments=None, ndmin=2)
-    except ValueError:
-        data = None
-    if data is None or data.shape != (len(lines), count):
-        data = np.array([_parse_floats(ln, count, lineno) for lineno, ln in lines], dtype=float)
-    return data
 
 
 def load_instance(path) -> LPInstance:

@@ -8,11 +8,10 @@ deterministic in the measured quantities: inner/outer radii, the maximum
 polar facet diameter, and the BFS distance on the discovered 1-skeleton.
 
 The dense set (dense_set_with_retry) is a greedy eta-packing of the sphere
-with a proof that it is eta-dense.  Its random phase (greedy_dense_set)
-streams sphere points 4096 at a time, keeps each one that lies at least eta
-from every point kept before it, and stops at the first batch that keeps
-none.  The certified fill then covers the sphere with cells, keeps more
-points where a cell cannot be covered, and returns when no cell is open.
+with a proof that it is eta-dense, built by greedy_dense_set from no points:
+it covers the sphere with cells, keeps points where a cell cannot be covered,
+and returns when no cell is open.  It uses no random numbers, so the
+packing is a function of (eta, d) alone.
 
 The cells come from the cube map: a direction g lands on the cube surface at
 g / max|g_j|, on one of 2d faces.  Each face is first cut into G^(d-1)
@@ -36,9 +35,13 @@ so only directions nearly eta from every kept point keep cells open as r
 shrinks.  When no cell is open, every direction lies within eta of a kept
 point.  Splits stop at r = 1e-9, the scale of the margin, and a level holds
 at most 2^20 open cells; past either, UncoveredCell names eta and an open
-cell.  At eta = 2 a kept point's antipode lies exactly eta from it, so the
-cells around the antipode stay open until a centre's inner product with the
-point rounds to -1; at d = 3 and 4 the open cells pass the cap first.
+cell.
+
+At eta = 2 the first kept centre's antipode is also a cell centre, exactly
+eta from it, and the greedy test keeps it only when their inner product
+rounds to -1 or below.  Where it does, the two points cover every other
+cell; where it does not, the cells around the antipode stay open until the
+open-cell cap and UncoveredCell names eta = 2.
 """
 
 from __future__ import annotations
@@ -67,10 +70,9 @@ class DenseSet:
         return len(self.points)
 
 
-# probes per matmul in _max_cos, and survivors per in-batch Gram block; keeps
+# probes per matmul in _max_cos, and survivors per Gram block in _accept; keeps
 # the temporaries at (packing size) x 512 and 512 x 512
 _CHUNK = 512
-_BATCH = 4096    # candidates the random phase draws and decides at a time
 # the cover test's distance margin, the half-diagonal below which cells are
 # not split (there the margin outweighs r), the open cells a level may hold,
 # and the cells the fill builds at a time
@@ -130,29 +132,6 @@ def _accept(cand: np.ndarray, best: np.ndarray, cos_cut: float) -> np.ndarray:
     return np.flatnonzero(taken)
 
 
-def greedy_dense_set(rng, eta: float, d: int) -> np.ndarray:
-    """The random phase: stream sphere points, keeping those >= eta from
-    everything kept so far, until a batch of _BATCH keeps none.
-
-    Each batch is uniform_sphere's draw of _BATCH points, decided exactly as
-    a one-candidate-at-a-time greedy would (_accept).  Returns the kept
-    points, an eta-packing that is not yet proven eta-dense.
-    """
-    if not 0.0 < eta <= 2.0:
-        raise ValueError("eta must be in (0, 2]")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    gen = as_generator(rng)
-    cos_cut = 1.0 - eta * eta / 2.0
-    points = np.empty((0, d))
-    while True:
-        cand = uniform_sphere(gen, d, size=_BATCH)
-        acc = _accept(cand, _max_cos(points, cand), cos_cut)
-        if not len(acc):
-            return points
-        points = np.concatenate((points, cand[acc]))
-
-
 def _split(cube: np.ndarray, axis: np.ndarray, half: float, k: int,
            lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Cells lo..hi-1 of the split of every cell in `cube` into k^(d-1)
@@ -169,10 +148,16 @@ def _split(cube: np.ndarray, axis: np.ndarray, half: float, k: int,
     return out, ax
 
 
-def _certified_fill(points: np.ndarray, eta: float, d: int) -> np.ndarray:
-    """Extend the packing until every cube-map cell is covered (module
-    docstring); raises UncoveredCell where the refinement stops short."""
+def greedy_dense_set(eta: float, d: int) -> np.ndarray:
+    """A greedy eta-packing of the unit sphere in R^d, grown from no points
+    until every cube-map cell is covered (module docstring); raises
+    UncoveredCell where the refinement stops short."""
+    if not 0.0 < eta <= 2.0:
+        raise ValueError("eta must be in (0, 2]")
+    if d < 2:
+        raise ValueError("d must be >= 2")
     cos_cut = 1.0 - eta * eta / 2.0
+    points = np.empty((0, d))
     # the 2d faces, +e_f then -e_f, split first into k^(d-1) cells, then in halves
     cube = np.repeat(np.eye(d), 2, axis=0)
     cube[1::2] *= -1.0
@@ -212,16 +197,10 @@ def _uncovered(eta: float, centre: np.ndarray, r: float, why: str) -> UncoveredC
                          f"{r:.3g} is still open, and covering it needs {why}")
 
 
-def dense_set_with_retry(rng, eta: float, d: int) -> DenseSet:
-    """A greedy eta-packing proven eta-dense: greedy_dense_set's random
-    phase, then the certified fill (module docstring).
-
-    The fill draws nothing, so the generator is left where the random phase
-    stopped.  The name is the one bench/tracer.py wraps.
-    """
-    gen = as_generator(rng)
-    points = greedy_dense_set(gen, eta, d)
-    return DenseSet(eta=float(eta), points=_certified_fill(points, eta, d))
+def dense_set_with_retry(eta: float, d: int) -> DenseSet:
+    """greedy_dense_set's packing, proven eta-dense.  The name is the one
+    bench/tracer.py wraps."""
+    return DenseSet(eta=float(eta), points=greedy_dense_set(eta, d))
 
 
 def default_row_count(sigma: float, d: int) -> int:
@@ -354,7 +333,7 @@ def diameter_experiment(rng, d: int, sigma: float, eta: Optional[float] = None,
         if sigma <= 0:
             raise ValueError("eta must be given when sigma = 0")
         eta = sigma
-    dense = dense_set_with_retry(gen, eta, d)
+    dense = dense_set_with_retry(eta, d)
     c = uniform_sphere(gen, d)
     if n is None and not pad:
         n = len(dense)

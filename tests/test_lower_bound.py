@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from shadowlp import LPInstance, RngStream
 from shadowlp.errors import NonpositiveRhs, UncoveredCell
+from shadowlp.experiments import LOWERBOUND_SCHEMA, lowerbound_run, parse_config
 from shadowlp import lower_bound
 from shadowlp.lower_bound import (
     _max_cos,
@@ -20,66 +22,23 @@ from shadowlp.lower_bound import (
     sandwich_check,
 )
 from shadowlp.oracle import discover_vertex_graph
-from shadowlp.rng import as_generator, uniform_sphere
+from shadowlp.rng import uniform_sphere
 from shadowlp.simplex import make_basis
 
 
 def test_diameter_two_packing_on_circle():
-    assert len(greedy_dense_set(RngStream(70, 0), eta=2.0, d=2)) <= 2
-    assert len(dense_set_with_retry(RngStream(70, 0), eta=2.0, d=2)) <= 2
+    assert len(greedy_dense_set(eta=2.0, d=2)) <= 2
+    assert len(dense_set_with_retry(eta=2.0, d=2)) <= 2
 
 
 def test_eta_half_cardinality_bound():
-    dense = dense_set_with_retry(RngStream(70, 1), eta=0.5, d=3)
+    dense = dense_set_with_retry(eta=0.5, d=3)
     assert len(dense) <= (4.0 / 0.5) ** 3  # 512
     pts = dense.points
     dots = pts @ pts.T
     np.fill_diagonal(dots, -1.0)
     min_dist = math.sqrt(2.0 - 2.0 * dots.max())
     assert min_dist >= 0.5 - 1e-12
-
-
-def _random_phase_one_at_a_time(rng, eta, d, batch=4096):
-    """The per-candidate greedy loop that greedy_dense_set must reproduce:
-    candidates come in uniform_sphere batches, each is kept when it lies at
-    least eta from every point kept before it, and the stream stops after
-    the first batch that keeps none."""
-    gen = as_generator(rng)
-    kept = []
-    cos_cut = 1.0 - eta * eta / 2.0
-    while True:
-        cand = uniform_sphere(gen, d, size=batch)
-        n_before = len(kept)
-        if n_before:
-            close = (cand @ np.array(kept).T).max(axis=1) > cos_cut
-        else:
-            close = np.zeros(batch, dtype=bool)
-        for i in range(batch):
-            if not close[i] and all(cand[i] @ p <= cos_cut for p in kept[n_before:]):
-                kept.append(cand[i])
-        if len(kept) == n_before:
-            return np.array(kept)
-
-
-# (seed, eta, d): packings of 2 to about 400 points, some stopping after
-# their second batch and some after their sixth or later
-@pytest.mark.parametrize("seed,eta,d", [
-    (1, 0.1, 2),
-    (4, 1.0, 3),
-    (8, 1.0, 4),
-    (8, 0.2, 3),
-    (2, 0.5, 2),
-    (4, 0.5, 3),
-    (6, 0.8, 4),
-    (2, 0.3, 2),
-    (0, 0.25, 3),
-])
-def test_greedy_dense_set_matches_one_at_a_time(seed, eta, d):
-    ref_gen = RngStream(seed, 0).generator()
-    ref = _random_phase_one_at_a_time(ref_gen, eta, d)
-    gen = RngStream(seed, 0).generator()
-    assert np.array_equal(greedy_dense_set(gen, eta, d), ref)
-    np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
 
 
 @pytest.mark.parametrize("probes", [512, 513, 1300])
@@ -175,30 +134,6 @@ def test_split_children_tile_their_parent_in_order(d, k):
     assert np.array_equal(np.concatenate(parts), child)
 
 
-# the fill's proof does not lean on the random phase: from no points at all
-# it must still return an eta-separated, eta-dense packing
-@pytest.mark.parametrize("eta,d", [(0.1, 2), (0.3, 3)])
-def test_certified_fill_alone_certifies_an_empty_packing(eta, d):
-    pts = lower_bound._certified_fill(np.empty((0, d)), eta, d)
-    cos_cut = 1.0 - eta * eta / 2.0
-    dots = pts @ pts.T
-    np.fill_diagonal(dots, -1.0)
-    assert len(pts) and dots.max() <= cos_cut + 1e-12
-    probes = uniform_sphere(RngStream(77, d), d, size=20_000)
-    assert (_max_cos(pts, probes) > cos_cut).all()
-
-
-@pytest.mark.parametrize("seed,eta,d", [(7007, 0.25, 3), (4, 0.5, 4)])
-def test_certified_fill_extends_the_random_phase_and_draws_nothing(seed, eta, d):
-    ref_gen = RngStream(seed, 0).generator()
-    random_phase = greedy_dense_set(ref_gen, eta, d)
-    gen = RngStream(seed, 0).generator()
-    dense = dense_set_with_retry(gen, eta, d)
-    assert len(dense) > len(random_phase)
-    assert np.array_equal(dense.points[:len(random_phase)], random_phase)
-    np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
-
-
 def _cell_corners(cube, axis, half):
     """The corners of each cube-map cell (centre on the cube surface, face
     axis, half side), scaled to unit length."""
@@ -213,9 +148,9 @@ def _cell_corners(cube, axis, half):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), scale=st.floats(0.0, 1.0))
 def test_certified_packing_is_separated_and_dense(seed, d, scale):
-    """A certified packing is eta-separated, random probes lie within eta of
-    it, and so does every corner of every cell the refinement found
-    covered; the finest cells are all covered."""
+    """The packing the fill builds from no points is eta-separated, random
+    probes lie within eta of it, and so does every corner of every cell the
+    refinement found covered; the finest cells are all covered."""
     eta = {2: 0.05, 3: 0.2, 4: 0.5}[d]
     eta += scale * (1.9 - eta)
     levels = []
@@ -228,7 +163,7 @@ def test_certified_packing_is_separated_and_dense(seed, d, scale):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lower_bound, "_split", recorded)
-        dense = dense_set_with_retry(RngStream(seed, 0), eta, d)
+        dense = dense_set_with_retry(eta, d)
     pts = dense.points
     cos_cut = 1.0 - eta * eta / 2.0
     dots = pts @ pts.T
@@ -247,58 +182,68 @@ def test_certified_packing_is_separated_and_dense(seed, d, scale):
 
 
 def test_refinement_cap_names_eta_and_an_open_cell(monkeypatch):
-    # criterion 7's first packing needs cells of r = 0.0295 and finer; with
+    # criterion 7's packing needs cells of r = 0.0295 and finer; with
     # splits stopped at r = 0.05 an open cell of r = 0.0589 remains
     monkeypatch.setattr(lower_bound, "_MIN_R", 0.05)
     with pytest.raises(UncoveredCell, match=r"^eta=0\.25: the cell centred at "
                        r"\(-?[0-9.]+, -?[0-9.]+, -?[0-9.]+\) with half-diagonal 0\.0589 "
                        r"is still open, and covering it needs splitting it below "
                        r"r = 0\.05$"):
-        dense_set_with_retry(RngStream(7007, 0), 0.25, 3)
+        dense_set_with_retry(0.25, 3)
 
 
 def test_open_cell_cap_names_eta_and_an_open_cell(monkeypatch):
     monkeypatch.setattr(lower_bound, "_MAX_OPEN", 100)
     with pytest.raises(UncoveredCell, match=r"with half-diagonal 0\.118 is still open, "
                        r"and covering it needs more than 100 cells open at that size$"):
-        dense_set_with_retry(RngStream(7007, 0), 0.25, 3)
+        dense_set_with_retry(0.25, 3)
 
 
 @pytest.mark.parametrize("d", [3, 4])
-def test_eta_two_leaves_the_antipode_open(d):
-    # a kept point's antipode is exactly eta = 2 away, so the cells around
-    # it stay open until the open-cell cap
-    with pytest.raises(UncoveredCell, match="eta=2.0: .* more than 1048576 cells open"):
-        dense_set_with_retry(RngStream(70, 0), 2.0, d)
+def test_eta_two_keeps_the_antipode_or_leaves_it_open(d):
+    # the first kept centre's antipode is a centre exactly eta = 2 away; the
+    # greedy test keeps it when their inner product rounds to -1 or below,
+    # and otherwise the cells around it stay open until the open-cell cap
+    try:
+        pts = dense_set_with_retry(2.0, d).points
+    except UncoveredCell as exc:
+        assert re.match(r"eta=2\.0: .* more than 1048576 cells open", str(exc))
+    else:
+        assert len(pts) == 2 and np.array_equal(pts[1], -pts[0])
 
 
-# size and sha256 of the points of criterion 7's five packings (the first
-# draws of each run).  The bits come from Philox normals, IEEE sqrt and
-# division, the cell centres' cube coordinates, and from threshold decisions
-# that a last-bit difference between BLAS kernels would not flip, so they
-# should hold on any host.
-@pytest.mark.parametrize("stream,size,digest", [
-    (0, 142, "c24358d0d1af860ec817b55483491868d4173fcf1526ba2d7df2a25e49bfe450"),
-    (1, 141, "7a7d03f616a247c0bb181dc86ba1d4e8309ca2f02ad00f82059e59d05f61cb08"),
-    (2, 144, "3c0b2f6c52193321bf929046baa958fc8ca0ad5ebd0392317626d613f95730e0"),
-    (3, 138, "dfb0d03cb1dd72c673ec898c84bc57d819cb11b59b3b02727887988a0df0d2ea"),
-    (4, 139, "14fdf1cd8e574a05e6b73a00ea02f52a31d2ec2aff36379d83082677975de243"),
-])
-def test_criterion_7_packings_are_pinned(stream, size, digest):
-    dense = dense_set_with_retry(RngStream(7007, stream).generator(), 0.25, 3)
-    assert len(dense) == size
-    assert hashlib.sha256(dense.points.tobytes()).hexdigest() == digest
+# size and sha256 of the points of criterion 7's packing.  The bits come
+# from IEEE sqrt and division, the cell centres' cube coordinates, and from
+# threshold decisions that a last-bit difference between BLAS kernels would
+# not flip, so they should hold on any host.
+def test_criterion_7_packing_is_pinned():
+    dense = dense_set_with_retry(0.25, 3)
+    assert len(dense) == 148
+    assert (hashlib.sha256(dense.points.tobytes()).hexdigest()
+            == "d6cb4424e759ae21878b2a53b63df3eeaac19766e31345fd210b975311dab051")
+
+
+def test_criterion_7_runs_share_one_packing():
+    # the packing uses no random numbers: every call returns the same bits,
+    # and criterion 7's five runs measure one dense set
+    first, again = dense_set_with_retry(0.25, 3), dense_set_with_retry(0.25, 3)
+    assert first.points.tobytes() == again.points.tobytes()
+    rows, _ = lowerbound_run(parse_config(
+        "experiment = lowerbound\nd = 3\nsigma = 0.25\nruns = 5\nseed = 7007\n",
+        LOWERBOUND_SCHEMA,
+    ))
+    assert [r["n_dense"] for r in rows] == [len(first)] * 5
 
 
 @pytest.mark.parametrize("eta,d", [(0.0, 3), (-0.1, 3), (2.5, 3), (0.5, 1)])
 def test_dense_set_rejects_eta_or_d_out_of_range(eta, d):
     with pytest.raises(ValueError, match="eta must be in|d must be"):
-        dense_set_with_retry(RngStream(70, 3), eta, d)
+        dense_set_with_retry(eta, d)
 
 
 def test_build_lb_instance_unperturbed():
     gen = RngStream(71, 0).generator()
-    dense = dense_set_with_retry(gen, eta=0.4, d=3)
+    dense = dense_set_with_retry(eta=0.4, d=3)
     inst = build_lb_instance(gen, dense, sigma=0.0)
     assert np.array_equal(inst.A, dense.points)
     assert np.array_equal(inst.b, np.ones(len(dense)))
@@ -309,7 +254,7 @@ def test_build_lb_instance_unperturbed():
 def test_build_lb_instance_row_count():
     assert default_row_count(0.25, 3) == 4096
     gen = RngStream(71, 1).generator()
-    dense = dense_set_with_retry(gen, eta=0.25, d=3)
+    dense = dense_set_with_retry(eta=0.25, d=3)
     inst = build_lb_instance(gen, dense, sigma=0.25)
     assert inst.n == 4096
     assert np.allclose(np.linalg.norm(inst.abar, axis=1), 1.0)
@@ -318,7 +263,7 @@ def test_build_lb_instance_row_count():
 def test_perturbation_norm_event():
     # measured perturbations stay within 4 sigma sqrt(d ln n) on typical seeds
     gen = RngStream(71, 2).generator()
-    dense = dense_set_with_retry(gen, eta=0.4, d=3)
+    dense = dense_set_with_retry(eta=0.4, d=3)
     for k in range(5):
         inst = build_lb_instance(RngStream(72, k), dense, sigma=0.02, n=len(dense))
         cut = 4 * 0.02 * math.sqrt(3 * math.log(inst.n))
@@ -328,7 +273,7 @@ def test_perturbation_norm_event():
 
 def test_sandwich_violation_constructed():
     gen = RngStream(73, 0).generator()
-    dense = dense_set_with_retry(gen, eta=0.4, d=3)
+    dense = dense_set_with_retry(eta=0.4, d=3)
     inst = build_lb_instance(gen, dense, sigma=0.0)
     A = inst.A.copy()
     A[0] *= 3.0  # halfspace now at distance 1/3 from the origin
@@ -391,8 +336,8 @@ def _criterion_7_facet_calls(monkeypatch, stream):
 
 
 # runs of criterion 7's config whose inner radius is positive, so that both
-# descriptions are measured (streams 2 and 3 have a b_i <= 0)
-@pytest.mark.parametrize("stream", [0, 1, 4, 5, 8])
+# descriptions are measured (stream 4 has a b_i <= 0)
+@pytest.mark.parametrize("stream", [0, 1, 2, 3, 5])
 def test_max_facet_diameter_matches_one_basis_at_a_time(monkeypatch, stream):
     calls = _criterion_7_facet_calls(monkeypatch, stream)
     assert len(calls) == 2 and calls[0][1] is calls[1][1]
@@ -403,9 +348,9 @@ def test_max_facet_diameter_matches_one_basis_at_a_time(monkeypatch, stream):
 
 
 def test_max_facet_diameter_names_the_first_nonpositive_basis(monkeypatch):
-    (inst, graph, _), _ = _criterion_7_facet_calls(monkeypatch, 0)
+    (inst, graph, _), _ = _criterion_7_facet_calls(monkeypatch, 1)
     # a row first met in the third basis, and a smaller b on a row first
-    # met in a later one
+    # met in a later one (stream 0's third basis meets no new row)
     first = set().union(*graph.bases[:2])
     third = min(set(graph.bases[2]) - first)
     later = min(set().union(*graph.bases[3:]) - first - set(graph.bases[2]))
@@ -442,7 +387,7 @@ def test_diameter_experiment_small_sigma_chain():
 def test_diameter_experiment_c_sign_symmetry():
     # BFS distance between max and min is symmetric under negating c
     gen = RngStream(75, 0).generator()
-    dense = dense_set_with_retry(gen, eta=0.3, d=3)
+    dense = dense_set_with_retry(eta=0.3, d=3)
     inst = build_lb_instance(gen, dense, sigma=0.01, n=len(dense))
     from shadowlp.oracle import bfs_distance
     from shadowlp.solver import solve
