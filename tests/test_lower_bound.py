@@ -134,6 +134,75 @@ def test_split_children_tile_their_parent_in_order(d, k):
     assert np.array_equal(np.concatenate(parts), child)
 
 
+def _fill_one_at_a_time(eta, d):
+    """The fill greedy_dense_set must reproduce, one cell at a time.
+
+    Each level lists every open cell's children, parent by parent, in
+    itertools.product order over the face's other axes.  In that order a
+    child's centre is kept when it lies at least eta from every point kept
+    before it.  After each run of _CELLS children, the children of the run
+    that no point kept so far covers are the next level's open cells.  The
+    centres are scaled to unit length by the fill's own array expression, so
+    that only the keep and cover decisions are checked here."""
+    cos_cut = 1.0 - eta * eta / 2.0
+    kept = np.empty((0, d))
+
+    def best(u):
+        return (kept @ u).max(initial=-np.inf)
+
+    cells = [(sign * np.eye(d)[f], f) for f in range(d) for sign in (1.0, -1.0)]
+    half, k = 1.0, math.ceil(2.0 * math.sqrt(d - 1) / eta)
+    while cells:
+        half /= k
+        r = half * math.sqrt(d - 1)
+        cover_cut = 1.0 - (eta - r - lower_bound._MARGIN) ** 2 / 2.0 + 1e-12
+        children = []
+        for centre, f in cells:
+            others = [(f + 1 + t) % d for t in range(d - 1)]
+            for steps in itertools.product(range(k), repeat=d - 1):
+                c = centre.copy()
+                for col, s in zip(others, steps):
+                    c[col] += (2.0 * s + 1.0 - k) * half
+                children.append((c, f))
+        cells = []
+        for lo in range(0, len(children), lower_bound._CELLS):
+            run = children[lo:lo + lower_bound._CELLS]
+            cube = np.array([c for c, _ in run])
+            units = cube / np.linalg.norm(cube, axis=1, keepdims=True)
+            for u in units:
+                if best(u) <= cos_cut:
+                    kept = np.vstack((kept, u))
+            cells += [cell for cell, u in zip(run, units) if best(u) <= cover_cut]
+        k = 2
+    return kept
+
+
+# (eta, d): packings of 9 to 227 points, refined over two to eight levels
+@pytest.mark.parametrize("eta,d", [
+    (0.1, 2),
+    (1.0, 3),
+    (1.0, 4),
+    (0.2, 3),
+    (0.5, 2),
+    (0.5, 3),
+    (0.8, 4),
+    (0.3, 2),
+    (0.25, 3),
+])
+def test_greedy_dense_set_matches_one_at_a_time(eta, d):
+    assert np.array_equal(greedy_dense_set(eta, d), _fill_one_at_a_time(eta, d))
+
+
+# with 50 cells a run, every first level spans two or more runs; a cell that
+# its own run leaves open is split even when a later run keeps a point that
+# covers it
+@pytest.mark.parametrize("eta,d", [(0.1, 2), (0.25, 3), (0.8, 4)])
+def test_greedy_dense_set_runs_match_one_at_a_time(eta, d, monkeypatch):
+    monkeypatch.setattr(lower_bound, "_CELLS", 50)
+    assert 2 * d * math.ceil(2.0 * math.sqrt(d - 1) / eta) ** (d - 1) > 50
+    assert np.array_equal(greedy_dense_set(eta, d), _fill_one_at_a_time(eta, d))
+
+
 def _cell_corners(cube, axis, half):
     """The corners of each cube-map cell (centre on the cube surface, face
     axis, half side), scaled to unit length."""
@@ -239,6 +308,49 @@ def test_criterion_7_runs_share_one_packing():
 def test_dense_set_rejects_eta_or_d_out_of_range(eta, d):
     with pytest.raises(ValueError, match="eta must be in|d must be"):
         dense_set_with_retry(eta, d)
+
+
+@pytest.mark.parametrize("eta,d,message", [
+    (0.0, 3, r"eta must be in \(0, 2\]"),
+    (-0.1, 3, r"eta must be in \(0, 2\]"),
+    (2.5, 3, r"eta must be in \(0, 2\]"),
+    (0.5, 1, "d must be >= 2"),
+])
+def test_greedy_dense_set_rejects_eta_or_d_out_of_range(eta, d, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        greedy_dense_set(eta, d)
+
+
+def test_dense_set_with_retry_builds_one_packing(monkeypatch):
+    # one call, so bench/tracer.py's lower_bound.dense_set.attempts stays 1
+    calls = []
+
+    def counted(eta, d):
+        calls.append((eta, d))
+        return pts
+
+    pts = greedy_dense_set(0.5, 3)
+    monkeypatch.setattr(lower_bound, "greedy_dense_set", counted)
+    dense = dense_set_with_retry(0.5, 3)
+    assert calls == [(0.5, 3)]
+    assert dense.points is pts and dense.eta == 0.5
+
+
+def test_diameter_experiment_c_is_the_streams_first_draw(monkeypatch):
+    # the packing draws nothing, so c is the first draw of the run's stream
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def stop(gen, dense, sigma, c=None, n=None):
+        seen.append(c)
+        raise Stop
+
+    monkeypatch.setattr(lower_bound, "build_lb_instance", stop)
+    with pytest.raises(Stop):
+        diameter_experiment(RngStream(7007, 3), d=3, sigma=0.25)
+    assert np.array_equal(seen[0], uniform_sphere(RngStream(7007, 3), 3))
 
 
 def test_build_lb_instance_unperturbed():
