@@ -10,10 +10,12 @@ bound checkable run by run.
 """
 
 from shadowlp import RngStream
-from shadowlp.lower_bound import diameter_experiment
+from shadowlp.lower_bound import dense_set_with_retry, diameter_experiment
 
 print("small noise, moderate density (the bound bites):")
-rec = diameter_experiment(RngStream(77, 0), d=3, sigma=0.02, eta=0.1, pad=False)
+# the rows are the eta = 0.1 packing alone, with no padding rows
+dense = dense_set_with_retry(0.1, 3)
+rec = diameter_experiment(RngStream(77, 0), dense, sigma=0.02, n=len(dense))
 print(f"  rows {rec.n_rows} (packing {rec.n_dense}), vertices {rec.vertices}, "
       f"edges {rec.edges}")
 print(f"  measured R = {rec.radius:.4f}, gamma = {rec.gamma:.4f}")
@@ -25,7 +27,7 @@ print(f"  polar facet diameter {rec.gamma_origin:.4f} <= 8 sqrt(eta*) "
       f"with eta* = {rec.eta_star:.4f}: {rec.facet_bound_ok}")
 
 print("\nthe 4096-row scale (sigma = 0.25, n = floor((4/sigma)^3)):")
-rec = diameter_experiment(RngStream(77, 1), d=3, sigma=0.25)
+rec = diameter_experiment(RngStream(77, 1), dense_set_with_retry(0.25, 3), sigma=0.25)
 print(f"  rows {rec.n_rows}, vertices {rec.vertices}, BFS distance {rec.bfs_hops}")
 print(f"  measured R = {rec.radius:.3f}, gamma = {rec.gamma:.3f}, "
       f"path bound {rec.path_bound:.3f} (holds: {rec.bound_holds})")

@@ -31,7 +31,8 @@ from .analysis import (
     segment_cone_trial,
 )
 from .errors import ConfigError, ShadowLpError
-from .lower_bound import DiameterRecord, default_row_count, diameter_experiment
+from .lower_bound import (DiameterRecord, default_row_count, dense_set_with_retry,
+                          diameter_experiment)
 from .rng import RngStream, gaussian_vector, smoothed_instance, uniform_sphere
 from .solver import Optimal, SolveStats, solve
 
@@ -371,20 +372,22 @@ def cone_run(cfg: dict[str, Any]):
 
 
 def lowerbound_run(cfg: dict[str, Any]):
+    """Run the diameter study on one shared packing; returns (rows, summary)."""
     if cfg["d"] < 3 or cfg["sigma"] < 0 or cfg["runs"] <= 0 or cfg["n"] < 0:
         raise ConfigError("need d >= 3, sigma >= 0, runs > 0, n >= 0")
-    rows = cfg["n"]
-    if rows == 0 and cfg["pad"] and cfg["sigma"] > 0:  # floor((4/sigma)^d)
+    n = cfg["n"]
+    if n == 0 and cfg["pad"] and cfg["sigma"] > 0:  # floor((4/sigma)^d)
         try:
-            rows = default_row_count(cfg["sigma"], cfg["d"])
+            n = default_row_count(cfg["sigma"], cfg["d"])
         except OverflowError:  # the power is past the largest float
-            rows = math.inf
-    if rows > LOWERBOUND_MAX_ROWS:
-        raise ConfigError(f"{rows} rows exceed the row bound {LOWERBOUND_MAX_ROWS} "
+            n = math.inf
+    if n > LOWERBOUND_MAX_ROWS:
+        raise ConfigError(f"{n} rows exceed the row bound {LOWERBOUND_MAX_ROWS} "
                           "(n = 0 with pad takes floor((4/sigma)^d))")
     eta = cfg["eta"] if cfg["eta"] > 0 else cfg["sigma"]
     if not 0.0 < eta <= 2.0:
         raise ConfigError(f"eta must be in (0, 2], got {eta} (eta = 0 takes sigma)")
+    dense = None
     rows = []
     for k in range(cfg["runs"]):
         stream = cfg["stream_base"] + k
@@ -393,13 +396,10 @@ def lowerbound_run(cfg: dict[str, Any]):
             "run": k, "seed": cfg["seed"], "stream": stream,
         }
         try:
-            rec = diameter_experiment(
-                RngStream(cfg["seed"], stream),
-                d=cfg["d"], sigma=cfg["sigma"],
-                eta=eta,
-                n=cfg["n"] if cfg["n"] > 0 else None,
-                pad=cfg["pad"],
-            )
+            if dense is None:
+                dense = dense_set_with_retry(eta, cfg["d"])
+            rec = diameter_experiment(RngStream(cfg["seed"], stream), dense,
+                                      cfg["sigma"], n=n or len(dense))
             row.update(asdict(rec))
         except ShadowLpError as exc:
             row.update(dict.fromkeys(LOWERBOUND_COLUMNS[len(row):], ""),

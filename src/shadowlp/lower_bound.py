@@ -198,9 +198,11 @@ def _uncovered(eta: float, centre: np.ndarray, r: float, why: str) -> UncoveredC
 
 
 def dense_set_with_retry(eta: float, d: int) -> DenseSet:
-    """greedy_dense_set's packing, proven eta-dense.  The name is the one
-    bench/tracer.py wraps."""
-    return DenseSet(eta=float(eta), points=greedy_dense_set(eta, d))
+    """greedy_dense_set's packing, proven eta-dense and read-only, since a
+    study's runs share it.  The name is the one bench/tracer.py wraps."""
+    points = greedy_dense_set(eta, d)
+    points.flags.writeable = False
+    return DenseSet(eta=float(eta), points=points)
 
 
 def default_row_count(sigma: float, d: int) -> int:
@@ -316,10 +318,11 @@ def _max_facet_diameter(inst_like, graph: VertexGraph) -> float:
     return _facet_diameter(inst_like, graph.bases)
 
 
-def diameter_experiment(rng, d: int, sigma: float, eta: Optional[float] = None,
-                        n: Optional[int] = None, pad: bool = True) -> DiameterRecord:
-    """Build a near-ball instance and verify the measured diameter chain.
+def diameter_experiment(rng, dense: DenseSet, sigma: float,
+                        n: Optional[int] = None) -> DiameterRecord:
+    """Lay a near-ball instance on `dense` and verify its diameter chain.
 
+    The packing gives d and eta, and n defaults as in build_lb_instance.
     Draws a uniform objective c on the sphere, discovers the full 1-skeleton
     by pivoting from the c-optimal vertex, recenters the inequality
     description at the vertex centroid (so the polar is defined even when a
@@ -329,14 +332,8 @@ def diameter_experiment(rng, d: int, sigma: float, eta: Optional[float] = None,
     implication that holds run by run.
     """
     gen = as_generator(rng)
-    if eta is None:
-        if sigma <= 0:
-            raise ValueError("eta must be given when sigma = 0")
-        eta = sigma
-    dense = dense_set_with_retry(eta, d)
+    d, eta = dense.points.shape[1], dense.eta
     c = uniform_sphere(gen, d)
-    if n is None and not pad:
-        n = len(dense)
     inst = build_lb_instance(gen, dense, sigma, c=c, n=n)
     rec = DiameterRecord(
         d=d, sigma=sigma, eta=eta, n_rows=inst.n, n_dense=len(dense), outcome="pending",

@@ -248,7 +248,7 @@ def run_shadow_path(
     Returns the recorded path plus Finished(basis optimal for y2) or
     UnboundedRay.  Raises PivotLimitExceeded past PIVOT_LIMIT pivots,
     CycleDetected if a basis repeats, and NumericalStall when two
-    consecutive pivots fail to advance lambda by at least 1e-12.
+    consecutive pivots fail to advance lambda by 1e-12 at a basis not optimal for y2.
 
     `stop(path, leaving, res)`, when given, sees every blocked edge before
     the engine pivots along it: the edge leaves path.bases[-1] by relaxing
@@ -278,6 +278,8 @@ def run_shadow_path(
         if lam_new <= lam + 1e-12:
             stalls += 1
             if stalls >= 2:
+                if multipliers(basis, y2).min() >= -TOL_OPT * max(1.0, np.linalg.norm(y2)):
+                    return path, Finished(basis)
                 raise NumericalStall(
                     f"lambda stuck at {lam:.17g} for two pivots (basis {basis.indices})"
                 )

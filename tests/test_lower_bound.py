@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from shadowlp import LPInstance, RngStream
 from shadowlp.errors import NonpositiveRhs, UncoveredCell
 from shadowlp.experiments import LOWERBOUND_SCHEMA, lowerbound_run, parse_config
-from shadowlp import lower_bound
+from shadowlp import experiments, lower_bound
 from shadowlp.lower_bound import (
     _max_cos,
     build_lb_instance,
@@ -304,6 +304,53 @@ def test_criterion_7_runs_share_one_packing():
     assert [r["n_dense"] for r in rows] == [len(first)] * 5
 
 
+def _count_packings(monkeypatch):
+    """Wrap dense_set_with_retry in every module that binds it, as
+    bench/tracer.py does; returns the list its calls append to."""
+    calls = []
+    build = lower_bound.dense_set_with_retry
+
+    def counted(eta, d):
+        calls.append((eta, d))
+        return build(eta, d)
+
+    for module in (lower_bound, experiments):
+        if getattr(module, "dense_set_with_retry", None) is build:
+            monkeypatch.setattr(module, "dense_set_with_retry", counted)
+    return calls
+
+
+def test_lowerbound_study_builds_one_packing(monkeypatch):
+    calls = _count_packings(monkeypatch)
+    rows, summary = lowerbound_run(parse_config(
+        "experiment = lowerbound\nd = 3\nsigma = 0.02\neta = 0.4\nruns = 3\npad = false\n",
+        LOWERBOUND_SCHEMA,
+    ))
+    assert calls == [(0.4, 3)]
+    assert summary["runs_ok"] == 3
+
+
+def test_lowerbound_study_records_uncovered_cell_rows(monkeypatch):
+    # a packing that raises gives its run an error row, and the next run
+    # builds it again
+    monkeypatch.setattr(lower_bound, "_MAX_OPEN", 100)
+    calls = _count_packings(monkeypatch)
+    rows, summary = lowerbound_run(parse_config(
+        "experiment = lowerbound\nd = 3\nsigma = 0.25\nruns = 2\n", LOWERBOUND_SCHEMA,
+    ))
+    assert calls == [(0.25, 3)] * 2
+    for row in rows:
+        assert (row["outcome"], row["d"], row["eta"], row["n_rows"]) == ("error", 3, 0.25, "")
+        assert row["error"].startswith("UncoveredCell: eta=0.25: the cell centred at (")
+    assert summary["runs_ok"] == 0 and summary["bound_holds_all"] is False
+
+
+def test_shared_packing_is_read_only():
+    points = dense_set_with_retry(0.5, 3).points
+    with pytest.raises(ValueError, match="read-only"):
+        points[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("eta,d", [(0.0, 3), (-0.1, 3), (2.5, 3), (0.5, 1)])
 def test_dense_set_rejects_eta_or_d_out_of_range(eta, d):
     with pytest.raises(ValueError, match="eta must be in|d must be"):
@@ -349,7 +396,7 @@ def test_diameter_experiment_c_is_the_streams_first_draw(monkeypatch):
 
     monkeypatch.setattr(lower_bound, "build_lb_instance", stop)
     with pytest.raises(Stop):
-        diameter_experiment(RngStream(7007, 3), d=3, sigma=0.25)
+        diameter_experiment(RngStream(7007, 3), dense_set_with_retry(0.25, 3), 0.25)
     assert np.array_equal(seen[0], uniform_sphere(RngStream(7007, 3), 3))
 
 
@@ -443,7 +490,7 @@ def _criterion_7_facet_calls(monkeypatch, stream):
         return calls[-1][2]
 
     monkeypatch.setattr(lower_bound, "_max_facet_diameter", record)
-    diameter_experiment(RngStream(7007, stream), d=3, sigma=0.25)
+    diameter_experiment(RngStream(7007, stream), dense_set_with_retry(0.25, 3), 0.25)
     return calls
 
 
@@ -484,9 +531,10 @@ def test_rel_diam_bound_formula():
 
 
 def test_diameter_experiment_small_sigma_chain():
-    rec = diameter_experiment(
-        RngStream(74, 0), d=3, sigma=0.02, eta=0.12, pad=False
-    )
+    dense = dense_set_with_retry(0.12, 3)
+    rec = diameter_experiment(RngStream(74, 0), dense, sigma=0.02, n=len(dense))
+    # d and eta are the packing's
+    assert (rec.d, rec.eta, rec.n_rows, rec.n_dense) == (3, 0.12, len(dense), len(dense))
     assert rec.outcome == "optimal"
     assert rec.event_holds  # measured perturbations stay below 1/8
     assert rec.sandwich_inner_ok and rec.sandwich_outer_ok

@@ -318,6 +318,22 @@ def test_solve_agrees_with_highs_under_row_scaling(k):
         assert abs(si.c @ out.x + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), s
 
 
+def test_solve_ends_a_stalled_walk_at_an_optimal_basis():
+    # c is a ball instance's row tightest at the optimum plus 1e-12 noise, so
+    # the whole facet is optimal to within rounding: phase 3's lambda sticks
+    # just below 1 at a basis already optimal for c.  Before the stall check
+    # tested optimality, every d=6, n=200 seed raised NumericalStall there
+    for s in range(4):
+        si = scaling_instance(RngStream(500 + s, 0).generator(), 6, 200, 0.05, "ball")
+        ref = linprog(-si.c, A_ub=si.A, b_ub=si.b, bounds=[(None, None)] * 6, method="highs")
+        tight = int(np.argmax(si.A @ ref.x - si.b))
+        c = si.A[tight] + 1e-12 * RngStream(600 + s, 0).generator().standard_normal(6)
+        ref = linprog(-c, A_ub=si.A, b_ub=si.b, bounds=[(None, None)] * 6, method="highs")
+        out, _, _ = solve(RngStream(s, 1), LPInstance(si.A, si.b, c))
+        assert isinstance(out, Optimal), s
+        assert abs(c @ out.x + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), s
+
+
 @pytest.mark.parametrize("k", [1e200, 1e300, 1e-200, 1e-310])
 def test_solve_cube_at_extreme_row_scales(k):
     # the squared row norms overflow to inf or underflow to 0 at these
