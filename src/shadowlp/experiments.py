@@ -387,7 +387,12 @@ def lowerbound_run(cfg: dict[str, Any]):
     eta = cfg["eta"] if cfg["eta"] > 0 else cfg["sigma"]
     if not 0.0 < eta <= 2.0:
         raise ConfigError(f"eta must be in (0, 2], got {eta} (eta = 0 takes sigma)")
-    dense = None
+    # the packing depends on (eta, d) alone: the runs share one build, and a
+    # build that raised gives every run its error row
+    try:
+        dense = dense_set_with_retry(eta, cfg["d"])
+    except ShadowLpError as exc:
+        dense = exc
     rows = []
     for k in range(cfg["runs"]):
         stream = cfg["stream_base"] + k
@@ -396,8 +401,8 @@ def lowerbound_run(cfg: dict[str, Any]):
             "run": k, "seed": cfg["seed"], "stream": stream,
         }
         try:
-            if dense is None:
-                dense = dense_set_with_retry(eta, cfg["d"])
+            if isinstance(dense, ShadowLpError):
+                raise dense
             rec = diameter_experiment(RngStream(cfg["seed"], stream), dense,
                                       cfg["sigma"], n=n or len(dense))
             row.update(asdict(rec))

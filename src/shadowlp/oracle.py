@@ -19,11 +19,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateShadow, TooLarge, Unreachable
-from .simplex import Basis, make_basis, ratio_test
+from .simplex import TOL_DIR, Basis, make_basis, ratio_test
 from .solver import Infeasible, Optimal, Unbounded
 
 ENUM_GUARD = 10**7
 VERTEX_GUARD = 10**6
+# discovery counts a vertex degenerate when a row outside its basis has at
+# most this slack there
+_DEGENERATE_SLACK = 1e-9
 
 _CHUNK = 65536
 
@@ -275,7 +278,23 @@ def discover_vertex_graph(A: np.ndarray, b: np.ndarray, start_indices) -> Vertex
     """Explore the 1-skeleton by pivoting outward from one feasible basis.
 
     Used where enumeration is hopeless (the lower-bound instances); raises
-    TooLarge past VERTEX_GUARD vertices.
+    TooLarge past VERTEX_GUARD vertices.  Bases are numbered in the order
+    the breadth-first walk first meets them.
+
+    A popped basis computes its slack b - A x once and hands it to its
+    ratio tests, and each bounded edge is tested from one end only.  Say
+    basis i reaches basis j by relaxing row L and entering row E, with w
+    the test's direction.  j's test that relaxes E walks the same line back
+    from x_j; row L's rate there is 1/(a_E w), and its step ends at x_i.
+    Any other row k that blocks that walk has a_k w > 0, so its slack falls
+    back towards its slack at x_i.  When i is non-degenerate, every row
+    outside i's basis has more than _DEGENERATE_SLACK there, so k blocks
+    beyond x_i: the test would enter L, find i and add the edge i-j that is
+    already recorded.  Discovery skips it when i is non-degenerate and
+    1/(a_E w) is below -2 TOL_DIR, so the graph (basis order, adjacency and
+    points) is the one that testing every edge from both ends gives.  At a
+    degenerate i the walk back can tie L with a row tight at x_i, and the
+    test runs.
     """
     A = np.asarray(A, float)
     b = np.asarray(b, float)
@@ -283,12 +302,18 @@ def discover_vertex_graph(A: np.ndarray, b: np.ndarray, start_indices) -> Vertex
     bases = [start]
     ids = {start.indices: 0}
     adjacency: list[set[int]] = [set()]
+    known: set[tuple[int, int]] = set()  # (basis, leaving row): found from the other end
     queue = deque([0])
     while queue:
         i = queue.popleft()
         basis = bases[i]
+        slack = b - A.dot(basis.x)
+        near = (slack <= _DEGENERATE_SLACK).nonzero()[0].tolist()
+        nondegenerate = set(near).issubset(basis.indices)
         for leaving in basis.indices:
-            res = ratio_test(A, b, basis, leaving)
+            if (i, leaving) in known:
+                continue
+            res = ratio_test(A, b, basis, leaving, slack)
             if res.entering is None:
                 continue  # unbounded edge; no neighbor on this side
             nb = tuple(sorted(set(basis.indices) - {leaving} | {res.entering}))
@@ -303,6 +328,10 @@ def discover_vertex_graph(A: np.ndarray, b: np.ndarray, start_indices) -> Vertex
                 queue.append(j)
             adjacency[i].add(j)
             adjacency[j].add(i)
+            # L's rate on the walk back from j, 1/rate, is below -2 TOL_DIR
+            rate = A[res.entering].dot(res.direction)
+            if nondegenerate and -0.5 / TOL_DIR < rate < 0.0:
+                known.add((j, res.entering))
     return VertexGraph(
         bases=[bs.indices for bs in bases],
         points=np.array([bs.x for bs in bases]),

@@ -155,17 +155,19 @@ def _unit_vectors(d: int) -> np.ndarray:
     return eye
 
 
-def _blocking_row(A, b, x, w, tight) -> tuple[float, Optional[int], float]:
+def _blocking_row(A, b, x, w, tight, slack=None) -> tuple[float, Optional[int], float]:
     """First row of A y <= b to block the ray x - s w, s >= 0.
 
     Row i blocks iff a_i^T w < -TOL_DIR, at step (b_i - a_i^T x) / (-a_i^T w);
-    rows in `tight` never block.  Returns (step, row, slack of row); ties go
-    to the smallest row, and (inf, None, nan) when nothing blocks.
+    rows in `tight` never block.  `slack`, when given, is b - A x computed
+    by the caller and is only read.  Returns (step, row, slack of row); ties
+    go to the smallest row, and (inf, None, nan) when nothing blocks.
     """
     # ndarray.dot reaches the same gemv as @ with less dispatch; on a
     # strided A it would copy the matrix first, hence contiguous engine data
     rates = A.dot(w)
-    slack = b - A.dot(x)
+    if slack is None:
+        slack = b - A.dot(x)
     rates.put(tight, 0.0)
     rows = (rates < -TOL_DIR).nonzero()[0]
     if rows.size == 0:
@@ -176,21 +178,24 @@ def _blocking_row(A, b, x, w, tight) -> tuple[float, Optional[int], float]:
     return float(steps[best]), row, float(slack[row])
 
 
-def ratio_test(A: np.ndarray, b: np.ndarray, basis: Basis, leaving: int) -> RatioResult:
+def ratio_test(A: np.ndarray, b: np.ndarray, basis: Basis, leaving: int,
+               slack: Optional[np.ndarray] = None) -> RatioResult:
     """Step length to the first constraint blocking the edge that relaxes `leaving`.
 
     The edge direction is -w with w = A_I^{-1} e_j (j = position of leaving in
     the basis); `_blocking_row` picks the entering row among the nonbasic
-    ones.  Returns step = inf and entering = None when nothing blocks (the
-    edge is an unbounded ray).
+    ones.  `slack` is b - A basis.x when the caller has it, as vertex
+    discovery does for the d tests at one vertex; the same bits are computed
+    here when it is absent.  Returns step = inf and entering = None when
+    nothing blocks (the edge is an unbounded ray).
     """
     pos = basis.indices.index(leaving)
     w = linalg.solve(basis.factorization, _unit_vectors(len(basis.indices))[pos])
-    step, entering, slack = _blocking_row(A, b, basis.x, w, basis.rows)
+    step, entering, row_slack = _blocking_row(A, b, basis.x, w, basis.rows, slack)
     if step < -1e-9:
         raise NegativeStep(
             f"step {step:.3e} for leaving row {leaving}; slack "
-            f"{slack:.3e} on row {entering}"
+            f"{row_slack:.3e} on row {entering}"
         )
     return RatioResult(max(step, 0.0), entering, w)
 

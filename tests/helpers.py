@@ -3,10 +3,12 @@
 The ball and mixed families are the package's and the benchmark's own
 definitions, imported so that the tests draw the same instances.
 `build_vertex_graph` and `validate_path` check the engine against
-enumeration and are used only here.
+enumeration, and `reference_discovery` checks vertex discovery against a
+walk that tests every edge from both ends; they are used only here.
 """
 
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from shadowlp import LPInstance, RngStream
 from shadowlp.experiments import scaling_instance
 from shadowlp.oracle import VertexGraph, enumerate_feasible_bases, region_bounded
 from shadowlp.rng import uniform_sphere
-from shadowlp.simplex import TOL_FEAS, multipliers
+from shadowlp.simplex import TOL_FEAS, make_basis, multipliers, ratio_test
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository root
 from bench.workloads import mixed_instance  # noqa: E402
@@ -161,6 +163,40 @@ def build_vertex_graph(bases):
                 if np.linalg.norm(bases[i].x - bases[j].x) > 1e-9:
                     adjacency[i].add(j)
                     adjacency[j].add(i)
+    return VertexGraph(
+        bases=[bs.indices for bs in bases],
+        points=np.array([bs.x for bs in bases]),
+        adjacency=adjacency,
+    )
+
+
+def reference_discovery(A, b, start_indices):
+    """Vertex discovery as a plain breadth-first walk: all d ratio tests at
+    every basis, each computing its own slack, and a basis numbered when it
+    is first met.  `oracle.discover_vertex_graph` must give the same bases in
+    the same order, the same adjacency and the same points."""
+    A = np.asarray(A, float)
+    b = np.asarray(b, float)
+    bases = [make_basis(A, b, start_indices)]
+    ids = {bases[0].indices: 0}
+    adjacency = [set()]
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        basis = bases[i]
+        for leaving in basis.indices:
+            res = ratio_test(A, b, basis, leaving)
+            if res.entering is None:
+                continue
+            nb = tuple(sorted(set(basis.indices) - {leaving} | {res.entering}))
+            j = ids.get(nb)
+            if j is None:
+                j = ids[nb] = len(bases)
+                bases.append(make_basis(A, b, nb))
+                adjacency.append(set())
+                queue.append(j)
+            adjacency[i].add(j)
+            adjacency[j].add(i)
     return VertexGraph(
         bases=[bs.indices for bs in bases],
         points=np.array([bs.x for bs in bases]),

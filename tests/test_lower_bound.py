@@ -331,14 +331,14 @@ def test_lowerbound_study_builds_one_packing(monkeypatch):
 
 
 def test_lowerbound_study_records_uncovered_cell_rows(monkeypatch):
-    # a packing that raises gives its run an error row, and the next run
-    # builds it again
+    # a packing that raises gives every run an error row, from one build:
+    # the packing depends on (eta, d) alone, so a second build raises again
     monkeypatch.setattr(lower_bound, "_MAX_OPEN", 100)
     calls = _count_packings(monkeypatch)
     rows, summary = lowerbound_run(parse_config(
         "experiment = lowerbound\nd = 3\nsigma = 0.25\nruns = 2\n", LOWERBOUND_SCHEMA,
     ))
-    assert calls == [(0.25, 3)] * 2
+    assert calls == [(0.25, 3)]
     for row in rows:
         assert (row["outcome"], row["d"], row["eta"], row["n_rows"]) == ("error", 3, 0.25, "")
         assert row["error"].startswith("UncoveredCell: eta=0.25: the cell centred at (")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from shadowlp import LPInstance, RngStream, oracle
+from shadowlp import LPInstance, RngStream, lower_bound, oracle
 from shadowlp.errors import DegenerateShadow, TooLarge, Unreachable
+from shadowlp.experiments import LOWERBOUND_SCHEMA, lowerbound_run, parse_config
 from shadowlp.oracle import (
     bfs_distance,
     convex_hull_2d,
@@ -23,6 +24,7 @@ from helpers import (
     build_vertex_graph,
     cube_instance,
     infeasible_instance,
+    reference_discovery,
     unbounded_in_c_instance,
 )
 
@@ -195,6 +197,69 @@ def test_discovery_stops_at_the_vertex_guard(monkeypatch):
     start = enumerate_feasible_bases(inst)[0].indices
     with pytest.raises(TooLarge, match="vertex guard 4 exceeded"):
         discover_vertex_graph(inst.A, inst.b, start)
+
+
+def _study_discoveries(monkeypatch, config):
+    """(A, b, start, graph) of every discover_vertex_graph call a lowerbound
+    study makes, in run order; every run must end optimal."""
+    calls = []
+    discover = oracle.discover_vertex_graph
+
+    def record(A, b, start):
+        calls.append((A, b, start, discover(A, b, start)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(lower_bound, "discover_vertex_graph", record)
+    rows, _ = lowerbound_run(parse_config("experiment = lowerbound\n" + config,
+                                          LOWERBOUND_SCHEMA))
+    assert len(calls) == len(rows) and all(r["outcome"] == "optimal" for r in rows)
+    return calls
+
+
+CRITERION_7 = "d = 3\nsigma = 0.25\nruns = 5\nseed = 7007\n"
+
+
+# the sigma = 0 studies lay the rows on the packing itself, and their
+# polytopes have degenerate vertices: there, skipping the walk back along an
+# edge would lose bases (810/804/804/806 of 818 at d=3, eta=0.15)
+@pytest.mark.parametrize("config", [
+    CRITERION_7,
+    "d = 3\nsigma = 0\neta = 0.15\nruns = 4\n",
+    "d = 4\nsigma = 0\neta = 0.5\nruns = 2\n",
+    "d = 3\nsigma = 0.02\neta = 0.12\nruns = 2\npad = false\n",
+], ids=["criterion-7", "d3-sigma0-eta0.15", "d4-sigma0-eta0.5", "d3-sigma0.02-unpadded"])
+def test_discovery_finds_the_graph_of_every_test_from_both_ends(monkeypatch, config):
+    for A, b, start, graph in _study_discoveries(monkeypatch, config):
+        ref = reference_discovery(A, b, start)
+        assert graph.bases == ref.bases
+        assert graph.adjacency == ref.adjacency
+        assert graph.points.tobytes() == ref.points.tobytes()
+
+
+def test_discovery_tests_each_edge_once_on_one_slack_per_vertex(monkeypatch):
+    tests = []
+    ratio = oracle.ratio_test
+
+    def counted(*args):
+        tests.append(args)
+        return ratio(*args)
+
+    monkeypatch.setattr(oracle, "ratio_test", counted)
+    calls = _study_discoveries(monkeypatch, CRITERION_7)
+    edges = []
+    for A, b, _, graph in calls:
+        mine = [args for args in tests if args[0] is A]
+        edges.append(len(mine))
+        assert len(mine) == graph.edge_count
+        # every test gets its vertex's slack b - A x, one array per vertex
+        slacks = {}
+        for _, _, basis, _, slack in mine:
+            assert slacks.setdefault(basis.indices, slack) is slack
+        for indices, slack in slacks.items():
+            x = graph.points[graph.bases.index(indices)]
+            assert slack.tobytes() == (b - A.dot(x)).tobytes()
+    # all d tests at every vertex made 48/102/108/114/72
+    assert edges == [24, 51, 54, 57, 36]
 
 
 def test_seeded_graph_degree_is_dimension():
