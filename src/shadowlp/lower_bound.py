@@ -37,6 +37,24 @@ point.  Splits stop at r = 1e-9, the scale of the margin, and a level holds
 at most 2^20 open cells; past either, UncoveredCell names eta and an open
 cell.
 
+Where more than 512 points take part, a product of the fill (a level's
+centres against the packing, a block of candidates against the points kept
+before it, the open cells against a level's new points) compares each
+centre only with the points that can reach it.  The centres are sorted
+along a Z-order curve into the aligned cubes of one side that tile
+[-1, 1]^d, so that each cube's centres are a run of that order; the side
+balances one test per cube and point against the products left.  Let m be
+a cube's centre and rho half its diagonal, so every centre c in it has
+|c - m| <= rho.  A kept point p with |p - m| > rho + eta + 1e-6 has, by the
+triangle inequality, |p - c| > eta + 1e-6 for every such c, so
+p.c < 1 - eta^2/2 - 1e-6 eta: below the greedy test's cut, and so below the
+cover test's, which lies above it.  Such a p can neither block a centre of
+the cube nor cover its cell, and leaving it out changes no decision.  The
+test reads p.m < (1 + m.m - (rho + eta + 1e-6)^2) / 2 for a unit p; the
+1e-6 margin is far above the rounding of that sum, of the inner products
+and of the cube a centre is sorted into.  At eta = 2 no point is left out.
+So the packings are the same bit for bit whichever points a product skips.
+
 At eta = 2 the first kept centre's antipode is also a cell centre, exactly
 eta from it, and the greedy test keeps it only when their inner product
 rounds to -1 or below.  Where it does, the two points cover every other
@@ -46,6 +64,7 @@ open-cell cap and UncoveredCell names eta = 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -70,9 +89,9 @@ class DenseSet:
         return len(self.points)
 
 
-# probes per matmul in _max_cos, and survivors per Gram block in _accept; keeps
-# the temporaries at (packing size) x 512 and 512 x 512
-_CHUNK = 512
+# survivors per Gram block in _accept: a block's Gram grows as its square, and
+# each block also costs a product against the rows kept before it
+_CHUNK = 384
 # the cover test's distance margin, the half-diagonal below which cells are
 # not split (there the margin outweighs r), the open cells a level may hold,
 # and the cells the fill builds at a time
@@ -80,36 +99,128 @@ _MARGIN = 1e-9
 _MIN_R = 1e-9
 _MAX_OPEN = 1 << 20
 _CELLS = 1 << 15
+# _max_cos: the packing size up to which every probe meets every point, the
+# inner products per matmul there, the reach test's distance margin, and the
+# cost of a cube's Python step in _near_max_cos, in inner products
+_ROWS = 512
+_PAIRS = 1 << 18
+_REACH_MARGIN = 1e-6
+_CUBE = 10_000
 
 
-def _max_cos(points: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """For each probe, its largest inner product with a row of `points`.
+def _max_cos(points: np.ndarray, probes: np.ndarray, cut: float) -> np.ndarray:
+    """For each probe, its largest inner product with a row of `points`
+    where that exceeds `cut`, and a value at most `cut` elsewhere (-inf
+    where no row is compared with it).
 
     For unit vectors ||x - s||^2 = 2 - 2 x.s, so this is the nearest-point
-    test; -inf where `points` is empty.
+    test at distance sqrt(2 - 2 cut).  Past _ROWS rows a probe meets only
+    the rows near it (_near_max_cos).
     """
+    if len(points) > _ROWS:
+        return _near_max_cos(points, probes, cut)
+    return _every_max_cos(points, probes)
+
+
+def _every_max_cos(points: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Each probe's largest inner product with every row of `points`, in
+    matmuls of _PAIRS // len(points) probes; -inf where `points` is empty."""
     if not len(points):
         return np.full(len(probes), -np.inf)
-    if len(probes) <= _CHUNK:  # the one chunk is probes itself
+    step = max(1, _PAIRS // len(points))
+    if len(probes) <= step:
         return (points @ probes.T).max(axis=0)
     out = np.empty(len(probes))
-    for lo in range(0, len(probes), _CHUNK):
-        out[lo:lo + _CHUNK] = (points @ probes[lo:lo + _CHUNK].T).max(axis=0)
+    for lo in range(0, len(probes), step):
+        out[lo:lo + step] = (points @ probes[lo:lo + step].T).max(axis=0)
     return out
+
+
+def _near_max_cos(points: np.ndarray, probes: np.ndarray, cut: float) -> np.ndarray:
+    """_max_cos with the probes sorted into small cubes, where the probes of
+    a cube meet only the unit rows that can reach one of them (module
+    docstring)."""
+    chord = math.sqrt(2.0 - 2.0 * cut)
+    order, start, centre, radius = _cubes(probes, len(points), chord)
+    reach = radius + chord + _REACH_MARGIN
+    # ||p - m||^2 = 1 + m.m - 2 p.m > reach^2 rules the row p out
+    floor = (1.0 + np.add.reduce(centre * centre, axis=1) - reach * reach) / 2.0
+    near = centre @ points.T >= floor[:, None]
+    end = np.append(start[1:], len(probes))
+    out = np.full(len(probes), -np.inf)
+    for j in np.flatnonzero(near.any(axis=1)).tolist():
+        run = order[start[j]:end[j]]
+        out[run] = _every_max_cos(points[near[j]], probes[run])
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _spread(d: int, bits: int) -> np.ndarray:
+    """Read-only table of v -> v's low `bits` bits spread d places apart."""
+    v = np.arange(1 << bits)
+    out = np.zeros(1 << bits, dtype=np.int64)
+    for b in range(bits):
+        out |= ((v >> b) & 1) << (b * d)
+    out.flags.writeable = False
+    return out
+
+
+def _cubes(probes: np.ndarray, rows: int,
+           chord: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The probes sorted into the aligned cubes of one side that tile
+    [-1, 1]^d.
+
+    Returns `order`, which lists the probes along a Z-order curve, so that
+    the probes of a cube are a run of it; `start`, where the run of each
+    cube that holds a probe begins; `centre`, those cubes' centres; and
+    `radius`, half their diagonal.  The side is the power of two that
+    minimizes the estimated work of _near_max_cos with `rows` rows at
+    distance `chord`: a reach test and a Python step per cube, and for each
+    probe the rows in a cap of chordal radius radius + chord, about a share
+    ((radius + chord) / 2)^(d-1) of the sphere.
+    """
+    d = probes.shape[1]
+    bits = min(8, 63 // d)
+    scale = 1 << (bits - 1)
+    q = ((probes + 1.0) * scale).astype(np.intp)
+    np.clip(q, 0, 2 * scale - 1, out=q)
+    spread = _spread(d, bits)
+    code = spread[q[:, 0]]
+    for c in range(1, d):
+        code |= spread[q[:, c]] << c
+    order = np.argsort(code)
+    code = code[order]
+    # a cube of side 2^t bins begins where a code differs from the one
+    # before it in bit t of some axis or higher
+    top = (np.frexp((code[1:] ^ code[:-1]).astype(float))[1] - 1) // d
+
+    def work(t: int) -> float:
+        cap = min(1.0, ((1 << t) / scale * math.sqrt(d) / 2.0 + chord) / 2.0)
+        cubes = 1 + np.count_nonzero(top >= t)
+        return (rows + _CUBE) * cubes + rows * len(probes) * cap ** (d - 1)
+
+    t = min(range(bits + 1), key=work)
+    start = np.concatenate(([0], np.flatnonzero(top >= t) + 1))
+    corner = (q[order[start]] >> t) << t
+    centre = (corner + (1 << t) / 2.0) / scale - 1.0
+    return order, start, centre, (1 << t) / scale * math.sqrt(d) / 2.0
 
 
 def _greedy_block(cand: np.ndarray, cos_cut: float) -> np.ndarray:
     """Mask of the rows a sequential greedy keeps: each row closer than the
     cut to an earlier kept row is dropped, in row order."""
-    # a gemm on a transposed copy; cand @ cand.T would take the slower syrk
-    close = cand @ np.ascontiguousarray(cand.T) > cos_cut
     keep = np.zeros(len(cand), dtype=bool)
+    if not len(cand):
+        return keep
+    # a gemm on a transposed copy; cand @ cand.T would take the slower syrk
+    far = cand @ np.ascontiguousarray(cand.T) <= cos_cut
     free = np.ones(len(cand), dtype=bool)
-    while free.any():
-        i = int(free.argmax())
+    i = 0
+    while free[i]:
         keep[i] = True
-        free &= ~close[i]
+        free &= far[i]
         free[i] = False
+        i = free.argmax()
     return keep
 
 
@@ -118,18 +229,33 @@ def _accept(cand: np.ndarray, best: np.ndarray, cos_cut: float) -> np.ndarray:
     row order.
 
     `best` holds each row's largest inner product with the packing kept
-    before `cand`; a row is kept when that and its inner products with the
-    rows of `cand` kept before it are at most cos_cut.  The survivors of
-    `best` are decided 512 at a time: a matmul against the rows kept in
-    earlier blocks, then a sequential greedy on the block's closeness mask.
+    before `cand`, or a value at most cos_cut where that is; a row is kept
+    when that and its inner products with the rows of `cand` kept before it
+    are at most cos_cut.  The survivors of `best` are decided _CHUNK at a
+    time: a product against the rows kept in earlier blocks, then a
+    sequential greedy on the block's closeness mask.
     """
     survivors = np.flatnonzero(best <= cos_cut)
     taken = np.zeros(len(cand), dtype=bool)
     for lo in range(0, len(survivors), _CHUNK):
         block = survivors[lo:lo + _CHUNK]
-        block = block[_max_cos(cand[taken], cand[block]) <= cos_cut]
+        if lo:
+            block = block[_max_cos(cand[taken], cand[block], cos_cut) <= cos_cut]
         taken[block[_greedy_block(cand[block], cos_cut)]] = True
     return np.flatnonzero(taken)
+
+
+@functools.lru_cache(maxsize=4)
+def _offsets(d: int, k: int) -> np.ndarray:
+    """Read-only (d, k^(d-1), d) table: row j of slice a is child j's
+    offset from its parent's centre, in half sides, for a cell of face axis
+    a (np.indices order over the other axes, taken cyclically from a + 1)."""
+    step = np.indices((k,) * (d - 1)).reshape(d - 1, -1).T
+    table = np.zeros((d, k ** (d - 1), d))
+    for a in range(d):
+        table[a][:, (a + np.arange(1, d)) % d] = 2.0 * step + 1.0 - k
+    table.flags.writeable = False
+    return table
 
 
 def _split(cube: np.ndarray, axis: np.ndarray, half: float, k: int,
@@ -139,13 +265,12 @@ def _split(cube: np.ndarray, axis: np.ndarray, half: float, k: int,
     face axes.  Cell i's children are numbered i k^(d-1) on, in np.indices
     order over the face's other axes, taken cyclically from axis + 1."""
     d = cube.shape[1]
-    parent, j = np.divmod(np.arange(lo, hi), k ** (d - 1))
-    out = cube[parent]
-    ax = axis[parent]
-    step = np.array(np.unravel_index(j, (k,) * (d - 1)), dtype=float).T
-    cols = (ax[:, None] + np.arange(1, d)) % d
-    out[np.arange(len(out))[:, None], cols] += (2.0 * step + 1.0 - k) * half
-    return out, ax
+    per = k ** (d - 1)
+    # every child of the parents that cells lo..hi-1 come from
+    first, skip = divmod(lo, per)
+    ax = axis[first:-(-hi // per)]
+    child = (cube[first:first + len(ax), None] + _offsets(d, k)[ax] * half).reshape(-1, d)
+    return child[skip:skip + hi - lo], np.repeat(ax, per)[skip:skip + hi - lo]
 
 
 def greedy_dense_set(eta: float, d: int) -> np.ndarray:
@@ -173,13 +298,13 @@ def greedy_dense_set(eta: float, d: int) -> np.ndarray:
         cells, axes, count = [], [], 0
         for lo in range(0, total, _CELLS):
             child, ax = _split(cube, axis, half, k, lo, min(lo + _CELLS, total))
-            unit = child / np.linalg.norm(child, axis=1, keepdims=True)
-            best = _max_cos(points, unit)
+            unit = child / np.sqrt(np.add.reduce(child * child, axis=1, keepdims=True))
+            best = _max_cos(points, unit, cos_cut)
             live = np.flatnonzero(best <= cover_cut)
             new = unit[live[_accept(unit[live], best[live], cos_cut)]]
             if len(new):
                 points = np.concatenate((points, new))
-                live = live[_max_cos(new, unit[live]) <= cover_cut]
+                live = live[_max_cos(new, unit[live], cos_cut) <= cover_cut]
             cells.append(child[live])
             axes.append(ax[live])
             count += len(live)

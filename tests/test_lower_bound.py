@@ -42,19 +42,80 @@ def test_eta_half_cardinality_bound():
 
 
 @pytest.mark.parametrize("probes", [512, 513, 1300])
-def test_max_cos_chunks_match_one_matmul(probes):
-    # 512 is the one-chunk path, 513 and 1300 end on a partial chunk; BLAS
-    # may round a chunk's products differently from the whole matmul's, so
-    # the chunks are held to the per-probe maximum within a few ulps
+def test_max_cos_chunks_match_one_matmul(probes, monkeypatch):
+    # 512 probes a matmul: 512 is the one-chunk path, 513 and 1300 end on a
+    # partial chunk; BLAS may round a chunk's products differently from the
+    # whole matmul's, so the chunks are held to the per-probe maximum within
+    # a few ulps
+    monkeypatch.setattr(lower_bound, "_PAIRS", 40 * 512)
     pts = uniform_sphere(RngStream(76, 0), 3, size=40)
     cand = uniform_sphere(RngStream(76, 1), 3, size=probes)
     ref = np.array([max(float(p @ c) for p in pts) for c in cand])
-    np.testing.assert_allclose(_max_cos(pts, cand), ref, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(_max_cos(pts, cand, -1.0), ref, rtol=0.0, atol=1e-15)
 
 
-def test_max_cos_of_an_empty_packing_is_minus_infinity():
+@pytest.mark.parametrize("rows", [0, 4000])
+def test_max_cos_of_an_empty_packing_is_minus_infinity(rows, monkeypatch):
+    monkeypatch.setattr(lower_bound, "_ROWS", rows)
     cand = uniform_sphere(RngStream(76, 2), 4, size=700)
-    assert np.array_equal(_max_cos(np.empty((0, 4)), cand), np.full(700, -np.inf))
+    assert np.array_equal(_max_cos(np.empty((0, 4)), cand, 0.5), np.full(700, -np.inf))
+
+
+# (seed, rows, probes, d, eta): rows within eta of 60-90% of the probes,
+# and eta = 2, where every row reaches every probe
+@pytest.mark.parametrize("seed,m,probes,d,eta", [
+    (77, 300, 5000, 2, 0.01),
+    (78, 60, 3000, 3, 0.25),
+    (79, 200, 4000, 4, 0.3),
+    (80, 100, 2000, 5, 0.6),
+    (81, 50, 700, 3, 2.0),
+])
+@pytest.mark.parametrize("cube_cost", [0, 10_000, 10**9])
+def test_near_max_cos_matches_every_row_above_the_cut(seed, m, probes, d, eta, cube_cost,
+                                                      monkeypatch):
+    # where a probe's largest inner product exceeds the cut, the row that
+    # attains it is one that can reach the probe, so the restricted value
+    # is that maximum; elsewhere it may be any value at most the cut.  A
+    # cube cost of 0 gives the finest cubes the estimate allows, 10^9 few
+    monkeypatch.setattr(lower_bound, "_CUBE", cube_cost)
+    pts = uniform_sphere(RngStream(seed, 0), d, size=m)
+    cand = uniform_sphere(RngStream(seed, 1), d, size=probes)
+    cut = 1.0 - eta * eta / 2.0
+    ref = (pts @ cand.T).max(axis=0)
+    got = lower_bound._near_max_cos(pts, cand, cut)
+    above = ref > cut
+    assert 0 < above.sum() and (eta == 2.0 or not above.all())
+    np.testing.assert_allclose(got[above], ref[above], rtol=0.0, atol=1e-15)
+    assert (got[~above] <= cut).all()
+
+
+@pytest.mark.parametrize("d,eta", [(2, 0.01), (3, 0.25), (4, 0.3)])
+def test_near_max_cos_leaves_rows_out(d, eta, monkeypatch):
+    # the finest cubes the estimate allows hold a few probes each, and most
+    # rows are too far from a cube to meet its probes
+    cubes = []
+    sort = lower_bound._cubes
+
+    def recorded(probes, rows, chord):
+        out = sort(probes, rows, chord)
+        cubes.append(out)
+        return out
+
+    monkeypatch.setattr(lower_bound, "_CUBE", 0)
+    monkeypatch.setattr(lower_bound, "_cubes", recorded)
+    pts = uniform_sphere(RngStream(82, 0), d, size=400)
+    cand = uniform_sphere(RngStream(82, 1), d, size=3000)
+    cut = 1.0 - eta * eta / 2.0
+    lower_bound._near_max_cos(pts, cand, cut)
+    order, start, centre, radius = cubes[0]
+    assert np.array_equal(np.sort(order), np.arange(3000)) and start[0] == 0
+    assert len(start) >= 30
+    # every probe lies in its cube
+    cube = np.repeat(np.arange(len(start)), np.diff(start, append=3000))
+    assert (np.linalg.norm(cand[order] - centre[cube], axis=1) <= radius + 1e-12).all()
+    reach = radius + eta + lower_bound._REACH_MARGIN
+    met = np.linalg.norm(centre[:, None] - pts[None], axis=2) <= reach
+    assert met.mean() < 0.5
 
 
 def _keep_one_at_a_time(cand, best, cos_cut):
@@ -68,7 +129,7 @@ def _keep_one_at_a_time(cand, best, cos_cut):
     return np.array(kept, dtype=np.intp)
 
 
-# (seed, rows, d, eta): a block of one row, a full 512-row block, and a block
+# (seed, rows, d, eta): a block of one row, a 512-row block, and a block
 # where most rows are dropped
 @pytest.mark.parametrize("seed,m,d,eta", [
     (1, 1, 3, 0.5),
@@ -83,10 +144,10 @@ def test_greedy_block_matches_one_at_a_time(seed, m, d, eta):
     assert np.array_equal(np.flatnonzero(keep), ref)
 
 
-# (seed, candidates, packing size, d, eta): survivors spanning one, two and
-# four 512-row blocks, with and without a packing kept before the batch
+# (seed, candidates, packing size, d, eta): survivors in one, four and
+# eight 384-row blocks, with and without a packing kept before the batch
 @pytest.mark.parametrize("seed,m,packed,d,eta", [
-    (4, 400, 0, 3, 0.3),
+    (4, 300, 0, 3, 0.3),
     (5, 1200, 0, 3, 0.1),
     (6, 4096, 60, 3, 0.15),
 ])
@@ -95,9 +156,18 @@ def test_accept_matches_one_at_a_time(seed, m, packed, d, eta):
     pts = uniform_sphere(RngStream(seed, 1), d, size=packed)
     pts = pts[_keep_one_at_a_time(pts, np.full(packed, -np.inf), cos_cut)]
     cand = uniform_sphere(RngStream(seed, 0), d, size=m)
-    best = _max_cos(pts, cand)
+    best = _max_cos(pts, cand, cos_cut)
     got = lower_bound._accept(cand, best, cos_cut)
     assert np.array_equal(got, _keep_one_at_a_time(cand, best, cos_cut))
+
+
+def test_greedy_block_and_accept_take_no_candidates():
+    none = np.empty((0, 3))
+    assert lower_bound._greedy_block(none, 0.5).shape == (0,)
+    assert lower_bound._accept(none, np.empty(0), 0.5).shape == (0,)
+    # candidates that the packing already rules out leave no survivors
+    cand = uniform_sphere(RngStream(7, 0), 3, size=5)
+    assert lower_bound._accept(cand, np.ones(5), 0.5).shape == (0,)
 
 
 # (d, k): children per parent k^(d-1) from 3 to 27
@@ -140,10 +210,11 @@ def _fill_one_at_a_time(eta, d):
     Each level lists every open cell's children, parent by parent, in
     itertools.product order over the face's other axes.  In that order a
     child's centre is kept when it lies at least eta from every point kept
-    before it.  After each run of _CELLS children, the children of the run
-    that no point kept so far covers are the next level's open cells.  The
-    centres are scaled to unit length by the fill's own array expression, so
-    that only the keep and cover decisions are checked here."""
+    before it.  After each batch of _CELLS children, the children of the
+    batch that no point kept so far covers are the next level's open cells.
+    The centres are scaled to unit length by the fill's own array
+    expression, so that only the keep and cover decisions are checked
+    here."""
     cos_cut = 1.0 - eta * eta / 2.0
     kept = np.empty((0, d))
 
@@ -166,19 +237,19 @@ def _fill_one_at_a_time(eta, d):
                 children.append((c, f))
         cells = []
         for lo in range(0, len(children), lower_bound._CELLS):
-            run = children[lo:lo + lower_bound._CELLS]
-            cube = np.array([c for c, _ in run])
+            batch = children[lo:lo + lower_bound._CELLS]
+            cube = np.array([c for c, _ in batch])
             units = cube / np.linalg.norm(cube, axis=1, keepdims=True)
             for u in units:
                 if best(u) <= cos_cut:
                     kept = np.vstack((kept, u))
-            cells += [cell for cell, u in zip(run, units) if best(u) <= cover_cut]
+            cells += [cell for cell, u in zip(batch, units) if best(u) <= cover_cut]
         k = 2
     return kept
 
 
 # (eta, d): packings of 9 to 227 points, refined over two to eight levels
-@pytest.mark.parametrize("eta,d", [
+_FILLS = [
     (0.1, 2),
     (1.0, 3),
     (1.0, 4),
@@ -188,14 +259,26 @@ def _fill_one_at_a_time(eta, d):
     (0.8, 4),
     (0.3, 2),
     (0.25, 3),
-])
+]
+
+
+@pytest.mark.parametrize("eta,d", _FILLS)
 def test_greedy_dense_set_matches_one_at_a_time(eta, d):
     assert np.array_equal(greedy_dense_set(eta, d), _fill_one_at_a_time(eta, d))
 
 
-# with 50 cells a run, every first level spans two or more runs; a cell that
-# its own run leaves open is split even when a later run keeps a point that
-# covers it
+# every product of the fill, from the packing's first point on, compares
+# each cube of probes only with the points that can reach it, in the finest
+# cubes the estimate allows (cube cost 0) and in the fill's own; (0.4, 4)
+# adds a 230-point packing over eight levels
+@pytest.mark.parametrize("eta,d", _FILLS + [(0.4, 4)])
+@pytest.mark.parametrize("cube_cost", [0, 10_000])
+def test_restricted_fill_matches_one_at_a_time(eta, d, cube_cost, monkeypatch):
+    monkeypatch.setattr(lower_bound, "_ROWS", 0)
+    monkeypatch.setattr(lower_bound, "_CUBE", cube_cost)
+    assert np.array_equal(greedy_dense_set(eta, d), _fill_one_at_a_time(eta, d))
+
+
 @pytest.mark.parametrize("eta,d", [(0.1, 2), (0.25, 3), (0.8, 4)])
 def test_greedy_dense_set_runs_match_one_at_a_time(eta, d, monkeypatch):
     monkeypatch.setattr(lower_bound, "_CELLS", 50)
@@ -239,15 +322,15 @@ def test_certified_packing_is_separated_and_dense(seed, d, scale):
     np.fill_diagonal(dots, -1.0)
     assert dots.max() <= cos_cut + 1e-12
     probes = uniform_sphere(RngStream(seed, 1), d, size=20_000)
-    assert (_max_cos(pts, probes) > cos_cut).all()
+    assert (_max_cos(pts, probes, cos_cut) > cos_cut).all()
     finest = min(half for _, _, half in levels)
     for cube, axis, half in levels:
         r = half * math.sqrt(d - 1)
         unit = cube / np.linalg.norm(cube, axis=1, keepdims=True)
-        covered = _max_cos(pts, unit) > 1.0 - (eta - r - 1e-9) ** 2 / 2.0 + 1e-12
+        covered = _max_cos(pts, unit, cos_cut) > 1.0 - (eta - r - 1e-9) ** 2 / 2.0 + 1e-12
         assert covered.all() or half > finest
         corners = _cell_corners(cube[covered], axis[covered], half)
-        assert (_max_cos(pts, corners) > cos_cut).all()
+        assert (_max_cos(pts, corners, cos_cut) > cos_cut).all()
 
 
 def test_refinement_cap_names_eta_and_an_open_cell(monkeypatch):
@@ -268,11 +351,16 @@ def test_open_cell_cap_names_eta_and_an_open_cell(monkeypatch):
         dense_set_with_retry(0.25, 3)
 
 
+@pytest.mark.parametrize("rows", [None, 0])
 @pytest.mark.parametrize("d", [3, 4])
-def test_eta_two_keeps_the_antipode_or_leaves_it_open(d):
+def test_eta_two_keeps_the_antipode_or_leaves_it_open(d, rows, monkeypatch):
     # the first kept centre's antipode is a centre exactly eta = 2 away; the
     # greedy test keeps it when their inner product rounds to -1 or below,
-    # and otherwise the cells around it stay open until the open-cell cap
+    # and otherwise the cells around it stay open until the open-cell cap.
+    # At eta = 2 every row can reach every probe, also where the fill
+    # compares cubes of probes only with the rows near them (rows = 0)
+    if rows is not None:
+        monkeypatch.setattr(lower_bound, "_ROWS", rows)
     try:
         pts = dense_set_with_retry(2.0, d).points
     except UncoveredCell as exc:
@@ -290,6 +378,18 @@ def test_criterion_7_packing_is_pinned():
     assert len(dense) == 148
     assert (hashlib.sha256(dense.points.tobytes()).hexdigest()
             == "d6cb4424e759ae21878b2a53b63df3eeaac19766e31345fd210b975311dab051")
+
+
+# the same for two d = 4 packings; from its 513th point on, the 557-point
+# packing's products compare each cube of cells only with the points near it
+@pytest.mark.parametrize("eta,size,digest", [
+    (0.5, 115, "eff3f26b4e9c6785d20a8fea2d31a099ac8f8d7a24fcc59de297578b06980a28"),
+    (0.3, 557, "deed50730702cde0d80ceea513f06d4081e276bcc6f568d322474c3702b0c97f"),
+])
+def test_d4_packings_are_pinned(eta, size, digest):
+    points = greedy_dense_set(eta, 4)
+    assert len(points) == size
+    assert hashlib.sha256(points.tobytes()).hexdigest() == digest
 
 
 def test_criterion_7_runs_share_one_packing():
