@@ -60,6 +60,38 @@ eta from it, and the greedy test keeps it only when their inner product
 rounds to -1 or below.  Where it does, the two points cover every other
 cell; where it does not, the cells around the antipode stay open until the
 open-cell cap and UncoveredCell names eta = 2.
+
+Vertex discovery (_discover) walks only the rows that can touch the
+polytope P.  Let dist_i = b_i / ||a_i||, the distance of row i's hyperplane
+from the origin, S the rows with dist_i < r, and P_S, which contains P, the
+region of the rows in S.  A try walks P_S from the optimal basis, whose rows
+are tight at the optimum x* and so have dist_i <= ||x*|| (the try checks that
+they are in S), and stops at the first unbounded edge and at the first
+vertex of norm r - 2e-9 / min_i ||a_i|| - 1e-12 r or more.  At a vertex y
+below that norm, every row i outside S has slack
+b_i - a_i.y >= ||a_i|| (dist_i - ||y||) > 2e-9: twice discovery's
+degeneracy cut, far above the rounding of the slack.  A try that stops at
+neither thus meets only such vertices.  Along the edge from one of them to
+the next, the slack of a row outside S is affine and above 2e-9 at both
+ends, so the row blocks only beyond the next vertex and never wins a ratio
+test over every row; nor is it within the degeneracy cut at any vertex.
+The walk over S then makes every choice of the walk over every row, and
+gives the same bases, points and adjacency, its row numbers mapped back
+through S.  (P_S is then a polytope in the open ball of radius r, on which
+every row outside S holds strictly, so P_S = P.)  The one gap is rounding:
+a product over the rows of S may differ in the last bit from the same rows
+of a product over every row, so an exact tie could break another way; the
+tests compare the graphs with the full walk's.
+
+The first radius is the larger of 1.02 ||x*|| and the 160th-smallest
+distance.  A try that meets a vertex of norm v grows r to 1.02 max(r, v).
+An unbounded edge, a start row outside S, an S of half the rows or more, or
+a zero row (min_i ||a_i|| = 0) walks every row instead.  The factor is
+small because the vertices' norms spread with sigma: at d = 3 the largest
+is 1.001-1.007 times ||x*|| at sigma = 0.02, 1.02-1.05 times at 0.05 and
+1.08-1.27 times at 0.25, where the 160 rows decide.  A factor of 1.05 would
+keep 240,000-340,000 of the 8 million rows of a padded sigma = 0.02 run,
+and 1.02 keeps 15,000-25,000; at sigma = 0.05 both keep a few thousand.
 """
 
 from __future__ import annotations
@@ -73,7 +105,8 @@ import numpy as np
 
 from .errors import NonpositiveRhs, TooFewRows, UncoveredCell
 from .instance import LPInstance
-from .oracle import VertexGraph, bfs_distance, discover_vertex_graph
+from .oracle import (_DEGENERATE_SLACK, VertexGraph, _LeftBall, bfs_distance,
+                     discover_vertex_graph)
 from .rng import SmoothedInstance, as_generator, uniform_sphere
 from .solver import Optimal, solve
 
@@ -106,6 +139,11 @@ _ROWS = 512
 _PAIRS = 1 << 18
 _REACH_MARGIN = 1e-6
 _CUBE = 10_000
+# discovery's rows (module docstring): the first radius is _GROW times the
+# optimum's norm and at least the _FLOOR-th smallest row distance, and a try
+# that meets a vertex at the radius grows it to _GROW times that vertex's norm
+_GROW = 1.02
+_FLOOR = 160
 
 
 def _max_cos(points: np.ndarray, probes: np.ndarray, cut: float) -> np.ndarray:
@@ -372,15 +410,18 @@ class SandwichResult:
     outer_ok: Optional[bool]
 
 
-def sandwich_check(inst, eta: float, vertices: Optional[np.ndarray] = None) -> SandwichResult:
+def sandwich_check(inst, eta: float, vertices: Optional[np.ndarray] = None,
+                   dist: Optional[np.ndarray] = None) -> SandwichResult:
     """Check (1-2eta) B subset P subset (1+4eta) B directly.
 
     Inner containment holds iff every halfspace sits at distance >= 1-2eta
     from the origin; outer containment iff every vertex (caller-supplied,
-    typically from graph discovery) has norm <= 1+4eta.
+    typically from graph discovery) has norm <= 1+4eta.  `dist` is each
+    row's distance b_i / ||a_i|| when the caller has it.
     """
-    norms = np.linalg.norm(inst.A, axis=1)
-    inner_radius = float((inst.b / norms).min())
+    if dist is None:
+        dist = inst.b / np.linalg.norm(inst.A, axis=1)
+    inner_radius = float(dist.min())
     outer_radius = None
     outer_ok = None
     if vertices is not None and len(vertices):
@@ -443,13 +484,42 @@ def _max_facet_diameter(inst_like, graph: VertexGraph) -> float:
     return _facet_diameter(inst_like, graph.bases)
 
 
+def _discover(A: np.ndarray, b: np.ndarray, start, x: np.ndarray, norms: np.ndarray,
+              dist: np.ndarray) -> VertexGraph:
+    """discover_vertex_graph(A, b, start), walked from the optimum `x` on
+    the rows whose distance `dist` (b / `norms`) is below a radius grown
+    until a try is certified, or on every row (module docstring)."""
+    n = len(b)
+    low = float(norms.min())
+    rows_of_start = np.array(start, dtype=np.intp)
+    k = min(_FLOOR, n) - 1
+    r = max(_GROW * float(np.linalg.norm(x)), float(np.partition(dist, k)[k]))
+    while low > 0.0 and r < math.inf:
+        rows = np.flatnonzero(dist < r)
+        if 2 * len(rows) >= n or not (dist[rows_of_start] < r).all():
+            break
+        try:
+            # a row outside S keeps a slack above 2 _DEGENERATE_SLACK at a
+            # vertex of norm below the radius passed
+            graph = discover_vertex_graph(
+                A.take(rows, axis=0), b.take(rows), rows.searchsorted(rows_of_start),
+                radius=r - 2.0 * _DEGENERATE_SLACK / low - 1e-12 * r)
+        except _LeftBall as exc:  # exc.norm is inf for an unbounded edge
+            r = _GROW * max(r, exc.norm)
+            continue
+        bases = list(map(tuple, rows[np.array(graph.bases)].tolist()))
+        return VertexGraph(bases, graph.points, graph.adjacency)
+    return discover_vertex_graph(A, b, start)
+
+
 def diameter_experiment(rng, dense: DenseSet, sigma: float,
                         n: Optional[int] = None) -> DiameterRecord:
     """Lay a near-ball instance on `dense` and verify its diameter chain.
 
     The packing gives d and eta, and n defaults as in build_lb_instance.
     Draws a uniform objective c on the sphere, discovers the full 1-skeleton
-    by pivoting from the c-optimal vertex, recenters the inequality
+    by pivoting from the c-optimal vertex over the rows that can touch it
+    (module docstring), recenters the inequality
     description at the vertex centroid (so the polar is defined even when a
     perturbed b_i drops below zero), measures the enclosing radius R and the
     max polar facet diameter gamma, and checks that the BFS distance between
@@ -476,11 +546,13 @@ def diameter_experiment(rng, dense: DenseSet, sigma: float,
         return rec
     rec.outcome = "optimal"
 
-    graph = discover_vertex_graph(inst.A, inst.b, outcome.basis_indices)
+    norms = np.linalg.norm(inst.A, axis=1)
+    dist = inst.b / norms
+    graph = _discover(inst.A, inst.b, outcome.basis_indices, outcome.x, norms, dist)
     rec.vertices = len(graph)
     rec.edges = graph.edge_count
 
-    sandwich = sandwich_check(inst, rec.eta_event, vertices=graph.points)
+    sandwich = sandwich_check(inst, rec.eta_event, vertices=graph.points, dist=dist)
     rec.sandwich_inner_ok = sandwich.inner_ok
     rec.sandwich_outer_ok = sandwich.outer_ok
 

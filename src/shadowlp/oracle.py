@@ -10,6 +10,7 @@ enumeration for pivot-based vertex discovery.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -274,12 +275,34 @@ class VertexGraph:
         return sum(len(a) for a in self.adjacency) // 2
 
 
-def discover_vertex_graph(A: np.ndarray, b: np.ndarray, start_indices) -> VertexGraph:
+class _LeftBall(Exception):
+    """A discover_vertex_graph walk given a radius met a vertex of norm
+    `norm` at or past it, or an unbounded edge (`norm` inf)."""
+
+    def __init__(self, norm: float):
+        super().__init__(norm)
+        self.norm = norm
+
+
+def _inside(basis: Basis, radius: Optional[float]) -> Basis:
+    """`basis`, or _LeftBall where its vertex's norm is at least `radius`."""
+    if radius is not None:
+        norm = math.sqrt(basis.x.dot(basis.x))
+        if norm >= radius:
+            raise _LeftBall(norm)
+    return basis
+
+
+def discover_vertex_graph(A: np.ndarray, b: np.ndarray, start_indices,
+                          radius: Optional[float] = None) -> VertexGraph:
     """Explore the 1-skeleton by pivoting outward from one feasible basis.
 
     Used where enumeration is hopeless (the lower-bound instances); raises
     TooLarge past VERTEX_GUARD vertices.  Bases are numbered in the order
-    the breadth-first walk first meets them.
+    the breadth-first walk first meets them.  With a `radius`, the walk
+    stops with _LeftBall at the first vertex whose norm reaches it and at
+    the first unbounded edge; the lower-bound experiment walks a subset of
+    the rows this way (lower_bound module docstring).
 
     A popped basis computes its slack b - A x once and hands it to its
     ratio tests, and each bounded edge is tested from one end only.  Say
@@ -298,7 +321,7 @@ def discover_vertex_graph(A: np.ndarray, b: np.ndarray, start_indices) -> Vertex
     """
     A = np.asarray(A, float)
     b = np.asarray(b, float)
-    start = make_basis(A, b, start_indices)
+    start = _inside(make_basis(A, b, start_indices), radius)
     bases = [start]
     ids = {start.indices: 0}
     adjacency: list[set[int]] = [set()]
@@ -315,6 +338,8 @@ def discover_vertex_graph(A: np.ndarray, b: np.ndarray, start_indices) -> Vertex
                 continue
             res = ratio_test(A, b, basis, leaving, slack)
             if res.entering is None:
+                if radius is not None:
+                    raise _LeftBall(math.inf)
                 continue  # unbounded edge; no neighbor on this side
             nb = tuple(sorted(set(basis.indices) - {leaving} | {res.entering}))
             j = ids.get(nb)
@@ -323,7 +348,7 @@ def discover_vertex_graph(A: np.ndarray, b: np.ndarray, start_indices) -> Vertex
                     raise TooLarge(f"vertex guard {VERTEX_GUARD} exceeded")
                 j = len(bases)
                 ids[nb] = j
-                bases.append(make_basis(A, b, nb))
+                bases.append(_inside(make_basis(A, b, nb), radius))
                 adjacency.append(set())
                 queue.append(j)
             adjacency[i].add(j)

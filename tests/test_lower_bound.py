@@ -624,6 +624,114 @@ def test_max_facet_diameter_names_the_first_nonpositive_basis(monkeypatch):
     assert str(got.value) == str(ref.value) == "basis row with b = -5.000e-01"
 
 
+def _same_graph(graph, ref):
+    return (graph.bases == ref.bases and graph.adjacency == ref.adjacency
+            and graph.points.tobytes() == ref.points.tobytes())
+
+
+def _counted_walks(monkeypatch):
+    """Wrap lower_bound's discover_vertex_graph; returns the list of the row
+    counts of its walks, tries that stop included."""
+    walks = []
+    walk = lower_bound.discover_vertex_graph
+
+    def counted(A, *args, **radius):
+        walks.append(len(A))
+        return walk(A, *args, **radius)
+
+    monkeypatch.setattr(lower_bound, "discover_vertex_graph", counted)
+    return walks
+
+
+def _pruned_discoveries(monkeypatch, dense, sigma, seed, streams, n=None):
+    """(discovered graph, full walk, row count) of each optimal run's
+    discovery in diameter_experiment, and the row counts of the walks it
+    made."""
+    seen = []
+    pruned, walk = lower_bound._discover, lower_bound.discover_vertex_graph
+
+    def record(A, b, start, *args):
+        graph = pruned(A, b, start, *args)
+        seen.append((graph, walk(A, b, start), len(b)))
+        return graph
+
+    monkeypatch.setattr(lower_bound, "_discover", record)
+    walks = _counted_walks(monkeypatch)
+    for stream in streams:
+        diameter_experiment(RngStream(seed, stream), dense, sigma, n=n)
+    return seen, walks
+
+
+@pytest.mark.parametrize("d,sigma,eta,seed,streams,n,optimal", [
+    (3, 0.25, 0.25, 7007, range(5), None, 5),   # criterion 7
+    (4, 0.25, 0.25, 7007, [0], 65536, 1),
+    (3, 0.05, 0.05, 7007, [2], None, 1),       # padded, n = 512,000
+], ids=["criterion-7", "d4-n65536", "d3-sigma0.05-padded"])
+def test_pruned_discovery_matches_the_full_walk(monkeypatch, d, sigma, eta, seed, streams,
+                                                n, optimal):
+    seen, walks = _pruned_discoveries(monkeypatch, dense_set_with_retry(eta, d), sigma,
+                                      seed, streams, n)
+    assert len(seen) == optimal
+    for graph, full, _ in seen:
+        assert _same_graph(graph, full)
+    # one try each, on fewer than half the rows
+    assert len(walks) == optimal
+    assert all(2 * rows < total for rows, (_, _, total) in zip(walks, seen))
+
+
+def test_pruned_discovery_walks_every_row_of_a_lattice(monkeypatch):
+    # at sigma = 0 every row is at distance 1, below the first radius
+    seen, walks = _pruned_discoveries(monkeypatch, dense_set_with_retry(0.25, 3), 0.0, 0,
+                                      range(2))
+    assert len(seen) == 2
+    for graph, full, _ in seen:
+        assert _same_graph(graph, full)
+    assert walks == [148, 148]
+
+
+def test_pruned_discovery_grows_its_radius(monkeypatch):
+    # a first radius at the optimum's norm and growth by 0.1%: some runs need
+    # several tries, and each still gives the full walk's graph
+    monkeypatch.setattr(lower_bound, "_FLOOR", 1)
+    monkeypatch.setattr(lower_bound, "_GROW", 1.001)
+    seen, walks = _pruned_discoveries(monkeypatch, dense_set_with_retry(0.25, 3), 0.25,
+                                      7007, range(5))
+    assert len(seen) == 5
+    for graph, full, _ in seen:
+        assert _same_graph(graph, full)
+    assert len(walks) > 5 and max(walks) < 2048
+
+
+def test_pruned_discovery_falls_back_to_every_row(monkeypatch):
+    # the box -10 <= x_j <= 1 and 30 redundant rows at distances 50 to 79,
+    # from the vertex (1, 1, 1)
+    d = 3
+    gen = RngStream(77, 0).generator()
+    A = np.vstack([np.eye(d), -np.eye(d), uniform_sphere(gen, d, size=30)])
+    b = np.concatenate([np.ones(d), np.full(d, 10.0), 50.0 + np.arange(30)])
+    norms = np.linalg.norm(A, axis=1)
+    start, x = (0, 1, 2), np.ones(d)
+    full = discover_vertex_graph(A, b, start)
+    walks = _counted_walks(monkeypatch)
+
+    def walked(floor, dist):
+        walks.clear()
+        monkeypatch.setattr(lower_bound, "_FLOOR", floor)
+        assert _same_graph(lower_bound._discover(A, b, start, x, norms, dist), full)
+        return walks
+
+    # the 7th-smallest distance takes the first radius to 50: S is the box,
+    # in one try
+    assert walked(7, b / norms) == [6]
+    # a first radius at 1.02 sqrt(3) keeps only the rows x_j <= 1, whose
+    # region has unbounded edges
+    assert walked(1, b / norms) == [3, 36]
+    # a start row outside S: every row at once
+    dist = b / norms
+    dist[0] = 100.0
+    assert walked(1, dist) == [36]
+
+
 def test_rel_diam_bound_formula():
     # R = 1.4, gamma = 0.5, d = 3 -> (d-1)(2/(R gamma) - 2) ~ 1.714
     val = (3 - 1) * (2.0 / (1.4 * 0.5) - 2.0)

@@ -199,14 +199,31 @@ def test_discovery_stops_at_the_vertex_guard(monkeypatch):
         discover_vertex_graph(inst.A, inst.b, start)
 
 
+def test_discovery_within_a_radius_stops_where_the_walk_leaves_it():
+    # every vertex of the cube has norm sqrt(3)
+    inst = cube_instance()
+    start = enumerate_feasible_bases(inst)[0].indices
+    inside = discover_vertex_graph(inst.A, inst.b, start, radius=1.8)
+    whole = discover_vertex_graph(inst.A, inst.b, start)
+    assert inside.bases == whole.bases and inside.adjacency == whole.adjacency
+    assert inside.points.tobytes() == whole.points.tobytes()
+    with pytest.raises(oracle._LeftBall) as left:
+        discover_vertex_graph(inst.A, inst.b, start, radius=1.7)
+    assert left.value.norm == np.sqrt(3.0)
+    # without the row -x_1 <= 1 every vertex has an unbounded edge
+    with pytest.raises(oracle._LeftBall) as left:
+        discover_vertex_graph(np.delete(inst.A, 3, axis=0), np.ones(5), (0, 1, 2), radius=10.0)
+    assert left.value.norm == np.inf
+
+
 def _study_discoveries(monkeypatch, config):
     """(A, b, start, graph) of every discover_vertex_graph call a lowerbound
-    study makes, in run order; every run must end optimal."""
+    study makes that returns, in run order; every run must end optimal."""
     calls = []
     discover = oracle.discover_vertex_graph
 
-    def record(A, b, start):
-        calls.append((A, b, start, discover(A, b, start)))
+    def record(A, b, start, **radius):
+        calls.append((A, b, start, discover(A, b, start, **radius)))
         return calls[-1][3]
 
     monkeypatch.setattr(lower_bound, "discover_vertex_graph", record)
