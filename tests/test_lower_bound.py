@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -24,6 +26,7 @@ from shadowlp.lower_bound import (
 from shadowlp.oracle import discover_vertex_graph
 from shadowlp.rng import uniform_sphere
 from shadowlp.simplex import make_basis
+from shadowlp.solver import solve, verify_outcome
 
 
 def test_diameter_two_packing_on_circle():
@@ -730,6 +733,118 @@ def test_pruned_discovery_falls_back_to_every_row(monkeypatch):
     dist = b / norms
     dist[0] = 100.0
     assert walked(1, dist) == [36]
+
+
+def _counted_solves(monkeypatch):
+    """Wrap lower_bound's solve; returns the list of the row counts of its
+    solves, tries that are not taken included."""
+    tries = []
+    full = lower_bound.solve
+
+    def counted(gen, inst):
+        tries.append(inst.n)
+        return full(gen, inst)
+
+    monkeypatch.setattr(lower_bound, "solve", counted)
+    return tries
+
+
+def _restricted_solves(monkeypatch, dense, sigma, seed, streams, n=None):
+    """(outcome and stats, the same of solve on every row from a copy of the
+    generator, row counts of the solves made, row count) of each run's solve
+    in diameter_experiment."""
+    seen = []
+    restricted = lower_bound._solve
+    tries = _counted_solves(monkeypatch)
+
+    def record(gen, inst, *args):
+        twin, first = copy.deepcopy(gen), len(tries)
+        got = restricted(gen, inst, *args)
+        verify_outcome(inst, got[0])
+        seen.append((got, solve(twin, inst)[:2], tries[first:], inst.n))
+        return got
+
+    monkeypatch.setattr(lower_bound, "_solve", record)
+    for stream in streams:
+        diameter_experiment(RngStream(seed, stream), dense, sigma, n=n)
+    return seen
+
+
+def _same_outcome(out, ref):
+    if out.kind != ref.kind:
+        return False
+    return out.kind != "optimal" or (out.basis_indices == ref.basis_indices
+                                     and out.x.tobytes() == ref.x.tobytes())
+
+
+@pytest.mark.parametrize("d,sigma,eta,streams,n,kinds", [
+    (3, 0.25, 0.25, range(5), None, ["optimal"] * 5),   # criterion 7
+    (4, 0.25, 0.25, range(6), 65536, ["optimal", "infeasible", "infeasible", "optimal",
+                                      "infeasible", "optimal"]),
+    (3, 0.05, 0.05, [2], None, ["optimal"]),           # padded, n = 512,000
+], ids=["criterion-7", "d4-n65536", "d3-sigma0.05-padded"])
+def test_restricted_solve_matches_the_full_solve(monkeypatch, d, sigma, eta, streams, n,
+                                                 kinds):
+    seen = _restricted_solves(monkeypatch, dense_set_with_retry(eta, d), sigma, 7007,
+                              streams, n)
+    assert [ref.kind for _, (ref, _), _, _ in seen] == kinds
+    for (out, _), (ref, _), tries, rows in seen:
+        assert _same_outcome(out, ref)
+        # answered on fewer than half the rows
+        assert 2 * tries[-1] < rows
+
+
+def test_restricted_solve_of_a_lattice_solves_every_row(monkeypatch):
+    # at sigma = 0 every row is at distance 1 and the first radius keeps
+    # nearly all of them: one solve on every row, that of solve itself draw for draw
+    seen = _restricted_solves(monkeypatch, dense_set_with_retry(0.25, 3), 0.0, 0, range(2))
+    assert len(seen) == 2
+    for got, ref, tries, _ in seen:
+        assert tries == [148]
+        assert _same_outcome(got[0], ref[0]) and got[1] == ref[1]
+
+
+@pytest.mark.parametrize("case,solves", [("negative-radius", [4096]),
+                                         ("tied-objective", [159, 4096])])
+def test_restricted_solve_falls_back_to_every_row(monkeypatch, case, solves):
+    gen = RngStream(7007, 0).generator()
+    inst = build_lb_instance(gen, dense_set_with_retry(0.25, 3), 0.25,
+                             c=uniform_sphere(gen, 3))
+    if case == "negative-radius":
+        # criterion 7's polytope moved by (2, 0, 0): about a quarter of its
+        # rows have b_i < 0, so the first radius is negative and no try runs
+        inst = dataclasses.replace(inst, b=inst.b + inst.A @ np.array([2.0, 0.0, 0.0]))
+    norms = np.linalg.norm(inst.A, axis=1)
+    dist = inst.b / norms
+    if case == "tied-objective":
+        # c along the nearest row's normal: the optimum on 159 rows is one on
+        # every row, but with two zero multipliers no radius makes it the only one
+        t = int(np.argmin(dist))
+        inst = dataclasses.replace(inst, c=inst.A[t] / norms[t])
+    tries = _counted_solves(monkeypatch)
+    twin = copy.deepcopy(gen)
+    out, stats = lower_bound._solve(gen, inst, norms, dist)
+    ref, ref_stats, _ = solve(twin, inst)
+    assert tries == solves
+    # the solve on every row starts where the first try did
+    assert _same_outcome(out, ref) and out.kind == "optimal" and stats == ref_stats
+    assert gen.random() == twin.random()
+
+
+def test_restricted_solve_grows_its_radius(monkeypatch):
+    # a first radius at the 10th-smallest distance: the optimum on 9 rows
+    # is cut by another row in some runs, and a larger radius certifies it
+    monkeypatch.setattr(lower_bound, "_FLOOR", 10)
+    seen = _restricted_solves(monkeypatch, dense_set_with_retry(0.25, 3), 0.25, 7007,
+                              range(5))
+    assert len(seen) == 5
+    for (out, stats), (ref, ref_stats), tries, rows in seen:
+        assert _same_outcome(out, ref)
+        if tries[-1] == rows:  # after the tries, a solve on every row
+            assert stats == ref_stats
+    grown = [tries for _, _, tries, rows in seen if len(tries) > 1 and 2 * tries[-1] < rows]
+    assert grown and all(tries[0] == 9 and tries[-1] > 9 for tries in grown)
+    assert any(tries[-1] == rows for _, _, tries, rows in seen)
 
 
 def test_rel_diam_bound_formula():
