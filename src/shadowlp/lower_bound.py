@@ -93,30 +93,31 @@ is 1.001-1.007 times ||x*|| at sigma = 0.02, 1.02-1.05 times at 0.05 and
 keep 240,000-340,000 of the 8 million rows of a padded sigma = 0.02 run,
 and 1.02 keeps 15,000-25,000; at sigma = 0.05 both keep a few thousand.
 
-The LP solve (_solve) runs on such an S too, from r the 160th-smallest
-distance, with the run's sigma, since solve sizes its artificial noise by
-it.  As P is in P_S, an S-LP that is infeasible proves P empty, and its
-Farkas certificate, zero outside S, is one for P.  An S-LP optimum x_S at
-basis B counts only when
+The LP solve (_solve) runs on a row set S too, first the rows nearer the
+origin than the 160th-smallest distance, with the run's sigma, since solve
+sizes its artificial noise by it.  As P is in P_S, an S-LP that is
+infeasible proves P empty, and its Farkas certificate, zero outside S, is
+one for P.  An S-LP optimum x_S at basis B counts only when
   (1) every row outside B, over all n rows, has slack b_i - a_i.x_S above
       2e-9, twice discovery's degeneracy cut, and
   (2) every multiplier mu of c = A_B^T mu is above TOL_OPT max(1, ||c||).
 By (1) x_S lies in P.  By (2), c.y = mu.(A_B y) <= mu.b_B = c.x_S on P_S,
 with equality only where A_B y = b_B, that is at x_S: so x_S is P's only
 optimal vertex, and by (1) B, the only rows tight there, its only basis.
-A row that cuts x_S has b_i < a_i.x_S <= ||a_i|| ||x_S||, so its distance
-is below ||x_S||; a try that fails (1) grows r to 1.02 max(r, ||x_S||),
-which takes in every such row.  A try that meets (1) but not (2) has
-found an optimum of P that a larger S leaves as it is, with a multiplier
-too small to rule out a tie, so it solves every row instead, as do an
-unbounded S-LP, any ShadowLpError, r <= 0, a zero row and an S of half
-the rows or more.  That solve starts from the generator state the first
-try began at, and so draws what a solve on every row alone draws.  The
-answer keeps x's bits: solve gives x as make_basis's A_B^{-1} b_B, over
-the rows of B in sorted order, and S keeps the row order, so the S-LP's
+Neither condition asks more of S than that it hold B, so a try that fails
+(1) adds to S exactly the rows it names, those outside B with slack at
+most 2e-9 at x_S, and solves again, as Clarkson's constraint-sampling LP
+algorithm does.  A try that meets (1) but not (2) has found an optimum of
+P that a larger S leaves as it is, with a multiplier too small to rule out
+a tie, so it solves every row instead, as do a try that adds no row, an
+unbounded S-LP, any ShadowLpError and an S of half the rows or more.  That
+solve starts from the generator state the first try began at, and so draws
+what a solve on every row alone draws.  The answer keeps x's bits: solve
+gives x as make_basis's A_B^{-1} b_B, over the rows of B in sorted order,
+and S keeps the row order (the rows added are merged in), so the S-LP's
 basis gathers to the same d x d matrix and right-hand side as B does from
-every row (the power-of-two rescale that solve may apply to either row
-set scales that system exactly).  As for discovery, the tests compare the
+every row (the power-of-two rescale that solve may apply to either row set
+scales that system exactly).  As for discovery, the tests compare the
 answers with a solve on every row.
 """
 
@@ -166,10 +167,10 @@ _ROWS = 512
 _PAIRS = 1 << 18
 _REACH_MARGIN = 1e-6
 _CUBE = 10_000
-# the solve's and discovery's rows (module docstring): the first radius is
-# the _FLOOR-th smallest row distance, for discovery at least _GROW times the
-# optimum's norm, and a try that meets a vertex at the radius, or whose
-# optimum a row outside S cuts, grows it to _GROW times that vertex's norm
+# the solve's and discovery's rows (module docstring): the solve first takes
+# the rows below the _FLOOR-th smallest row distance; discovery's first radius
+# is the larger of that distance and _GROW times the optimum's norm, and a
+# try that meets a vertex at the radius grows it to _GROW times that norm
 _GROW = 1.02
 _FLOOR = 160
 
@@ -512,82 +513,61 @@ def _max_facet_diameter(inst_like, graph: VertexGraph) -> float:
     return _facet_diameter(inst_like, graph.bases)
 
 
-def _on_near_rows(dist: np.ndarray, low: float, at_least: float, attempt):
-    """attempt(rows, r) on the rows S = {i : dist_i < r}, from r the larger
-    of `at_least` and the _FLOOR-th smallest distance, until it returns
-    anything but a float; a float is the next radius, above r.
-
-    Returns None, for the caller to take every row, where r is not positive
-    and finite, where a row is zero (`low`, the smallest row norm, is 0),
-    where S holds half the rows or more, and where attempt returns None.
-    """
-    n = len(dist)
-    k = min(_FLOOR, n) - 1
-    r = max(at_least, float(np.partition(dist, k)[k]))
-    while low > 0.0 and 0.0 < r < math.inf:
-        rows = np.flatnonzero(dist < r)
-        if 2 * len(rows) >= n:
-            return None
-        out = attempt(rows, r)
-        if not isinstance(out, float):
-            return out
-        r = out
-    return None
-
-
-def _solve(gen: np.random.Generator, inst: SmoothedInstance, norms: np.ndarray,
-           dist: np.ndarray) -> tuple[SolveOutcome, SolveStats]:
+def _solve(gen: np.random.Generator, inst: SmoothedInstance, dist: np.ndarray,
+           floor: float) -> tuple[SolveOutcome, SolveStats]:
     """solve(gen, inst)'s outcome and stats, from a solve on the rows whose
-    distance `dist` (b / `norms`) is below a radius grown until its optimum
-    is certified, or from solve(gen, inst) itself with `gen` restored to its
-    state on entry (module docstring).  A solve on those rows draws a
-    different number of values from `gen` than a solve on every row."""
+    distance `dist` is below `floor`, grown by the rows that cut its optimum
+    until that is certified, or from solve(gen, inst) itself with `gen`
+    restored to its state on entry (module docstring).  A solve on those
+    rows draws a different number of values from `gen` than a solve on
+    every row."""
     state = gen.bit_generator.state
     margin = TOL_OPT * max(1.0, float(np.linalg.norm(inst.c)))
-
-    def attempt(rows, r):
+    rows = np.flatnonzero(dist < floor)
+    while 2 * len(rows) < inst.n:
         part = SmoothedInstance(A=inst.A.take(rows, axis=0), b=inst.b.take(rows), c=inst.c,
                                 abar=inst.abar.take(rows, axis=0), bbar=inst.bbar.take(rows),
                                 sigma=inst.sigma)
         try:
             outcome, stats, _ = solve(gen, part)
         except ShadowLpError:
-            return None
+            break
         if isinstance(outcome, Infeasible):  # P is in P_S
             y = np.zeros(inst.n)
             y[rows] = outcome.certificate
             return Infeasible(certificate=y), stats
         if not isinstance(outcome, Optimal):
-            return None
+            break
         basis = rows[list(outcome.basis_indices)]
         slack = inst.b - inst.A @ outcome.x
         slack[basis] = math.inf
-        if slack.min() <= 2.0 * _DEGENERATE_SLACK:
-            # a row that cuts x has distance below ||x||
-            return _GROW * max(r, float(np.linalg.norm(outcome.x)))
-        if np.linalg.solve(inst.A[basis].T, inst.c).min() <= margin:
-            return None  # a tie that no larger S breaks
-        return Optimal(basis_indices=tuple(basis.tolist()), x=outcome.x), stats
-
-    found = _on_near_rows(dist, float(norms.min()), 0.0, attempt)
-    if found is not None:
-        return found
+        cut = np.flatnonzero(slack <= 2.0 * _DEGENERATE_SLACK)
+        if not len(cut):
+            if np.linalg.solve(inst.A[basis].T, inst.c).min() <= margin:
+                break  # a tie that no larger S breaks
+            return Optimal(basis_indices=tuple(basis.tolist()), x=outcome.x), stats
+        grown = np.union1d(rows, cut)
+        if len(grown) == len(rows):
+            break
+        rows = grown
     gen.bit_generator.state = state
     outcome, stats, _ = solve(gen, inst)
     return outcome, stats
 
 
 def _discover(A: np.ndarray, b: np.ndarray, start, x: np.ndarray, norms: np.ndarray,
-              dist: np.ndarray) -> VertexGraph:
+              dist: np.ndarray, floor: float) -> VertexGraph:
     """discover_vertex_graph(A, b, start), walked from the optimum `x` on
-    the rows whose distance `dist` (b / `norms`) is below a radius grown
-    until a try is certified, or on every row (module docstring)."""
+    the rows whose distance `dist` (b / `norms`) is below a radius, from
+    the larger of `floor` and _GROW ||x||, grown until a try is certified,
+    or on every row (module docstring)."""
     low = float(norms.min())
     rows_of_start = np.array(start, dtype=np.intp)
-
-    def attempt(rows, r):
-        if not (dist[rows_of_start] < r).all():
-            return None
+    r = max(floor, _GROW * float(np.linalg.norm(x)))
+    while low > 0.0 and 0.0 < r < math.inf:
+        rows = np.flatnonzero(dist < r)
+        if 2 * len(rows) >= len(dist) or not (dist[rows_of_start] < r).all():
+            break
         try:
             # a row outside S keeps a slack above 2 _DEGENERATE_SLACK at a
             # vertex of norm below the radius passed
@@ -595,12 +575,11 @@ def _discover(A: np.ndarray, b: np.ndarray, start, x: np.ndarray, norms: np.ndar
                 A.take(rows, axis=0), b.take(rows), rows.searchsorted(rows_of_start),
                 radius=r - 2.0 * _DEGENERATE_SLACK / low - 1e-12 * r)
         except _LeftBall as exc:  # exc.norm is inf for an unbounded edge
-            return _GROW * max(r, exc.norm)
+            r = _GROW * max(r, exc.norm)
+            continue
         bases = list(map(tuple, rows[np.array(graph.bases)].tolist()))
         return VertexGraph(bases, graph.points, graph.adjacency)
-
-    graph = _on_near_rows(dist, low, _GROW * float(np.linalg.norm(x)), attempt)
-    return graph if graph is not None else discover_vertex_graph(A, b, start)
+    return discover_vertex_graph(A, b, start)
 
 
 def diameter_experiment(rng, dense: DenseSet, sigma: float,
@@ -609,9 +588,10 @@ def diameter_experiment(rng, dense: DenseSet, sigma: float,
 
     The packing gives d and eta, and n defaults as in build_lb_instance.
     Draws a uniform objective c on the sphere, solves the LP on the rows
-    that can touch its optimum, discovers the full 1-skeleton by pivoting
-    from the c-optimal vertex over the rows that can touch it (module
-    docstring), recenters the inequality
+    near the origin and those that cut their optimum, discovers the full
+    1-skeleton by pivoting from the c-optimal vertex over the rows that can
+    touch it (module docstring), both from one partition of the row
+    distances at the _FLOOR-th smallest, recenters the inequality
     description at the vertex centroid (so the polar is defined even when a
     perturbed b_i drops below zero), measures the enclosing radius R and the
     max polar facet diameter gamma, and checks that the BFS distance between
@@ -638,13 +618,15 @@ def diameter_experiment(rng, dense: DenseSet, sigma: float,
 
     norms = np.linalg.norm(inst.A, axis=1)
     dist = inst.b / norms
-    outcome, _ = _solve(gen, inst, norms, dist)
+    k = min(_FLOOR, inst.n) - 1
+    floor = float(np.partition(dist, k)[k])
+    outcome, _ = _solve(gen, inst, dist, floor)
     if not isinstance(outcome, Optimal):
         rec.outcome = outcome.kind
         return rec
     rec.outcome = "optimal"
 
-    graph = _discover(inst.A, inst.b, outcome.basis_indices, outcome.x, norms, dist)
+    graph = _discover(inst.A, inst.b, outcome.basis_indices, outcome.x, norms, dist, floor)
     rec.vertices = len(graph)
     rec.edges = graph.edge_count
 

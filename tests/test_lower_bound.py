@@ -717,10 +717,10 @@ def test_pruned_discovery_falls_back_to_every_row(monkeypatch):
     full = discover_vertex_graph(A, b, start)
     walks = _counted_walks(monkeypatch)
 
-    def walked(floor, dist):
+    def walked(k, dist):
         walks.clear()
-        monkeypatch.setattr(lower_bound, "_FLOOR", floor)
-        assert _same_graph(lower_bound._discover(A, b, start, x, norms, dist), full)
+        floor = float(np.sort(dist)[k - 1])
+        assert _same_graph(lower_bound._discover(A, b, start, x, norms, dist, floor), full)
         return walks
 
     # the 7th-smallest distance takes the first radius to 50: S is the box,
@@ -782,7 +782,8 @@ def _same_outcome(out, ref):
     (4, 0.25, 0.25, range(6), 65536, ["optimal", "infeasible", "infeasible", "optimal",
                                       "infeasible", "optimal"]),
     (3, 0.05, 0.05, [2], None, ["optimal"]),           # padded, n = 512,000
-], ids=["criterion-7", "d4-n65536", "d3-sigma0.05-padded"])
+    (3, 0.02, 0.02, range(2), 22554, ["optimal"] * 2),  # unpadded: the packing
+], ids=["criterion-7", "d4-n65536", "d3-sigma0.05-padded", "d3-sigma0.02-unpadded"])
 def test_restricted_solve_matches_the_full_solve(monkeypatch, d, sigma, eta, streams, n,
                                                  kinds):
     seen = _restricted_solves(monkeypatch, dense_set_with_retry(eta, d), sigma, 7007,
@@ -795,8 +796,9 @@ def test_restricted_solve_matches_the_full_solve(monkeypatch, d, sigma, eta, str
 
 
 def test_restricted_solve_of_a_lattice_solves_every_row(monkeypatch):
-    # at sigma = 0 every row is at distance 1 and the first radius keeps
-    # nearly all of them: one solve on every row, that of solve itself draw for draw
+    # at sigma = 0 every row is at distance 1, so no row is nearer than the
+    # 160th and every one is a candidate: one solve on every row, that of
+    # solve itself draw for draw
     seen = _restricted_solves(monkeypatch, dense_set_with_retry(0.25, 3), 0.0, 0, range(2))
     assert len(seen) == 2
     for got, ref, tries, _ in seen:
@@ -804,7 +806,7 @@ def test_restricted_solve_of_a_lattice_solves_every_row(monkeypatch):
         assert _same_outcome(got[0], ref[0]) and got[1] == ref[1]
 
 
-@pytest.mark.parametrize("case,solves", [("negative-radius", [4096]),
+@pytest.mark.parametrize("case,solves", [("negative-radius", [159, 4096]),
                                          ("tied-objective", [159, 4096])])
 def test_restricted_solve_falls_back_to_every_row(monkeypatch, case, solves):
     gen = RngStream(7007, 0).generator()
@@ -812,18 +814,20 @@ def test_restricted_solve_falls_back_to_every_row(monkeypatch, case, solves):
                              c=uniform_sphere(gen, 3))
     if case == "negative-radius":
         # criterion 7's polytope moved by (2, 0, 0): about a quarter of its
-        # rows have b_i < 0, so the first radius is negative and no try runs
+        # rows have b_i < 0, and the 159 rows of most negative distance leave
+        # the LP unbounded, so every row is solved
         inst = dataclasses.replace(inst, b=inst.b + inst.A @ np.array([2.0, 0.0, 0.0]))
     norms = np.linalg.norm(inst.A, axis=1)
     dist = inst.b / norms
+    floor = float(np.sort(dist)[159])
     if case == "tied-objective":
         # c along the nearest row's normal: the optimum on 159 rows is one on
-        # every row, but with two zero multipliers no radius makes it the only one
+        # every row, but with two zero multipliers no row set makes it the only one
         t = int(np.argmin(dist))
         inst = dataclasses.replace(inst, c=inst.A[t] / norms[t])
     tries = _counted_solves(monkeypatch)
     twin = copy.deepcopy(gen)
-    out, stats = lower_bound._solve(gen, inst, norms, dist)
+    out, stats = lower_bound._solve(gen, inst, dist, floor)
     ref, ref_stats, _ = solve(twin, inst)
     assert tries == solves
     # the solve on every row starts where the first try did
@@ -831,10 +835,29 @@ def test_restricted_solve_falls_back_to_every_row(monkeypatch, case, solves):
     assert gen.random() == twin.random()
 
 
-def test_restricted_solve_grows_its_radius(monkeypatch):
-    # a first radius at the 10th-smallest distance: the optimum on 9 rows
-    # is cut by another row in some runs, and a larger radius certifies it
+def test_restricted_solve_grows_its_rows(monkeypatch):
+    # a first try on the 9 nearest rows: in some runs another row cuts its
+    # optimum, and each grown try adds exactly the rows that cut the last one
     monkeypatch.setattr(lower_bound, "_FLOOR", 10)
+    parts = []
+    full = lower_bound.solve
+
+    def recorded(gen, inst):
+        out = full(gen, inst)
+        parts.append((inst, out[0]))
+        return out
+
+    monkeypatch.setattr(lower_bound, "solve", recorded)
+    runs = []
+    restricted = lower_bound._solve
+
+    def record(gen, inst, *args):
+        first = len(parts)
+        got = restricted(gen, inst, *args)
+        runs.append((inst, parts[first:]))
+        return got
+
+    monkeypatch.setattr(lower_bound, "_solve", record)
     seen = _restricted_solves(monkeypatch, dense_set_with_retry(0.25, 3), 0.25, 7007,
                               range(5))
     assert len(seen) == 5
@@ -842,8 +865,20 @@ def test_restricted_solve_grows_its_radius(monkeypatch):
         assert _same_outcome(out, ref)
         if tries[-1] == rows:  # after the tries, a solve on every row
             assert stats == ref_stats
-    grown = [tries for _, _, tries, rows in seen if len(tries) > 1 and 2 * tries[-1] < rows]
-    assert grown and all(tries[0] == 9 and tries[-1] > 9 for tries in grown)
+    grown = 0
+    for inst, tried in runs:
+        where = {row.tobytes(): i for i, row in enumerate(inst.A)}
+        picked = [np.array([where[row.tobytes()] for row in part.A]) for part, _ in tried]
+        assert len(picked[0]) == 9
+        for (rows, (_, out)), after in zip(zip(picked, tried), picked[1:]):
+            if len(after) == inst.n:
+                break
+            slack = inst.b - inst.A @ out.x
+            slack[rows[list(out.basis_indices)]] = np.inf
+            cut = np.flatnonzero(slack <= 2.0 * lower_bound._DEGENERATE_SLACK)
+            assert np.array_equal(after, np.union1d(rows, cut)) and len(after) > len(rows)
+            grown += 1
+    assert grown
     assert any(tries[-1] == rows for _, _, tries, rows in seen)
 
 
