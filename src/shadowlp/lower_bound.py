@@ -94,31 +94,48 @@ keep 240,000-340,000 of the 8 million rows of a padded sigma = 0.02 run,
 and 1.02 keeps 15,000-25,000; at sigma = 0.05 both keep a few thousand.
 
 The LP solve (_solve) runs on a row set S too, first the rows nearer the
-origin than the 160th-smallest distance, with the run's sigma, since solve
-sizes its artificial noise by it.  As P is in P_S, an S-LP that is
-infeasible proves P empty, and its Farkas certificate, zero outside S, is
-one for P.  An S-LP optimum x_S at basis B counts only when
+origin than the 160th-smallest distance.  When S has d rows or more and
+every one has b_i > 0, the origin satisfies each row of S strictly
+(a_i.0 = 0 < b_i) and so lies inside P_S: the S-LP needs no phase 1 or 2.
+The try climbs from x = 0 by d ratio tests instead (_climb): step k moves
+along c projected onto the null space of the rows already tight, so they
+stay tight, and the first row to block joins them.  A row that blocks has
+a_i.g > 0 on a direction g orthogonal to the rows before it, so the d rows
+are independent and tight at a vertex of P_S.  Phase 3 alone then walks
+from that vertex to c, from the objective y = the sum of the vertex's rows,
+whose multipliers there are all 1.  On criterion 7's runs the climb takes
+about 45 us and the walk 0-2 pivots, where solve took 0.7-1.0 ms.  A climb
+step with no blocking row (an unbounded ray, or c in the span of the tight
+rows, a tie) ends the tries.
+Any other S goes to solve, with the run's sigma, since solve sizes its
+artificial noise by it; only solve's phase 2 can prove such an S-LP
+infeasible.  As P is in P_S, an S-LP that is infeasible proves P empty, and
+its Farkas certificate, zero outside S, is one for P.  An S-LP optimum x_S
+at basis B counts only when
   (1) every row outside B, over all n rows, has slack b_i - a_i.x_S above
       2e-9, twice discovery's degeneracy cut, and
   (2) every multiplier mu of c = A_B^T mu is above TOL_OPT max(1, ||c||).
 By (1) x_S lies in P.  By (2), c.y = mu.(A_B y) <= mu.b_B = c.x_S on P_S,
 with equality only where A_B y = b_B, that is at x_S: so x_S is P's only
 optimal vertex, and by (1) B, the only rows tight there, its only basis.
-Neither condition asks more of S than that it hold B, so a try that fails
-(1) adds to S exactly the rows it names, those outside B with slack at
-most 2e-9 at x_S, and solves again, as Clarkson's constraint-sampling LP
+Neither condition asks more of S than that it hold B, or of the answer than
+that B be a basis of S, however it was found.  So a try that fails (1)
+adds to S exactly the rows it names, those outside B with slack at most
+2e-9 at x_S, and tries again, as Clarkson's constraint-sampling LP
 algorithm does.  A try that meets (1) but not (2) has found an optimum of
 P that a larger S leaves as it is, with a multiplier too small to rule out
-a tie, so it solves every row instead, as do a try that adds no row, an
-unbounded S-LP, any ShadowLpError and an S of half the rows or more.  That
-solve starts from the generator state the first try began at, and so draws
-what a solve on every row alone draws.  The answer keeps x's bits: solve
-gives x as make_basis's A_B^{-1} b_B, over the rows of B in sorted order,
-and S keeps the row order (the rows added are merged in), so the S-LP's
-basis gathers to the same d x d matrix and right-hand side as B does from
-every row (the power-of-two rescale that solve may apply to either row set
-scales that system exactly).  As for discovery, the tests compare the
-answers with a solve on every row.
+a tie, so it solves every row instead, as do a try that adds no row, a
+climb that finds no vertex, an unbounded S-LP, any ShadowLpError and an S
+of half the rows or more.  That solve starts from the generator state the
+first try began at, and so draws what a solve on every row alone draws;
+the climb draws nothing, and the solve is the run's last draw, so which
+path answered changes no later value.  The answer keeps x's bits: solve
+and the walk both give x as make_basis's A_B^{-1} b_B, over the rows of B
+in sorted order, and S keeps the row order (the rows added are merged in),
+so the S-LP's basis gathers to the same d x d matrix and right-hand side
+as B does from every row (the power-of-two rescale that solve may apply to
+either row set scales that system exactly).  As for discovery, the tests
+compare the answers with a solve on every row.
 """
 
 from __future__ import annotations
@@ -135,8 +152,8 @@ from .instance import LPInstance
 from .oracle import (_DEGENERATE_SLACK, VertexGraph, _LeftBall, bfs_distance,
                      discover_vertex_graph)
 from .rng import SmoothedInstance, as_generator, uniform_sphere
-from .simplex import TOL_OPT
-from .solver import Infeasible, Optimal, SolveOutcome, SolveStats, solve
+from .simplex import TOL_OPT, _blocking_row, make_basis
+from .solver import Infeasible, Optimal, SolveOutcome, phase3_solve, solve
 
 
 @dataclass(frozen=True)
@@ -513,14 +530,38 @@ def _max_facet_diameter(inst_like, graph: VertexGraph) -> float:
     return _facet_diameter(inst_like, graph.bases)
 
 
+def _climb(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[list[int]]:
+    """The d rows tight at the vertex of {A x <= b} reached from x = 0, for
+    b > 0, by d ratio tests: step k moves along c projected onto the null
+    space of the rows already tight, and the first row to block joins them.
+    None when a step has no blocking row: an unbounded ray, or a direction
+    too short for any row to block, as where c lies in the tight rows' span.
+    """
+    d = A.shape[1]
+    x = np.zeros(d)
+    q = np.zeros((d, d))  # its first k rows: an orthonormal basis of the tight rows' span
+    tight: list[int] = []
+    for k in range(d):
+        g = c - (q @ c) @ q
+        step, row, _ = _blocking_row(A, b, x, -g, tight)
+        if row is None:
+            return None
+        x = x + step * g
+        tight.append(row)
+        u = A[row] - (q @ A[row]) @ q
+        q[k] = u / math.sqrt(u @ u)
+    return tight
+
+
 def _solve(gen: np.random.Generator, inst: SmoothedInstance, dist: np.ndarray,
-           floor: float) -> tuple[SolveOutcome, SolveStats]:
-    """solve(gen, inst)'s outcome and stats, from a solve on the rows whose
-    distance `dist` is below `floor`, grown by the rows that cut its optimum
-    until that is certified, or from solve(gen, inst) itself with `gen`
-    restored to its state on entry (module docstring).  A solve on those
-    rows draws a different number of values from `gen` than a solve on
-    every row."""
+           floor: float) -> SolveOutcome:
+    """solve(gen, inst)'s outcome, from an LP on the rows whose distance
+    `dist` is below `floor`, grown by the rows that cut its optimum until
+    that is certified, or from solve(gen, inst) itself with `gen` restored
+    to its state on entry (module docstring).  A try whose rows all have
+    b_i > 0 climbs to a vertex and walks phase 3 alone, drawing nothing; a
+    solve on the other row sets draws a different number of values from
+    `gen` than a solve on every row."""
     state = gen.bit_generator.state
     margin = TOL_OPT * max(1.0, float(np.linalg.norm(inst.c)))
     rows = np.flatnonzero(dist < floor)
@@ -529,13 +570,22 @@ def _solve(gen: np.random.Generator, inst: SmoothedInstance, dist: np.ndarray,
                                 abar=inst.abar.take(rows, axis=0), bbar=inst.bbar.take(rows),
                                 sigma=inst.sigma)
         try:
-            outcome, stats, _ = solve(gen, part)
+            if len(rows) >= inst.d and part.b.min() > 0.0:  # the origin is inside P_S
+                tight = _climb(part.A, part.b, part.c)
+                if tight is None:
+                    break
+                start = make_basis(part.A, part.b, tight)
+                # every multiplier of this objective is 1 at the start
+                z = part.A.take(start.rows, axis=0).sum(axis=0)
+                outcome, _ = phase3_solve(part, start, z)
+            else:
+                outcome = solve(gen, part)[0]
         except ShadowLpError:
             break
         if isinstance(outcome, Infeasible):  # P is in P_S
             y = np.zeros(inst.n)
             y[rows] = outcome.certificate
-            return Infeasible(certificate=y), stats
+            return Infeasible(certificate=y)
         if not isinstance(outcome, Optimal):
             break
         basis = rows[list(outcome.basis_indices)]
@@ -545,14 +595,13 @@ def _solve(gen: np.random.Generator, inst: SmoothedInstance, dist: np.ndarray,
         if not len(cut):
             if np.linalg.solve(inst.A[basis].T, inst.c).min() <= margin:
                 break  # a tie that no larger S breaks
-            return Optimal(basis_indices=tuple(basis.tolist()), x=outcome.x), stats
+            return Optimal(basis_indices=tuple(basis.tolist()), x=outcome.x)
         grown = np.union1d(rows, cut)
         if len(grown) == len(rows):
             break
         rows = grown
     gen.bit_generator.state = state
-    outcome, stats, _ = solve(gen, inst)
-    return outcome, stats
+    return solve(gen, inst)[0]
 
 
 def _discover(A: np.ndarray, b: np.ndarray, start, x: np.ndarray, norms: np.ndarray,
@@ -620,7 +669,7 @@ def diameter_experiment(rng, dense: DenseSet, sigma: float,
     dist = inst.b / norms
     k = min(_FLOOR, inst.n) - 1
     floor = float(np.partition(dist, k)[k])
-    outcome, _ = _solve(gen, inst, dist, floor)
+    outcome = _solve(gen, inst, dist, floor)
     if not isinstance(outcome, Optimal):
         rec.outcome = outcome.kind
         return rec

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import hashlib
@@ -7,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shadowlp import LPInstance, RngStream
@@ -25,8 +26,8 @@ from shadowlp.lower_bound import (
 )
 from shadowlp.oracle import discover_vertex_graph
 from shadowlp.rng import uniform_sphere
-from shadowlp.simplex import make_basis
-from shadowlp.solver import solve, verify_outcome
+from shadowlp.simplex import TOL_OPT, make_basis
+from shadowlp.solver import phase3_solve, solve, verify_outcome
 
 
 def test_diameter_two_packing_on_circle():
@@ -735,33 +736,67 @@ def test_pruned_discovery_falls_back_to_every_row(monkeypatch):
     assert walked(1, dist) == [36]
 
 
-def _counted_solves(monkeypatch):
-    """Wrap lower_bound's solve; returns the list of the row counts of its
-    solves, tries that are not taken included."""
+@dataclasses.dataclass
+class _Try:
+    by: str                # "climb" or "solve"
+    A: np.ndarray          # the rows tried
+    part: object = None    # the LP that answered, once one did
+    outcome: object = None
+
+
+def _counted_tries(monkeypatch):
+    """Wrap the two ways lower_bound tries an LP on a row set: the climb,
+    whose phase-3 walk then answers, and solve, which also solves every
+    row.  Returns the list of every try, the solve on every row included,
+    in order; a try that found no vertex or raised has no outcome."""
     tries = []
-    full = lower_bound.solve
+    climb, walk, full = lower_bound._climb, lower_bound.phase3_solve, lower_bound.solve
 
-    def counted(gen, inst):
-        tries.append(inst.n)
-        return full(gen, inst)
+    def climbed(A, b, c):
+        tries.append(_Try("climb", A))
+        return climb(A, b, c)
 
-    monkeypatch.setattr(lower_bound, "solve", counted)
+    def walked(inst, start, z):
+        out = walk(inst, start, z)
+        tries[-1].part, tries[-1].outcome = inst, out[0]
+        return out
+
+    def solved(gen, inst):
+        tries.append(_Try("solve", inst.A, inst))
+        out = full(gen, inst)
+        tries[-1].outcome = out[0]
+        return out
+
+    monkeypatch.setattr(lower_bound, "_climb", climbed)
+    monkeypatch.setattr(lower_bound, "phase3_solve", walked)
+    monkeypatch.setattr(lower_bound, "solve", solved)
     return tries
 
 
+_Run = collections.namedtuple("_Run", "inst out ref tries entry after full")
+
+
+def _state(gen):
+    """gen's bit generator state, comparable with == (it holds arrays)."""
+    return repr(gen.bit_generator.state)
+
+
 def _restricted_solves(monkeypatch, dense, sigma, seed, streams, n=None):
-    """(outcome and stats, the same of solve on every row from a copy of the
-    generator, row counts of the solves made, row count) of each run's solve
-    in diameter_experiment."""
+    """Each run's LP in diameter_experiment: its instance, _solve's outcome,
+    solve's on every row, the tries made, a copy of the generator on entry
+    to _solve, and the generator's state after _solve and after solve on
+    every row from that copy."""
     seen = []
     restricted = lower_bound._solve
-    tries = _counted_solves(monkeypatch)
+    tries = _counted_tries(monkeypatch)
 
     def record(gen, inst, *args):
-        twin, first = copy.deepcopy(gen), len(tries)
+        entry, first = copy.deepcopy(gen), len(tries)
         got = restricted(gen, inst, *args)
-        verify_outcome(inst, got[0])
-        seen.append((got, solve(twin, inst)[:2], tries[first:], inst.n))
+        verify_outcome(inst, got)
+        twin = copy.deepcopy(entry)
+        ref = solve(twin, inst)[0]
+        seen.append(_Run(inst, got, ref, tries[first:], entry, _state(gen), _state(twin)))
         return got
 
     monkeypatch.setattr(lower_bound, "_solve", record)
@@ -788,11 +823,11 @@ def test_restricted_solve_matches_the_full_solve(monkeypatch, d, sigma, eta, str
                                                  kinds):
     seen = _restricted_solves(monkeypatch, dense_set_with_retry(eta, d), sigma, 7007,
                               streams, n)
-    assert [ref.kind for _, (ref, _), _, _ in seen] == kinds
-    for (out, _), (ref, _), tries, rows in seen:
-        assert _same_outcome(out, ref)
+    assert [run.ref.kind for run in seen] == kinds
+    for run in seen:
+        assert _same_outcome(run.out, run.ref)
         # answered on fewer than half the rows
-        assert 2 * tries[-1] < rows
+        assert 2 * len(run.tries[-1].A) < run.inst.n
 
 
 def test_restricted_solve_of_a_lattice_solves_every_row(monkeypatch):
@@ -801,13 +836,14 @@ def test_restricted_solve_of_a_lattice_solves_every_row(monkeypatch):
     # solve itself draw for draw
     seen = _restricted_solves(monkeypatch, dense_set_with_retry(0.25, 3), 0.0, 0, range(2))
     assert len(seen) == 2
-    for got, ref, tries, _ in seen:
-        assert tries == [148]
-        assert _same_outcome(got[0], ref[0]) and got[1] == ref[1]
+    for run in seen:
+        assert [(t.by, len(t.A)) for t in run.tries] == [("solve", 148)]
+        assert _same_outcome(run.out, run.ref) and run.after == run.full
 
 
-@pytest.mark.parametrize("case,solves", [("negative-radius", [159, 4096]),
-                                         ("tied-objective", [159, 4096])])
+@pytest.mark.parametrize("case,solves", [
+    ("negative-radius", [("solve", 159), ("solve", 4096)]),
+    ("tied-objective", [("climb", 159), ("solve", 4096)])])
 def test_restricted_solve_falls_back_to_every_row(monkeypatch, case, solves):
     gen = RngStream(7007, 0).generator()
     inst = build_lb_instance(gen, dense_set_with_retry(0.25, 3), 0.25,
@@ -821,17 +857,19 @@ def test_restricted_solve_falls_back_to_every_row(monkeypatch, case, solves):
     dist = inst.b / norms
     floor = float(np.sort(dist)[159])
     if case == "tied-objective":
-        # c along the nearest row's normal: the optimum on 159 rows is one on
-        # every row, but with two zero multipliers no row set makes it the only one
+        # c along the nearest row's normal: the climb's first step makes that
+        # row tight and leaves c in its span, so it finds no vertex; no row
+        # set makes the optimum on every row, with two zero multipliers, the
+        # only one
         t = int(np.argmin(dist))
         inst = dataclasses.replace(inst, c=inst.A[t] / norms[t])
-    tries = _counted_solves(monkeypatch)
+    made = _counted_tries(monkeypatch)
     twin = copy.deepcopy(gen)
-    out, stats = lower_bound._solve(gen, inst, dist, floor)
-    ref, ref_stats, _ = solve(twin, inst)
-    assert tries == solves
+    out = lower_bound._solve(gen, inst, dist, floor)
+    ref = solve(twin, inst)[0]
+    assert [(t.by, len(t.A)) for t in made] == solves
     # the solve on every row starts where the first try did
-    assert _same_outcome(out, ref) and out.kind == "optimal" and stats == ref_stats
+    assert _same_outcome(out, ref) and out.kind == "optimal"
     assert gen.random() == twin.random()
 
 
@@ -839,47 +877,79 @@ def test_restricted_solve_grows_its_rows(monkeypatch):
     # a first try on the 9 nearest rows: in some runs another row cuts its
     # optimum, and each grown try adds exactly the rows that cut the last one
     monkeypatch.setattr(lower_bound, "_FLOOR", 10)
-    parts = []
-    full = lower_bound.solve
-
-    def recorded(gen, inst):
-        out = full(gen, inst)
-        parts.append((inst, out[0]))
-        return out
-
-    monkeypatch.setattr(lower_bound, "solve", recorded)
-    runs = []
-    restricted = lower_bound._solve
-
-    def record(gen, inst, *args):
-        first = len(parts)
-        got = restricted(gen, inst, *args)
-        runs.append((inst, parts[first:]))
-        return got
-
-    monkeypatch.setattr(lower_bound, "_solve", record)
     seen = _restricted_solves(monkeypatch, dense_set_with_retry(0.25, 3), 0.25, 7007,
                               range(5))
     assert len(seen) == 5
-    for (out, stats), (ref, ref_stats), tries, rows in seen:
-        assert _same_outcome(out, ref)
-        if tries[-1] == rows:  # after the tries, a solve on every row
-            assert stats == ref_stats
     grown = 0
-    for inst, tried in runs:
-        where = {row.tobytes(): i for i, row in enumerate(inst.A)}
-        picked = [np.array([where[row.tobytes()] for row in part.A]) for part, _ in tried]
+    for run in seen:
+        assert _same_outcome(run.out, run.ref)
+        if len(run.tries[-1].A) == run.inst.n:  # after the tries, a solve on every row
+            assert run.after == run.full
+        where = {row.tobytes(): i for i, row in enumerate(run.inst.A)}
+        picked = [np.array([where[row.tobytes()] for row in t.A]) for t in run.tries]
         assert len(picked[0]) == 9
-        for (rows, (_, out)), after in zip(zip(picked, tried), picked[1:]):
-            if len(after) == inst.n:
+        for rows, tried, after in zip(picked, run.tries, picked[1:]):
+            if len(after) == run.inst.n:
                 break
-            slack = inst.b - inst.A @ out.x
+            out = tried.outcome
+            slack = run.inst.b - run.inst.A @ out.x
             slack[rows[list(out.basis_indices)]] = np.inf
             cut = np.flatnonzero(slack <= 2.0 * lower_bound._DEGENERATE_SLACK)
             assert np.array_equal(after, np.union1d(rows, cut)) and len(after) > len(rows)
             grown += 1
     assert grown
-    assert any(tries[-1] == rows for _, _, tries, rows in seen)
+    assert any(len(run.tries[-1].A) == run.inst.n for run in seen)
+
+
+@pytest.mark.parametrize("d,sigma,eta,streams,n,by", [
+    # criterion 7: one of stream 4's 159 nearest rows has b = -0.056
+    (3, 0.25, 0.25, range(5), None, [["climb"]] * 4 + [["solve"]]),
+    (3, 0.05, 0.05, [2], None, [["climb", "climb"]]),   # padded, n = 512,000
+    (4, 0.25, 0.25, [0, 3, 5], 65536, [["solve"], ["solve"], ["climb"]]),
+], ids=["criterion-7", "d3-sigma0.05-padded", "d4-n65536-optimal"])
+def test_climb_answers_as_solve_on_its_rows(monkeypatch, d, sigma, eta, streams, n, by):
+    # a try whose rows all have b_i > 0 climbs, and its walk ends on the
+    # basis and x that solve finds on those rows; a run answered by climbs
+    # alone draws nothing.  A try with a row of b_i <= 0, whose region the
+    # origin is outside, goes to solve
+    seen = _restricted_solves(monkeypatch, dense_set_with_retry(eta, d), sigma, 7007,
+                              streams, n)
+    assert [[t.by for t in run.tries] for run in seen] == by
+    for run in seen:
+        assert _same_outcome(run.out, run.ref)
+        for t in run.tries:
+            assert (t.part.b.min() > 0.0) == (t.by == "climb")
+            if t.by == "climb":
+                ref = solve(copy.deepcopy(run.entry), t.part)[0]
+                assert _same_outcome(t.outcome, ref)
+        if all(t.by == "climb" for t in run.tries):
+            assert run.after == _state(run.entry)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(3, 5), extra=st.integers(0, 40),
+       sigma=st.floats(0.0, 0.3))
+def test_climb_starts_phase_3_at_a_feasible_vertex(seed, d, extra, sigma):
+    # near-ball rows with b > 0, boxed by |x_j| <= 2 so that every climb
+    # direction is blocked
+    gen = RngStream(seed, 0).generator()
+    m = 3 * d + extra
+    A = np.vstack([uniform_sphere(gen, d, size=m) + sigma * gen.standard_normal((m, d)),
+                   np.eye(d), -np.eye(d)])
+    b = np.concatenate([1.0 + sigma * gen.standard_normal(m), np.full(2 * d, 2.0)])
+    assume(b.min() > 0.0)
+    inst = LPInstance(A, b, uniform_sphere(gen, d))
+    tight = lower_bound._climb(A, b, inst.c)
+    assert tight is not None and len(set(tight)) == d
+    start = make_basis(A, b, tight)
+    assert (A @ start.x - b).max() <= 1e-9
+    out = phase3_solve(inst, start, A[list(start.indices)].sum(axis=0))[0]
+    assert out.kind == "optimal"
+    slack = b - A @ out.x
+    slack[list(out.basis_indices)] = np.inf
+    mu = np.linalg.solve(A[list(out.basis_indices)].T, inst.c)
+    if slack.min() > 2.0 * lower_bound._DEGENERATE_SLACK and mu.min() > TOL_OPT:
+        assert _same_outcome(out, solve(RngStream(seed, 1), inst)[0])
 
 
 def test_rel_diam_bound_formula():
