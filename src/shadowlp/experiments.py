@@ -405,7 +405,7 @@ def lowerbound_run(cfg: dict[str, Any]):
                 raise dense
             rec = diameter_experiment(RngStream(cfg["seed"], stream), dense,
                                       cfg["sigma"], n=n or len(dense))
-            row.update(asdict(rec))
+            row.update(vars(rec))
         except ShadowLpError as exc:
             row.update(dict.fromkeys(LOWERBOUND_COLUMNS[len(row):], ""),
                        d=cfg["d"], sigma=cfg["sigma"], eta=eta, **_error_cells(exc))

@@ -143,15 +143,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import NonpositiveRhs, ShadowLpError, TooFewRows, UncoveredCell
-from .instance import LPInstance
 from .oracle import (_DEGENERATE_SLACK, VertexGraph, _LeftBall, bfs_distance,
                      discover_vertex_graph)
-from .rng import SmoothedInstance, as_generator, uniform_sphere
+from .rng import SmoothedInstance, _squared_norms, as_generator, uniform_sphere, unit_rows
 from .simplex import TOL_OPT, _blocking_row, make_basis
 from .solver import Infeasible, Optimal, SolveOutcome, phase3_solve, solve
 
@@ -190,6 +189,8 @@ _CUBE = 10_000
 # try that meets a vertex at the radius grows it to _GROW times that norm
 _GROW = 1.02
 _FLOOR = 160
+# the rows _perturbation takes at a time
+_BLOCK = 1 << 16
 
 
 def _max_cos(points: np.ndarray, probes: np.ndarray, cut: float) -> np.ndarray:
@@ -319,14 +320,14 @@ def _accept(cand: np.ndarray, best: np.ndarray, cos_cut: float) -> np.ndarray:
     time: a product against the rows kept in earlier blocks, then a
     sequential greedy on the block's closeness mask.
     """
-    survivors = np.flatnonzero(best <= cos_cut)
+    survivors = (best <= cos_cut).nonzero()[0]
     taken = np.zeros(len(cand), dtype=bool)
     for lo in range(0, len(survivors), _CHUNK):
         block = survivors[lo:lo + _CHUNK]
         if lo:
             block = block[_max_cos(cand[taken], cand[block], cos_cut) <= cos_cut]
         taken[block[_greedy_block(cand[block], cos_cut)]] = True
-    return np.flatnonzero(taken)
+    return taken.nonzero()[0]
 
 
 @functools.lru_cache(maxsize=4)
@@ -382,9 +383,9 @@ def greedy_dense_set(eta: float, d: int) -> np.ndarray:
         cells, axes, count = [], [], 0
         for lo in range(0, total, _CELLS):
             child, ax = _split(cube, axis, half, k, lo, min(lo + _CELLS, total))
-            unit = child / np.sqrt(np.add.reduce(child * child, axis=1, keepdims=True))
+            unit = child / np.sqrt(_squared_norms(child))[:, None]
             best = _max_cos(points, unit, cos_cut)
-            live = np.flatnonzero(best <= cover_cut)
+            live = (best <= cover_cut).nonzero()[0]
             new = unit[live[_accept(unit[live], best[live], cos_cut)]]
             if len(new):
                 points = np.concatenate((points, new))
@@ -438,10 +439,21 @@ def build_lb_instance(rng, dense: DenseSet, sigma: float,
         raise TooFewRows(f"n={n} smaller than the dense set ({len(dense)})")
     rows = dense.points
     if n > len(dense):
-        rows = np.vstack([rows, uniform_sphere(gen, d, size=n - len(dense))])
+        # uniform_sphere's draws, made in the rows array itself
+        rows = np.empty((n, d))
+        rows[:len(dense)] = dense.points
+        unit_rows(gen, gen.standard_normal(out=rows[len(dense):]))
     bbar = np.ones(n)
-    A = rows + sigma * gen.standard_normal(rows.shape) if sigma > 0 else rows.copy()
-    b = bbar + sigma * gen.standard_normal(n) if sigma > 0 else bbar.copy()
+    if sigma > 0:
+        # rows + sigma * noise, formed in the noise's own array
+        A = gen.standard_normal(rows.shape)
+        A *= sigma
+        A += rows
+        b = gen.standard_normal(n)
+        b *= sigma
+        b += bbar
+    else:
+        A, b = rows.copy(), bbar.copy()
     if c is None:
         c = np.zeros(d)
         c[0] = 1.0
@@ -466,12 +478,12 @@ def sandwich_check(inst, eta: float, vertices: Optional[np.ndarray] = None,
     row's distance b_i / ||a_i|| when the caller has it.
     """
     if dist is None:
-        dist = inst.b / np.linalg.norm(inst.A, axis=1)
+        dist = inst.b / np.sqrt(_squared_norms(inst.A))
     inner_radius = float(dist.min())
     outer_radius = None
     outer_ok = None
     if vertices is not None and len(vertices):
-        outer_radius = float(np.linalg.norm(vertices, axis=1).max())
+        outer_radius = math.sqrt(_squared_norms(vertices).max())
         outer_ok = outer_radius <= 1.0 + 4.0 * eta
     return SandwichResult(
         inner_radius=inner_radius,
@@ -481,23 +493,24 @@ def sandwich_check(inst, eta: float, vertices: Optional[np.ndarray] = None,
     )
 
 
-def _facet_diameter(inst, bases) -> float:
-    """The largest polar facet diameter over `bases` (equal-length index
-    sequences) in one array step: a basis's rows a_i / b_i span its vertex's
-    polar facet, whose diameter is their largest pairwise distance.
-    NonpositiveRhs names the first basis with a row of b_i <= 0."""
+def _facet_diameter(A: np.ndarray, b: np.ndarray, bases) -> float:
+    """The largest polar facet diameter of {A x <= b} over `bases`
+    (equal-length index sequences) in one array step: a basis's rows
+    a_i / b_i span its vertex's polar facet, whose diameter is their largest
+    pairwise distance.  NonpositiveRhs names the first basis with a row of
+    b_i <= 0."""
     idx = np.array(bases, dtype=np.intp)
-    rhs = inst.b[idx]
+    rhs = b[idx]
     low = rhs.min(axis=1)
     bad = (low <= 0.0).nonzero()[0]
     if len(bad):
         raise NonpositiveRhs(f"basis row with b = {low[bad[0]]:.3e}")
-    pts = inst.A[idx] / rhs[:, :, None]
+    pts = A[idx] / rhs[:, :, None]
     # p_j - p_i for every pair i < j of each basis
     first, second = np.triu_indices(idx.shape[1], 1)
     diff = pts[:, second] - pts[:, first]
-    dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-    return float(dist.max(initial=0.0))
+    # the square root of the largest square: sqrt rounds monotonically
+    return math.sqrt(_squared_norms(diff).max(initial=0.0))
 
 
 @dataclass
@@ -526,8 +539,29 @@ class DiameterRecord:
     facet_bound_ok: Optional[bool] = None
 
 
-def _max_facet_diameter(inst_like, graph: VertexGraph) -> float:
-    return _facet_diameter(inst_like, graph.bases)
+def _max_facet_diameter(A: np.ndarray, b: np.ndarray, graph: VertexGraph) -> float:
+    return _facet_diameter(A, b, graph.bases)
+
+
+def _perturbation(inst: SmoothedInstance) -> float:
+    """The measured perturbation, the larger of max_i ||a_i - abar_i|| and
+    max_i |b_i - bbar_i|, taken _BLOCK rows at a time, so that it holds no
+    n x d difference (at n = 8e6 its whole-array form held 490 MiB more)."""
+    sq, gap = 0.0, 0.0
+    for lo in range(0, inst.n, _BLOCK):
+        hi = lo + _BLOCK
+        sq = max(sq, _squared_norms(inst.A[lo:hi] - inst.abar[lo:hi]).max())
+        gap = max(gap, np.abs(inst.b[lo:hi] - inst.bbar[lo:hi]).max())
+    return max(math.sqrt(sq), float(gap))
+
+
+class _Rows(NamedTuple):
+    """A try's rows, as phase3_solve reads them: an LPInstance would check
+    their finiteness again."""
+
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
 
 def _climb(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[list[int]]:
@@ -564,21 +598,21 @@ def _solve(gen: np.random.Generator, inst: SmoothedInstance, dist: np.ndarray,
     `gen` than a solve on every row."""
     state = gen.bit_generator.state
     margin = TOL_OPT * max(1.0, float(np.linalg.norm(inst.c)))
-    rows = np.flatnonzero(dist < floor)
+    rows = (dist < floor).nonzero()[0]
     while 2 * len(rows) < inst.n:
-        part = SmoothedInstance(A=inst.A.take(rows, axis=0), b=inst.b.take(rows), c=inst.c,
-                                abar=inst.abar.take(rows, axis=0), bbar=inst.bbar.take(rows),
-                                sigma=inst.sigma)
+        A, b = inst.A.take(rows, axis=0), inst.b.take(rows)
         try:
-            if len(rows) >= inst.d and part.b.min() > 0.0:  # the origin is inside P_S
-                tight = _climb(part.A, part.b, part.c)
+            if len(rows) >= inst.d and b.min() > 0.0:  # the origin is inside P_S
+                tight = _climb(A, b, inst.c)
                 if tight is None:
                     break
-                start = make_basis(part.A, part.b, tight)
+                start = make_basis(A, b, tight)
                 # every multiplier of this objective is 1 at the start
-                z = part.A.take(start.rows, axis=0).sum(axis=0)
-                outcome, _ = phase3_solve(part, start, z)
+                z = A.take(start.rows, axis=0).sum(axis=0)
+                outcome, _ = phase3_solve(_Rows(A, b, inst.c), start, z)
             else:
+                part = SmoothedInstance(A=A, b=b, c=inst.c, abar=inst.abar.take(rows, axis=0),
+                                        bbar=inst.bbar.take(rows), sigma=inst.sigma)
                 outcome = solve(gen, part)[0]
         except ShadowLpError:
             break
@@ -589,9 +623,7 @@ def _solve(gen: np.random.Generator, inst: SmoothedInstance, dist: np.ndarray,
         if not isinstance(outcome, Optimal):
             break
         basis = rows[list(outcome.basis_indices)]
-        slack = inst.b - inst.A @ outcome.x
-        slack[basis] = math.inf
-        cut = np.flatnonzero(slack <= 2.0 * _DEGENERATE_SLACK)
+        cut = _cut_rows(inst.A, inst.b, outcome.x, basis)
         if not len(cut):
             if np.linalg.solve(inst.A[basis].T, inst.c).min() <= margin:
                 break  # a tie that no larger S breaks
@@ -604,6 +636,16 @@ def _solve(gen: np.random.Generator, inst: SmoothedInstance, dist: np.ndarray,
     return solve(gen, inst)[0]
 
 
+def _cut_rows(A: np.ndarray, b: np.ndarray, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The rows outside `basis` whose slack b_i - a_i.x is at most
+    2 _DEGENERATE_SLACK, those that fail the certificate's condition (1);
+    the n-vector of slacks is freed before the next try."""
+    slack = A @ x
+    np.subtract(b, slack, out=slack)
+    slack[basis] = math.inf
+    return (slack <= 2.0 * _DEGENERATE_SLACK).nonzero()[0]
+
+
 def _discover(A: np.ndarray, b: np.ndarray, start, x: np.ndarray, norms: np.ndarray,
               dist: np.ndarray, floor: float) -> VertexGraph:
     """discover_vertex_graph(A, b, start), walked from the optimum `x` on
@@ -614,7 +656,7 @@ def _discover(A: np.ndarray, b: np.ndarray, start, x: np.ndarray, norms: np.ndar
     rows_of_start = np.array(start, dtype=np.intp)
     r = max(floor, _GROW * float(np.linalg.norm(x)))
     while low > 0.0 and 0.0 < r < math.inf:
-        rows = np.flatnonzero(dist < r)
+        rows = (dist < r).nonzero()[0]
         if 2 * len(rows) >= len(dist) or not (dist[rows_of_start] < r).all():
             break
         try:
@@ -660,12 +702,10 @@ def diameter_experiment(rng, dense: DenseSet, sigma: float,
     )
     # measured perturbation level; with it the density/perturbation
     # preconditions become checkable facts rather than probability events
-    pert_a = float(np.linalg.norm(inst.A - inst.abar, axis=1).max())
-    pert_b = float(np.abs(inst.b - inst.bbar).max())
-    rec.eta_event = max(eta, pert_a, pert_b)
+    rec.eta_event = max(eta, _perturbation(inst))
     rec.event_holds = rec.eta_event <= 0.125
 
-    norms = np.linalg.norm(inst.A, axis=1)
+    norms = np.sqrt(_squared_norms(inst.A))
     dist = inst.b / norms
     k = min(_FLOOR, inst.n) - 1
     floor = float(np.partition(dist, k)[k])
@@ -689,19 +729,19 @@ def diameter_experiment(rng, dense: DenseSet, sigma: float,
     r_out = sandwich.outer_radius
     rec.eta_star = max((1.0 - r_in) / 2.0, (r_out - 1.0) / 4.0, 0.0)
     if r_in > 0.0:
-        rec.gamma_origin = _max_facet_diameter(inst, graph)
+        rec.gamma_origin = _max_facet_diameter(inst.A, inst.b, graph)
         rec.facet_bound_applicable = rec.eta_star <= 0.25
         if rec.facet_bound_applicable:
             rec.facet_bound_ok = rec.gamma_origin <= 8.0 * math.sqrt(rec.eta_star) + 1e-12
 
     # recentered description for the run-by-run diameter bound
     center = graph.points.mean(axis=0)
-    b_shift = inst.b - inst.A @ center
+    b_shift = inst.A @ center
+    np.subtract(inst.b, b_shift, out=b_shift)
     if b_shift.min() <= 0.0:
         raise NonpositiveRhs("vertex centroid is not interior; degenerate instance")
-    shifted = LPInstance(A=inst.A, b=b_shift, c=inst.c)
-    rec.gamma = _max_facet_diameter(shifted, graph)
-    rec.radius = float(np.linalg.norm(graph.points - center, axis=1).max())
+    rec.gamma = _max_facet_diameter(inst.A, b_shift, graph)
+    rec.radius = math.sqrt(_squared_norms(graph.points - center).max())
     rec.path_bound = (d - 1) * (2.0 / (rec.radius * rec.gamma) - 2.0)
 
     cvals = graph.points @ inst.c

@@ -72,17 +72,39 @@ def unit_rows(gen: np.random.Generator, g: np.ndarray) -> np.ndarray:
     norms = _row_norms(g)
     # A zero draw has probability 0; resample defensively if it ever happens.
     while not norms.all():
-        bad = (norms == 0.0).reshape(-1)
-        g.reshape(-1, d)[bad] = gen.standard_normal((bad.sum(), d))
+        # a mask over g's leading axes writes into g itself, strided or not
+        bad = norms[..., 0] == 0.0
+        g[bad] = gen.standard_normal((bad.sum(), d))
         norms = _row_norms(g)
     g /= norms
     return g
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(g, axis=-1, keepdims=True), the same arithmetic
-    without the wrapper's argument handling."""
-    return np.sqrt(np.add.reduce(g * g, axis=-1, keepdims=True))
+    """np.linalg.norm(g, axis=-1, keepdims=True), bit for bit."""
+    return np.sqrt(_squared_norms(g))[..., None]
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """np.add.reduce(x * x, axis=-1) (np.linalg.norm's sum), bit for bit.
+
+    numpy reduces an axis of fewer than 8 elements one element after
+    another, so for d < 8 the columns' squares summed in order give the same
+    bits, with one whole-array product and add per column instead of one
+    inner-loop call per row: a row norm of 4,096 x 3 takes 25 us against
+    106 us, of 200,000 x 3 1.5 against 4.8 ms (one x86-64 core).  From 8
+    elements on numpy sums in 8-way pairwise blocks, whose rounding the
+    column order does not reproduce, so d >= 8 keeps np.add.reduce.
+    """
+    d = x.shape[-1]
+    if d >= 8:
+        return np.add.reduce(x * x, axis=-1)
+    col = x[..., 0]
+    out = col * col
+    for j in range(1, d):
+        col = x[..., j]
+        out += col * col
+    return out
 
 
 def exp_ball_sample(rng, d: int, size: int | None = None) -> np.ndarray:

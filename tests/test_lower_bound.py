@@ -396,6 +396,50 @@ def test_d4_packings_are_pinned(eta, size, digest):
     assert hashlib.sha256(points.tobytes()).hexdigest() == digest
 
 
+# sha256 of build_lb_instance's A and b and of the repr of every
+# DiameterRecord field, for criterion 7's runs and a padded sigma = 0.05 run
+# (n = 512,000) whose solve grows its rows once.  They were recorded while
+# the row norms were np.linalg.norm and the instance was np.vstack and
+# rows + sigma * noise; the column sums and the in-place build keep the bits.
+@pytest.mark.parametrize("sigma,stream,a_digest,b_digest,record_digest", [
+    (0.25, 0, "061271575bc5e04235e60f1ca112c31f33853497e5f01f3a5c3ba42fae808509",
+     "c70d4cdd99069c58414f32b5e99b91912e4b8c49aff26f49747be12870e5bc62",
+     "57f9f2f7aff463c898ade0a427b09fc5e8433b6d6a5231b80d016e326626b728"),
+    (0.25, 1, "b8ec9bc506fb9ceaf5435773e34cb7dc7dcc0f765eb37510ca63a62b56617a47",
+     "9b26612542c1f211fedb83af1dcca5b652b80498ea0bb8b1707220f75228c1f7",
+     "e556957b3d0ef42da21d4339129b40e4853c4c370caeb54ff4631464c2921091"),
+    (0.25, 2, "25839cb0eedaef0b56a266e00860231ef013197c76d64bcdb807e772d773e52b",
+     "7697faac1193eee18657f3408c025c8e5615993be1dbb9a01d3efa900f745b81",
+     "b0a061bb60040b0238b3e1dbc52c84c54fc3f129714ebe479ef2efa7c97bd579"),
+    (0.25, 3, "c85d54da8068b1e191cc4ce0d3d3e69e59e13b1174e60859946e416f647805ee",
+     "a01a98eb72002ca331ac404795bd19738b4657f4a9576bc3116440566053eb72",
+     "6abf1c41dc4db55540dd23ddbfe9a3874a77c7f2c31fb6dd158107527a6db389"),
+    (0.25, 4, "85cbdb748b8a5ecd144ff8e7ac5f6799f8ca473ce000b3c3cf7cc3cf8f997987",
+     "0f1f1d8af9a9377152f38a13ab024ce8c90b95f7eb6b8e73b59249b4fa8060d8",
+     "db9bdac9f5cb4442bb6cc3bbeef2d4af770282eab3424d00797c62f81f5074d4"),
+    (0.05, 2, "7ccf0a532a736541f1337f0a3a0b6fbb4cbfd7f1cbc64dc836c8f95576e7b38d",
+     "92a4a9008aa8f8c309e9db71d7df2d702bbff7f9643ed6e7f2086e81152c7bc9",
+     "871998cb017bb18e38d39243205f7308e73d5510dffd78781009caebefdd90de"),
+], ids=[f"criterion7-stream{k}" for k in range(5)] + ["padded-sigma0.05-stream2"])
+def test_lower_bound_runs_are_pinned(monkeypatch, sigma, stream, a_digest, b_digest,
+                                     record_digest):
+    built = []
+    build = lower_bound.build_lb_instance
+
+    def record(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(lower_bound, "build_lb_instance", record)
+    rec = diameter_experiment(RngStream(7007, stream), dense_set_with_retry(sigma, 3), sigma)
+    (inst,) = built
+    cells = "\n".join(f"{f.name}={getattr(rec, f.name)!r}" for f in dataclasses.fields(rec))
+    assert rec.outcome == "optimal"
+    assert hashlib.sha256(inst.A.tobytes()).hexdigest() == a_digest
+    assert hashlib.sha256(inst.b.tobytes()).hexdigest() == b_digest
+    assert hashlib.sha256(cells.encode()).hexdigest() == record_digest
+
+
 def test_criterion_7_runs_share_one_packing():
     # the packing uses no random numbers: every call returns the same bits,
     # and criterion 7's five runs measure one dense set
@@ -550,29 +594,27 @@ def test_sandwich_violation_constructed():
 
 def test_polar_facet_diameter_cases():
     # rows e_1, e_2, e_3 with b = 1: pairwise distances sqrt(2)
-    inst = LPInstance(np.eye(3), np.ones(3), np.array([1.0, 0.0, 0.0]))
-    basis = make_basis(inst.A, inst.b, (0, 1, 2))
-    assert abs(lower_bound._facet_diameter(inst, [basis.indices]) - math.sqrt(2)) < 1e-12
+    basis = make_basis(np.eye(3), np.ones(3), (0, 1, 2))
+    assert abs(lower_bound._facet_diameter(np.eye(3), np.ones(3), [basis.indices])
+               - math.sqrt(2)) < 1e-12
     # near-parallel rows: diameter near 0
     A = np.array([[1.0, 0.0, 0.0], [0.9999, 0.0141, 0.0], [0.9999, 0.0, 0.0141]])
-    inst2 = LPInstance(A, np.ones(3), np.array([1.0, 0.0, 0.0]))
-    assert lower_bound._facet_diameter(inst2, [(0, 1, 2)]) < 0.05
+    assert lower_bound._facet_diameter(A, np.ones(3), [(0, 1, 2)]) < 0.05
     # nonpositive rhs is out of the polar's regime
-    inst3 = LPInstance(np.eye(3), np.array([1.0, -1.0, 1.0]), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(NonpositiveRhs):
-        lower_bound._facet_diameter(inst3, [(0, 1, 2)])
+        lower_bound._facet_diameter(np.eye(3), np.array([1.0, -1.0, 1.0]), [(0, 1, 2)])
 
 
-def _facet_diameter_one_basis_at_a_time(inst, graph):
+def _facet_diameter_one_basis_at_a_time(A, b, graph):
     """The largest polar facet diameter as a loop over bases and over each
     basis's points, the reference for the batched _max_facet_diameter."""
     gamma = 0.0
     for indices in graph.bases:
         indices = list(indices)
-        rhs = inst.b[indices]
+        rhs = b[indices]
         if rhs.min() <= 0.0:
             raise NonpositiveRhs(f"basis row with b = {rhs.min():.3e}")
-        pts = inst.A[indices] / rhs[:, None]
+        pts = A[indices] / rhs[:, None]
         diam = 0.0
         for i in range(len(pts)):
             d2 = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
@@ -583,15 +625,15 @@ def _facet_diameter_one_basis_at_a_time(inst, graph):
 
 
 def _criterion_7_facet_calls(monkeypatch, stream):
-    """The (description, graph, diameter) triples of criterion 7's run's
+    """The (A, b, graph, diameter) tuples of criterion 7's run's
     _max_facet_diameter calls: the origin description, then the recentred
     one."""
     calls = []
     measure = lower_bound._max_facet_diameter
 
-    def record(inst, graph):
-        calls.append((inst, graph, measure(inst, graph)))
-        return calls[-1][2]
+    def record(A, b, graph):
+        calls.append((A, b, graph, measure(A, b, graph)))
+        return calls[-1][3]
 
     monkeypatch.setattr(lower_bound, "_max_facet_diameter", record)
     diameter_experiment(RngStream(7007, stream), dense_set_with_retry(0.25, 3), 0.25)
@@ -603,28 +645,26 @@ def _criterion_7_facet_calls(monkeypatch, stream):
 @pytest.mark.parametrize("stream", [0, 1, 2, 3, 5])
 def test_max_facet_diameter_matches_one_basis_at_a_time(monkeypatch, stream):
     calls = _criterion_7_facet_calls(monkeypatch, stream)
-    assert len(calls) == 2 and calls[0][1] is calls[1][1]
-    origin, recentred = calls[0][0], calls[1][0]
-    assert not np.array_equal(origin.b, recentred.b)
-    for inst, graph, got in calls:
-        assert got.hex() == _facet_diameter_one_basis_at_a_time(inst, graph).hex()
+    assert len(calls) == 2 and calls[0][2] is calls[1][2] and calls[0][0] is calls[1][0]
+    assert not np.array_equal(calls[0][1], calls[1][1])  # the recentred b
+    for A, b, graph, got in calls:
+        assert got.hex() == _facet_diameter_one_basis_at_a_time(A, b, graph).hex()
 
 
 def test_max_facet_diameter_names_the_first_nonpositive_basis(monkeypatch):
-    (inst, graph, _), _ = _criterion_7_facet_calls(monkeypatch, 1)
+    (A, b, graph, _), _ = _criterion_7_facet_calls(monkeypatch, 1)
     # a row first met in the third basis, and a smaller b on a row first
     # met in a later one (stream 0's third basis meets no new row)
     first = set().union(*graph.bases[:2])
     third = min(set(graph.bases[2]) - first)
     later = min(set().union(*graph.bases[3:]) - first - set(graph.bases[2]))
-    b = inst.b.copy()
+    b = b.copy()
     b[third] = -0.5
     b[later] = -2.0
-    bad = LPInstance(inst.A, b, inst.c)
     with pytest.raises(NonpositiveRhs) as ref:
-        _facet_diameter_one_basis_at_a_time(bad, graph)
+        _facet_diameter_one_basis_at_a_time(A, b, graph)
     with pytest.raises(NonpositiveRhs) as got:
-        lower_bound._facet_diameter(bad, graph.bases)
+        lower_bound._facet_diameter(A, b, graph.bases)
     assert str(got.value) == str(ref.value) == "basis row with b = -5.000e-01"
 
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shadowlp import (
     LPInstance,
@@ -13,6 +16,7 @@ from shadowlp import (
     smoothed_instance,
     uniform_sphere,
 )
+from shadowlp.rng import _squared_norms, unit_rows
 
 
 def test_stream_reproducibility_bitwise():
@@ -78,6 +82,70 @@ def test_uniform_sphere_norms_and_mean():
     pts = uniform_sphere(RngStream(7, 0), 4, size=10**6)
     assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
     assert np.linalg.norm(pts.mean(axis=0)) <= 4.0 / math.sqrt(10**6)
+
+
+class _ScriptedDraws:
+    """A generator stand-in whose standard_normal returns `rows`, one row
+    per requested row, and raises past `limit` calls."""
+
+    def __init__(self, rows, limit=3):
+        self.rows, self.limit, self.calls = np.asarray(rows, dtype=float), limit, 0
+
+    def standard_normal(self, shape):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise RuntimeError("the zero rows were redrawn again and again")
+        return self.rows[:shape[0]].copy()
+
+
+@pytest.mark.parametrize("view", ["1-d", "2-d strided", "3-d strided"])
+def test_unit_rows_redraws_zero_rows_in_place(view):
+    # the redraw must land in g itself: where g's leading axes do not merge
+    # (the 3-d view), a reshape copies, and a redraw written into the copy
+    # is lost
+    draws = [[3.0, 4.0, 12.0], [0.0, 5.0, 0.0], [1.0, 1.0, 1.0], [2.0, -1.0, 0.5],
+             [0.0, 0.0, -7.0], [1e-3, 2e-3, 0.0]]
+    if view == "1-d":
+        g = np.zeros(3)
+    elif view == "2-d strided":
+        base = np.zeros((4, 6))
+        base[1] = 2.0
+        g = base[:, ::2]
+    else:
+        g = np.zeros((4, 3, 3))[::2]
+    zero = (g == 0.0).all(axis=-1)
+    expect = g.copy()
+    expect[zero] = np.asarray(draws)[:int(zero.sum())]
+    expect /= np.linalg.norm(expect, axis=-1, keepdims=True)
+    gen = _ScriptedDraws(draws)
+    assert unit_rows(gen, g) is g
+    assert gen.calls == 1
+    assert np.array_equal(g, expect)
+
+
+def _leading_shapes(d):
+    return st.sampled_from([(), (1,), (5,), (2, 3)]).map(lambda lead: lead + (d,))
+
+
+_ENTRIES = st.one_of(
+    st.floats(-4.0, 4.0),  # comparable squares, whose sum order shows in the bits
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e154, -1e160, 1.7e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(1, 12), fortran=st.booleans())
+def test_squared_norms_equal_add_reduce_bit_for_bit(data, d, fortran):
+    # zeros, subnormals, squares that underflow and squares that overflow,
+    # on 1-, 2- and 3-d arrays, with the last axis contiguous or strided
+    x = data.draw(hnp.arrays(np.float64, _leading_shapes(d), elements=_ENTRIES))
+    if fortran:
+        x = np.asfortranarray(x)
+    with np.errstate(over="ignore"):
+        got = np.asarray(_squared_norms(x))
+        want = np.asarray(np.add.reduce(x * x, axis=-1))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_sphere_mass_bounds():
