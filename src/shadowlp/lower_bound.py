@@ -143,10 +143,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
+from .analysis import _pairs
 from .errors import NonpositiveRhs, ShadowLpError, TooFewRows, UncoveredCell
 from .oracle import (_DEGENERATE_SLACK, VertexGraph, _LeftBall, bfs_distance,
                      discover_vertex_graph)
@@ -189,7 +190,7 @@ _CUBE = 10_000
 # try that meets a vertex at the radius grows it to _GROW times that norm
 _GROW = 1.02
 _FLOOR = 160
-# the rows _perturbation takes at a time
+# the rows _perturb draws at a time
 _BLOCK = 1 << 16
 
 
@@ -421,15 +422,18 @@ def default_row_count(sigma: float, d: int) -> int:
 
 def build_lb_instance(rng, dense: DenseSet, sigma: float,
                       c: Optional[np.ndarray] = None,
-                      n: Optional[int] = None) -> SmoothedInstance:
+                      n: Optional[int] = None) -> tuple[SmoothedInstance, float]:
     """Rows = dense sphere points (padded to n with fresh sphere points),
-    right-hand side one, both sides perturbed with sigma.
+    right-hand side one, both sides perturbed with sigma; returns the
+    instance and the measured perturbation, the larger of
+    max_i ||a_i - s_i|| and max_i |b_i - 1| over the unperturbed rows s_i.
 
     The padding keeps every row a unit sphere point, so the augmented row
     set is still eta-dense.  n defaults to floor((4/sigma)^d) when sigma > 0.
     Note the combined rows (s_i, 1) have norm sqrt(2); all downstream
     measurements are invariant under row scaling so the description is kept
-    unscaled.
+    unscaled.  A and b are perturbed in place (_perturb), so the build holds
+    no n x d array but A.
     """
     gen = as_generator(rng)
     d = dense.points.shape[1]
@@ -437,27 +441,43 @@ def build_lb_instance(rng, dense: DenseSet, sigma: float,
         n = default_row_count(sigma, d) if sigma > 0 else len(dense)
     if n < len(dense):
         raise TooFewRows(f"n={n} smaller than the dense set ({len(dense)})")
-    rows = dense.points
+    A = np.empty((n, d))
+    A[:len(dense)] = dense.points
     if n > len(dense):
-        # uniform_sphere's draws, made in the rows array itself
-        rows = np.empty((n, d))
-        rows[:len(dense)] = dense.points
-        unit_rows(gen, gen.standard_normal(out=rows[len(dense):]))
-    bbar = np.ones(n)
-    if sigma > 0:
-        # rows + sigma * noise, formed in the noise's own array
-        A = gen.standard_normal(rows.shape)
-        A *= sigma
-        A += rows
-        b = gen.standard_normal(n)
-        b *= sigma
-        b += bbar
-    else:
-        A, b = rows.copy(), bbar.copy()
+        # uniform_sphere's draws, made in A itself
+        unit_rows(gen, gen.standard_normal(out=A[len(dense):]))
+    b = np.ones(n)
+    moved = 0.0
+    if sigma > 0:  # A's noise, then b's
+        moved = max(_perturb(gen, A, sigma), _perturb(gen, b[:, None], sigma))
     if c is None:
         c = np.zeros(d)
         c[0] = 1.0
-    return SmoothedInstance(A=A, b=b, c=c, abar=rows, bbar=bbar, sigma=float(sigma))
+    return SmoothedInstance(A=A, b=b, c=c, sigma=float(sigma)), moved
+
+
+def _perturb(gen: np.random.Generator, x: np.ndarray, sigma: float) -> float:
+    """Add sigma times standard normals drawn from `gen` to the rows of x in
+    place, _BLOCK rows at a time, and return the largest row norm of the
+    change x_new - x_old.
+
+    The draws are those of one gen.standard_normal(x.shape) call, and each
+    row is x_old + sigma * noise as one whole-array expression forms it.
+    The change is measured as x_old - x_new, its exact negation.  For a
+    one-column x such as b[:, None] that is max |x_new - x_old| exactly: the
+    square root of a double's rounded square is its magnitude where the
+    square neither under- nor overflows, as where x_old = 1.
+    """
+    sq = 0.0
+    for lo in range(0, len(x), _BLOCK):
+        rows = x[lo:lo + _BLOCK]
+        new = gen.standard_normal(rows.shape)
+        new *= sigma
+        new += rows
+        rows -= new
+        sq = max(sq, _squared_norms(rows).max())
+        rows[...] = new
+    return math.sqrt(sq)
 
 
 @dataclass
@@ -507,7 +527,7 @@ def _facet_diameter(A: np.ndarray, b: np.ndarray, bases) -> float:
         raise NonpositiveRhs(f"basis row with b = {low[bad[0]]:.3e}")
     pts = A[idx] / rhs[:, :, None]
     # p_j - p_i for every pair i < j of each basis
-    first, second = np.triu_indices(idx.shape[1], 1)
+    first, second = _pairs(idx.shape[1])
     diff = pts[:, second] - pts[:, first]
     # the square root of the largest square: sqrt rounds monotonically
     return math.sqrt(_squared_norms(diff).max(initial=0.0))
@@ -541,27 +561,6 @@ class DiameterRecord:
 
 def _max_facet_diameter(A: np.ndarray, b: np.ndarray, graph: VertexGraph) -> float:
     return _facet_diameter(A, b, graph.bases)
-
-
-def _perturbation(inst: SmoothedInstance) -> float:
-    """The measured perturbation, the larger of max_i ||a_i - abar_i|| and
-    max_i |b_i - bbar_i|, taken _BLOCK rows at a time, so that it holds no
-    n x d difference (at n = 8e6 its whole-array form held 490 MiB more)."""
-    sq, gap = 0.0, 0.0
-    for lo in range(0, inst.n, _BLOCK):
-        hi = lo + _BLOCK
-        sq = max(sq, _squared_norms(inst.A[lo:hi] - inst.abar[lo:hi]).max())
-        gap = max(gap, np.abs(inst.b[lo:hi] - inst.bbar[lo:hi]).max())
-    return max(math.sqrt(sq), float(gap))
-
-
-class _Rows(NamedTuple):
-    """A try's rows, as phase3_solve reads them: an LPInstance would check
-    their finiteness again."""
-
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
 
 
 def _climb(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[list[int]]:
@@ -609,11 +608,9 @@ def _solve(gen: np.random.Generator, inst: SmoothedInstance, dist: np.ndarray,
                 start = make_basis(A, b, tight)
                 # every multiplier of this objective is 1 at the start
                 z = A.take(start.rows, axis=0).sum(axis=0)
-                outcome, _ = phase3_solve(_Rows(A, b, inst.c), start, z)
+                outcome, _ = phase3_solve(A, b, inst.c, start, z)
             else:
-                part = SmoothedInstance(A=A, b=b, c=inst.c, abar=inst.abar.take(rows, axis=0),
-                                        bbar=inst.bbar.take(rows), sigma=inst.sigma)
-                outcome = solve(gen, part)[0]
+                outcome = solve(gen, SmoothedInstance(A=A, b=b, c=inst.c, sigma=inst.sigma))[0]
         except ShadowLpError:
             break
         if isinstance(outcome, Infeasible):  # P is in P_S
@@ -646,13 +643,12 @@ def _cut_rows(A: np.ndarray, b: np.ndarray, x: np.ndarray, basis: np.ndarray) ->
     return (slack <= 2.0 * _DEGENERATE_SLACK).nonzero()[0]
 
 
-def _discover(A: np.ndarray, b: np.ndarray, start, x: np.ndarray, norms: np.ndarray,
+def _discover(A: np.ndarray, b: np.ndarray, start, x: np.ndarray, low: float,
               dist: np.ndarray, floor: float) -> VertexGraph:
     """discover_vertex_graph(A, b, start), walked from the optimum `x` on
-    the rows whose distance `dist` (b / `norms`) is below a radius, from
+    the rows whose distance `dist` (b_i / ||a_i||) is below a radius, from
     the larger of `floor` and _GROW ||x||, grown until a try is certified,
-    or on every row (module docstring)."""
-    low = float(norms.min())
+    or on every row (module docstring); `low` is min_i ||a_i||."""
     rows_of_start = np.array(start, dtype=np.intp)
     r = max(floor, _GROW * float(np.linalg.norm(x)))
     while low > 0.0 and 0.0 < r < math.inf:
@@ -696,17 +692,20 @@ def diameter_experiment(rng, dense: DenseSet, sigma: float,
     gen = as_generator(rng)
     d, eta = dense.points.shape[1], dense.eta
     c = uniform_sphere(gen, d)
-    inst = build_lb_instance(gen, dense, sigma, c=c, n=n)
+    inst, moved = build_lb_instance(gen, dense, sigma, c=c, n=n)
     rec = DiameterRecord(
         d=d, sigma=sigma, eta=eta, n_rows=inst.n, n_dense=len(dense), outcome="pending",
     )
     # measured perturbation level; with it the density/perturbation
     # preconditions become checkable facts rather than probability events
-    rec.eta_event = max(eta, _perturbation(inst))
+    rec.eta_event = max(eta, moved)
     rec.event_holds = rec.eta_event <= 0.125
 
-    norms = np.sqrt(_squared_norms(inst.A))
-    dist = inst.b / norms
+    # the row norms, then the distances b_i / ||a_i||, in one n-vector
+    dist = _squared_norms(inst.A)
+    np.sqrt(dist, out=dist)
+    low = float(dist.min())
+    np.divide(inst.b, dist, out=dist)
     k = min(_FLOOR, inst.n) - 1
     floor = float(np.partition(dist, k)[k])
     outcome = _solve(gen, inst, dist, floor)
@@ -715,7 +714,7 @@ def diameter_experiment(rng, dense: DenseSet, sigma: float,
         return rec
     rec.outcome = "optimal"
 
-    graph = _discover(inst.A, inst.b, outcome.basis_indices, outcome.x, norms, dist, floor)
+    graph = _discover(inst.A, inst.b, outcome.basis_indices, outcome.x, low, dist, floor)
     rec.vertices = len(graph)
     rec.edges = graph.edge_count
 

@@ -144,11 +144,9 @@ def random_rotation(rng, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothedInstance(LPInstance):
-    """An LP whose A and b are abar + sigma G and bbar + sigma g; the
-    unperturbed data and sigma are a record kept about it."""
+    """An LP whose A and b are abar + sigma G and bbar + sigma g; sigma is a
+    record kept about it (solve sizes its artificial noise by it)."""
 
-    abar: np.ndarray
-    bbar: np.ndarray
     sigma: float
 
     def lp(self) -> LPInstance:
@@ -171,4 +169,4 @@ def smoothed_instance(rng, abar, bbar, c, sigma: float) -> SmoothedInstance:
     gen = as_generator(rng)
     A = abar + sigma * gen.standard_normal(abar.shape)
     b = bbar + sigma * gen.standard_normal(bbar.shape)
-    return SmoothedInstance(A=A, b=b, c=c, abar=abar, bbar=bbar, sigma=float(sigma))
+    return SmoothedInstance(A=A, b=b, c=c, sigma=float(sigma))

@@ -357,9 +357,11 @@ def phase2_solve(
 # Phase 3 and the full pipeline
 
 
-def phase3_solve(inst, z_basis: Basis, z: np.ndarray) -> tuple[SolveOutcome, ShadowPath]:
-    """Follow the shadow path from the random objective z to the input c."""
-    path, out = run_shadow_path(inst.A, inst.b, z, inst.c, z_basis)
+def phase3_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, z_basis: Basis,
+                 z: np.ndarray) -> tuple[SolveOutcome, ShadowPath]:
+    """Follow the shadow path of {A x <= b} from the random objective z to
+    the input c."""
+    path, out = run_shadow_path(A, b, z, c, z_basis)
     if isinstance(out, Finished):
         return Optimal(basis_indices=out.basis.indices, x=out.basis.x), path
     return Unbounded(ray=out.ray, x=out.basis.x), path
@@ -389,7 +391,7 @@ def _solve_once(gen, inst, art_sigma, stats, z=None):
     p2 = phase2_solve(gen, inst, unit_basis, z, stats)
     if isinstance(p2, (Infeasible, Unbounded)):
         return p2, None
-    outcome, path = phase3_solve(inst, p2, z)
+    outcome, path = phase3_solve(inst.A, inst.b, inst.c, p2, z)
     stats.pivots_phase3 = path.pivots
     return outcome, path
 

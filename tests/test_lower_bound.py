@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,12 +433,28 @@ def test_lower_bound_runs_are_pinned(monkeypatch, sigma, stream, a_digest, b_dig
 
     monkeypatch.setattr(lower_bound, "build_lb_instance", record)
     rec = diameter_experiment(RngStream(7007, stream), dense_set_with_retry(sigma, 3), sigma)
-    (inst,) = built
+    ((inst, _),) = built
     cells = "\n".join(f"{f.name}={getattr(rec, f.name)!r}" for f in dataclasses.fields(rec))
     assert rec.outcome == "optimal"
     assert hashlib.sha256(inst.A.tobytes()).hexdigest() == a_digest
     assert hashlib.sha256(inst.b.tobytes()).hexdigest() == b_digest
     assert hashlib.sha256(cells.encode()).hexdigest() == record_digest
+
+
+def test_padded_run_holds_one_n_by_d_array():
+    # a padded sigma = 0.05 run (n = 512,000) keeps A and b, and besides
+    # them never holds as much as one more n x d array (11.7 MiB): A is
+    # perturbed in place and the perturbation measured as it is
+    dense = dense_set_with_retry(0.05, 3)
+    n = default_row_count(0.05, 3)
+    tracemalloc.start()
+    try:
+        rec = diameter_experiment(RngStream(7007, 2), dense, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.outcome == "optimal" and rec.n_rows == n
+    assert peak < 8 * (n * 3 + n + n * 3)
 
 
 def test_criterion_7_runs_share_one_packing():
@@ -551,9 +568,10 @@ def test_diameter_experiment_c_is_the_streams_first_draw(monkeypatch):
 def test_build_lb_instance_unperturbed():
     gen = RngStream(71, 0).generator()
     dense = dense_set_with_retry(eta=0.4, d=3)
-    inst = build_lb_instance(gen, dense, sigma=0.0)
+    inst, moved = build_lb_instance(gen, dense, sigma=0.0)
     assert np.array_equal(inst.A, dense.points)
     assert np.array_equal(inst.b, np.ones(len(dense)))
+    assert moved == 0.0
     res = sandwich_check(inst, dense.eta)
     assert abs(res.inner_radius - 1.0) < 1e-12 and res.inner_ok
 
@@ -562,9 +580,13 @@ def test_build_lb_instance_row_count():
     assert default_row_count(0.25, 3) == 4096
     gen = RngStream(71, 1).generator()
     dense = dense_set_with_retry(eta=0.25, d=3)
-    inst = build_lb_instance(gen, dense, sigma=0.25)
+    inst, _ = build_lb_instance(gen, dense, sigma=0.25)
     assert inst.n == 4096
-    assert np.allclose(np.linalg.norm(inst.abar, axis=1), 1.0)
+    # the padding rows are unit sphere points: at sigma = 0 they are A's
+    # rows past the packing
+    pad, moved = build_lb_instance(gen, dense, sigma=0.0, n=4096)
+    assert np.array_equal(pad.A[:len(dense)], dense.points) and moved == 0.0
+    assert np.allclose(np.linalg.norm(pad.A, axis=1), 1.0)
 
 
 def test_perturbation_norm_event():
@@ -572,16 +594,19 @@ def test_perturbation_norm_event():
     gen = RngStream(71, 2).generator()
     dense = dense_set_with_retry(eta=0.4, d=3)
     for k in range(5):
-        inst = build_lb_instance(RngStream(72, k), dense, sigma=0.02, n=len(dense))
+        inst, moved = build_lb_instance(RngStream(72, k), dense, sigma=0.02, n=len(dense))
         cut = 4 * 0.02 * math.sqrt(3 * math.log(inst.n))
-        assert np.linalg.norm(inst.A - inst.abar, axis=1).max() <= cut
-        assert np.abs(inst.b - inst.bbar).max() <= cut
+        assert 0.0 < moved <= cut
+        # the largest of the row changes, measured from the unperturbed rows
+        ref = max(np.linalg.norm(inst.A - dense.points, axis=1).max(),
+                  np.abs(inst.b - 1.0).max())
+        assert moved == ref
 
 
 def test_sandwich_violation_constructed():
     gen = RngStream(73, 0).generator()
     dense = dense_set_with_retry(eta=0.4, d=3)
-    inst = build_lb_instance(gen, dense, sigma=0.0)
+    inst, _ = build_lb_instance(gen, dense, sigma=0.0)
     A = inst.A.copy()
     A[0] *= 3.0  # halfspace now at distance 1/3 from the origin
     bad = LPInstance(A, inst.b, inst.c)
@@ -761,7 +786,8 @@ def test_pruned_discovery_falls_back_to_every_row(monkeypatch):
     def walked(k, dist):
         walks.clear()
         floor = float(np.sort(dist)[k - 1])
-        assert _same_graph(lower_bound._discover(A, b, start, x, norms, dist, floor), full)
+        got = lower_bound._discover(A, b, start, x, norms.min(), dist, floor)
+        assert _same_graph(got, full)
         return walks
 
     # the 7th-smallest distance takes the first radius to 50: S is the box,
@@ -796,9 +822,9 @@ def _counted_tries(monkeypatch):
         tries.append(_Try("climb", A))
         return climb(A, b, c)
 
-    def walked(inst, start, z):
-        out = walk(inst, start, z)
-        tries[-1].part, tries[-1].outcome = inst, out[0]
+    def walked(A, b, c, start, z):
+        out = walk(A, b, c, start, z)
+        tries[-1].part, tries[-1].outcome = LPInstance(A, b, c), out[0]
         return out
 
     def solved(gen, inst):
@@ -886,8 +912,8 @@ def test_restricted_solve_of_a_lattice_solves_every_row(monkeypatch):
     ("tied-objective", [("climb", 159), ("solve", 4096)])])
 def test_restricted_solve_falls_back_to_every_row(monkeypatch, case, solves):
     gen = RngStream(7007, 0).generator()
-    inst = build_lb_instance(gen, dense_set_with_retry(0.25, 3), 0.25,
-                             c=uniform_sphere(gen, 3))
+    inst, _ = build_lb_instance(gen, dense_set_with_retry(0.25, 3), 0.25,
+                                c=uniform_sphere(gen, 3))
     if case == "negative-radius":
         # criterion 7's polytope moved by (2, 0, 0): about a quarter of its
         # rows have b_i < 0, and the 159 rows of most negative distance leave
@@ -983,7 +1009,7 @@ def test_climb_starts_phase_3_at_a_feasible_vertex(seed, d, extra, sigma):
     assert tight is not None and len(set(tight)) == d
     start = make_basis(A, b, tight)
     assert (A @ start.x - b).max() <= 1e-9
-    out = phase3_solve(inst, start, A[list(start.indices)].sum(axis=0))[0]
+    out = phase3_solve(A, b, inst.c, start, A[list(start.indices)].sum(axis=0))[0]
     assert out.kind == "optimal"
     slack = b - A @ out.x
     slack[list(out.basis_indices)] = np.inf
@@ -1016,7 +1042,7 @@ def test_diameter_experiment_c_sign_symmetry():
     # BFS distance between max and min is symmetric under negating c
     gen = RngStream(75, 0).generator()
     dense = dense_set_with_retry(eta=0.3, d=3)
-    inst = build_lb_instance(gen, dense, sigma=0.01, n=len(dense))
+    inst, _ = build_lb_instance(gen, dense, sigma=0.01, n=len(dense))
     from shadowlp.oracle import bfs_distance
     from shadowlp.solver import solve
 

@@ -184,8 +184,10 @@ def test_smoothed_instance_bookkeeping():
     bbar = np.array([0.5, 0.5, 0.1])
     c = np.array([1.0, 0.0])
     si = smoothed_instance(gen, abar, bbar, c, sigma=0.05)
-    # a smoothed LP is an LP; abar, bbar and sigma are a record about it
+    # a smoothed LP is an LP with sigma as a record about it; abar and bbar
+    # are not kept
     assert isinstance(si, LPInstance) and (si.n, si.d, si.sigma) == (3, 2, 0.05)
+    assert not hasattr(si, "abar") and not hasattr(si, "bbar")
     assert si.A.flags.c_contiguous
     replay = RngStream(11, 0).generator()
     assert np.array_equal(si.A, abar + 0.05 * replay.standard_normal(abar.shape))

@@ -195,8 +195,7 @@ def test_phase3_parallel_objective_zero_pivots():
     stats = SolveStats()
     unit_basis, z = phase1_solve(gen, inst.A, 0.01, stats)
     res2 = phase2_solve(gen, inst, unit_basis, z, stats)
-    parallel = LPInstance(inst.A, inst.b, 2.0 * z)
-    outcome, path = phase3_solve(parallel, res2, z)
+    outcome, path = phase3_solve(inst.A, inst.b, 2.0 * z, res2, z)
     assert isinstance(outcome, Optimal)
     assert path.pivots == 0
 
