@@ -3,7 +3,9 @@
 
 Shows the phase structure (random-objective unit solve, interpolation lift,
 final sweep to the input objective), the per-phase pivot counts, and the
-certificate attached to each outcome kind.
+certificate attached to each outcome kind.  Each instance is solved with
+climb=False, the paper's three phases; where every b_i > 0 the default
+solve's answer, from a climb out of the origin and phase 3 alone, follows.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from shadowlp.solver import Infeasible, Optimal, Unbounded
 
 def report(name, inst, seed=0):
     print(f"\n=== {name} (n={inst.n}, d={inst.d}) ===")
-    outcome, stats, _ = solve(RngStream(seed), inst)
+    outcome, stats, _ = solve(RngStream(seed), inst, climb=False)
     print(f"outcome: {outcome.kind}")
     print(
         f"pivots: phase1={stats.pivots_phase1} phase2={stats.pivots_phase2} "
@@ -32,6 +34,10 @@ def report(name, inst, seed=0):
         ray = outcome.ray / np.linalg.norm(outcome.ray)
         print(f"recession ray {np.round(ray, 4)}, c.ray = {inst.c @ ray:.4f}, "
               f"from the feasible vertex {np.round(outcome.x, 4) + 0.0}")
+    if inst.b.min() > 0.0:
+        climbed, stats, _ = solve(RngStream(seed), inst)
+        how = "climbed from the origin" if stats.restarts == 0 else "the climb found no vertex"
+        print(f"default solve: {climbed.kind} ({how}; pivots phase3={stats.pivots_phase3})")
 
 
 # a box: |x_i| <= 1

@@ -94,24 +94,17 @@ keep 240,000-340,000 of the 8 million rows of a padded sigma = 0.02 run,
 and 1.02 keeps 15,000-25,000; at sigma = 0.05 both keep a few thousand.
 
 The LP solve (_solve) runs on a row set S too, first the rows nearer the
-origin than the 160th-smallest distance.  When S has d rows or more and
-every one has b_i > 0, the origin satisfies each row of S strictly
-(a_i.0 = 0 < b_i) and so lies inside P_S: the S-LP needs no phase 1 or 2.
-The try climbs from x = 0 by d ratio tests instead (_climb): step k moves
-along c projected onto the null space of the rows already tight, so they
-stay tight, and the first row to block joins them.  A row that blocks has
-a_i.g > 0 on a direction g orthogonal to the rows before it, so the d rows
-are independent and tight at a vertex of P_S.  Phase 3 alone then walks
-from that vertex to c, from the objective y = the sum of the vertex's rows,
-whose multipliers there are all 1.  On criterion 7's runs the climb takes
-about 45 us and the walk 0-2 pivots, where solve took 0.7-1.0 ms.  A climb
-step with no blocking row (an unbounded ray, or c in the span of the tight
-rows, a tie) ends the tries.
-Any other S goes to solve, with the run's sigma, since solve sizes its
-artificial noise by it; only solve's phase 2 can prove such an S-LP
-infeasible.  As P is in P_S, an S-LP that is infeasible proves P empty, and
-its Farkas certificate, zero outside S, is one for P.  An S-LP optimum x_S
-at basis B counts only when
+origin than the 160th-smallest distance, and solves each S-LP with solve,
+with the run's sigma, since solve sizes its artificial noise by it.  When
+every row of S has b_i > 0, the origin satisfies each strictly
+(a_i.0 = 0 < b_i) and so lies inside P_S: solve then climbs from it to a
+vertex and walks phase 3 alone, drawing nothing (solver module docstring).
+On criterion 7's runs the climb takes about 45 us and the walk 0-2 pivots,
+where the three phases took 0.7-1.0 ms.  Any other S, or a climb that
+finds no vertex, takes solve's three phases; only solve's phase 2 can
+prove such an S-LP infeasible.  As P is in P_S, an S-LP that is
+infeasible proves P empty, and its Farkas certificate, zero outside S, is
+one for P.  An S-LP optimum x_S at basis B counts only when
   (1) every row outside B, over all n rows, has slack b_i - a_i.x_S above
       2e-9, twice discovery's degeneracy cut, and
   (2) every multiplier mu of c = A_B^T mu is above TOL_OPT max(1, ||c||).
@@ -124,13 +117,13 @@ adds to S exactly the rows it names, those outside B with slack at most
 2e-9 at x_S, and tries again, as Clarkson's constraint-sampling LP
 algorithm does.  A try that meets (1) but not (2) has found an optimum of
 P that a larger S leaves as it is, with a multiplier too small to rule out
-a tie, so it solves every row instead, as do a try that adds no row, a
-climb that finds no vertex, an unbounded S-LP, any ShadowLpError and an S
-of half the rows or more.  That solve starts from the generator state the
-first try began at, and so draws what a solve on every row alone draws;
-the climb draws nothing, and the solve is the run's last draw, so which
-path answered changes no later value.  The answer keeps x's bits: solve
-and the walk both give x as make_basis's A_B^{-1} b_B, over the rows of B
+a tie, so it solves every row instead, as do a try that adds no row, an
+unbounded S-LP, any ShadowLpError and an S of half the rows or more.  That
+solve starts from the generator state the first try began at, and so draws
+what a solve on every row alone draws; the solve is the run's last draw,
+so which path answered changes no later value.  The answer keeps x's bits:
+the three phases and the climbed walk both end in phase 3, which gives x
+as make_basis's A_B^{-1} b_B, over the rows of B
 in sorted order, and S keeps the row order (the rows added are merged in),
 so the S-LP's basis gathers to the same d x d matrix and right-hand side
 as B does from every row (the power-of-two rescale that solve may apply to
@@ -152,8 +145,8 @@ from .errors import NonpositiveRhs, ShadowLpError, TooFewRows, UncoveredCell
 from .oracle import (_DEGENERATE_SLACK, VertexGraph, _LeftBall, bfs_distance,
                      discover_vertex_graph)
 from .rng import SmoothedInstance, _squared_norms, as_generator, uniform_sphere, unit_rows
-from .simplex import TOL_OPT, _blocking_row, make_basis
-from .solver import Infeasible, Optimal, SolveOutcome, phase3_solve, solve
+from .simplex import TOL_OPT
+from .solver import Infeasible, Optimal, SolveOutcome, solve
 
 
 @dataclass(frozen=True)
@@ -190,7 +183,8 @@ _CUBE = 10_000
 # try that meets a vertex at the radius grows it to _GROW times that norm
 _GROW = 1.02
 _FLOOR = 160
-# the rows _perturb draws at a time
+# the rows that _perturb draws, and that the n-vector passes of a lower-bound
+# run take, at a time
 _BLOCK = 1 << 16
 
 
@@ -480,6 +474,16 @@ def _perturb(gen: np.random.Generator, x: np.ndarray, sigma: float) -> float:
     return math.sqrt(sq)
 
 
+def _kth_smallest(x: np.ndarray, k: int) -> float:
+    """np.partition(x, k)[k] without a copy of x: the k-th smallest of the
+    k + 1 smallest of each _BLOCK slice, among which are x's k + 1 smallest;
+    the value is one of x's own, so its bits are the same.  Each slice's
+    k + 1 are copied out, so that its partitioned copy is freed at once."""
+    least = [np.partition(x[lo:lo + _BLOCK], k)[:k + 1].copy() if len(x) - lo > k + 1
+             else x[lo:lo + _BLOCK] for lo in range(0, len(x), _BLOCK)]
+    return float(np.partition(np.concatenate(least), k)[k])
+
+
 @dataclass
 class SandwichResult:
     inner_radius: float  # min_i b_i / ||a_i||
@@ -563,54 +567,23 @@ def _max_facet_diameter(A: np.ndarray, b: np.ndarray, graph: VertexGraph) -> flo
     return _facet_diameter(A, b, graph.bases)
 
 
-def _climb(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[list[int]]:
-    """The d rows tight at the vertex of {A x <= b} reached from x = 0, for
-    b > 0, by d ratio tests: step k moves along c projected onto the null
-    space of the rows already tight, and the first row to block joins them.
-    None when a step has no blocking row: an unbounded ray, or a direction
-    too short for any row to block, as where c lies in the tight rows' span.
-    """
-    d = A.shape[1]
-    x = np.zeros(d)
-    q = np.zeros((d, d))  # its first k rows: an orthonormal basis of the tight rows' span
-    tight: list[int] = []
-    for k in range(d):
-        g = c - (q @ c) @ q
-        step, row, _ = _blocking_row(A, b, x, -g, tight)
-        if row is None:
-            return None
-        x = x + step * g
-        tight.append(row)
-        u = A[row] - (q @ A[row]) @ q
-        q[k] = u / math.sqrt(u @ u)
-    return tight
-
-
 def _solve(gen: np.random.Generator, inst: SmoothedInstance, dist: np.ndarray,
            floor: float) -> SolveOutcome:
     """solve(gen, inst)'s outcome, from an LP on the rows whose distance
     `dist` is below `floor`, grown by the rows that cut its optimum until
     that is certified, or from solve(gen, inst) itself with `gen` restored
     to its state on entry (module docstring).  A try whose rows all have
-    b_i > 0 climbs to a vertex and walks phase 3 alone, drawing nothing; a
+    b_i > 0 is answered by solve's climb, which draws nothing; a three-phase
     solve on the other row sets draws a different number of values from
     `gen` than a solve on every row."""
     state = gen.bit_generator.state
     margin = TOL_OPT * max(1.0, float(np.linalg.norm(inst.c)))
     rows = (dist < floor).nonzero()[0]
     while 2 * len(rows) < inst.n:
-        A, b = inst.A.take(rows, axis=0), inst.b.take(rows)
+        part = SmoothedInstance(A=inst.A.take(rows, axis=0), b=inst.b.take(rows), c=inst.c,
+                                sigma=inst.sigma)
         try:
-            if len(rows) >= inst.d and b.min() > 0.0:  # the origin is inside P_S
-                tight = _climb(A, b, inst.c)
-                if tight is None:
-                    break
-                start = make_basis(A, b, tight)
-                # every multiplier of this objective is 1 at the start
-                z = A.take(start.rows, axis=0).sum(axis=0)
-                outcome, _ = phase3_solve(A, b, inst.c, start, z)
-            else:
-                outcome = solve(gen, SmoothedInstance(A=A, b=b, c=inst.c, sigma=inst.sigma))[0]
+            outcome = solve(gen, part)[0]
         except ShadowLpError:
             break
         if isinstance(outcome, Infeasible):  # P is in P_S
@@ -636,11 +609,15 @@ def _solve(gen: np.random.Generator, inst: SmoothedInstance, dist: np.ndarray,
 def _cut_rows(A: np.ndarray, b: np.ndarray, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The rows outside `basis` whose slack b_i - a_i.x is at most
     2 _DEGENERATE_SLACK, those that fail the certificate's condition (1);
-    the n-vector of slacks is freed before the next try."""
-    slack = A @ x
-    np.subtract(b, slack, out=slack)
-    slack[basis] = math.inf
-    return (slack <= 2.0 * _DEGENERATE_SLACK).nonzero()[0]
+    the slacks are computed _BLOCK rows at a time, so no n-vector is held."""
+    cut = []
+    for lo in range(0, len(b), _BLOCK):
+        slack = A[lo:lo + _BLOCK] @ x
+        np.subtract(b[lo:lo + _BLOCK], slack, out=slack)
+        inside = basis[(basis >= lo) & (basis < lo + len(slack))]
+        slack[inside - lo] = math.inf
+        cut.append((slack <= 2.0 * _DEGENERATE_SLACK).nonzero()[0] + lo)
+    return np.concatenate(cut)
 
 
 def _discover(A: np.ndarray, b: np.ndarray, start, x: np.ndarray, low: float,
@@ -701,13 +678,16 @@ def diameter_experiment(rng, dense: DenseSet, sigma: float,
     rec.eta_event = max(eta, moved)
     rec.event_holds = rec.eta_event <= 0.125
 
-    # the row norms, then the distances b_i / ||a_i||, in one n-vector
-    dist = _squared_norms(inst.A)
+    # the row norms, then the distances b_i / ||a_i||, in one n-vector; the
+    # squares are summed _BLOCK rows at a time, so no other n-vector is held
+    dist = np.empty(inst.n)
+    for lo in range(0, inst.n, _BLOCK):
+        dist[lo:lo + _BLOCK] = _squared_norms(inst.A[lo:lo + _BLOCK])
     np.sqrt(dist, out=dist)
     low = float(dist.min())
     np.divide(inst.b, dist, out=dist)
     k = min(_FLOOR, inst.n) - 1
-    floor = float(np.partition(dist, k)[k])
+    floor = _kth_smallest(dist, k)
     outcome = _solve(gen, inst, dist, floor)
     if not isinstance(outcome, Optimal):
         rec.outcome = outcome.kind
@@ -719,6 +699,7 @@ def diameter_experiment(rng, dense: DenseSet, sigma: float,
     rec.edges = graph.edge_count
 
     sandwich = sandwich_check(inst, rec.eta_event, vertices=graph.points, dist=dist)
+    del dist  # b_shift below is the run's next n-vector
     rec.sandwich_inner_ok = sandwich.inner_ok
     rec.sandwich_outer_ok = sandwich.outer_ok
 

@@ -1,4 +1,4 @@
-"""Three-phase shadow-vertex LP solver.
+"""Shadow-vertex LP solver: a climb from an interior origin, or three phases.
 
 Phase 1 solves the unit system max z^T x, Ax <= 1 for a random Gaussian
 objective z, starting from a basis of d artificial constraints built around
@@ -10,6 +10,19 @@ tight rows form a z-optimal feasible basis of the input LP) or until the
 t-maximum proves the input infeasible, in which case the optimal basis
 multipliers convert into a Farkas certificate.  Phase 3 follows the
 shadow path from z to the input objective c.
+
+Phases 1-2 exist only to find a vertex that is optimal for some objective.
+When every b_i > 0 the origin is strictly feasible, and `solve` finds one
+without them (_climb): step k moves from x = 0 along c projected onto the
+null space of the rows already tight, so they stay tight, and the first row
+to block joins them.  A row that blocks has a_i.g > 0 on a direction g
+orthogonal to the rows before it, so the d rows are independent and tight
+at a vertex.  Phase 3 alone then walks from that vertex to c, from the
+objective z = the sum of the vertex's rows, whose multipliers there are all
+1.  The climb draws no random numbers.  A climb step that no row blocks (an
+unbounded ray, or c in the span of the tight rows, a tie), or a walk or
+verification that raises, falls back to the three phases, which then draw
+what they draw without the climb.
 
 All certificates are re-verified numerically before being returned.
 """
@@ -32,6 +45,7 @@ from .errors import (
     NumericalStall,
     RerunRay,
     RestartLimitExceeded,
+    ShadowLpError,
     SingularError,
 )
 from .instance import LPInstance
@@ -367,10 +381,36 @@ def phase3_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, z_basis: Basis,
     return Unbounded(ray=out.ray, x=out.basis.x), path
 
 
+def _climb(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[list[int]]:
+    """The d rows tight at the vertex of {A x <= b} reached from x = 0, for
+    b > 0, by d ratio tests: step k moves along c projected onto the null
+    space of the rows already tight, and the first row to block joins them.
+    None when a step has no blocking row: an unbounded ray, or a direction
+    too short for any row to block, as where c lies in the tight rows' span.
+    """
+    d = A.shape[1]
+    x = np.zeros(d)
+    q = np.zeros((d, d))  # its first k rows: an orthonormal basis of the tight rows' span
+    tight: list[int] = []
+    for k in range(d):
+        g = c - (q @ c) @ q
+        step, row, _ = _blocking_row(A, b, x, -g, tight)
+        if row is None:
+            return None
+        x = x + step * g
+        tight.append(row)
+        u = A[row] - (q @ A[row]) @ q
+        q[k] = u / math.sqrt(u @ u)
+    return tight
+
+
 @dataclass
 class SolveStats:
     """A solve's counts.  Restarts and phase 1-2 pivots add up over both
-    passes; `retries` is 1 when phases 1-2 were rerun."""
+    passes; `retries` is 1 when phases 1-2 were rerun.  A solve answered by
+    the climb and phase 3 alone has every count but `pivots_phase3` at 0:
+    `restarts == 0` marks it, since the three phases make at least one
+    phase-1 attempt."""
 
     restarts: int = 0
     pivots_phase1: int = 0
@@ -394,6 +434,23 @@ def _solve_once(gen, inst, art_sigma, stats, z=None):
     outcome, path = phase3_solve(inst.A, inst.b, inst.c, p2, z)
     stats.pivots_phase3 = path.pivots
     return outcome, path
+
+
+def _solve_climbed(inst) -> Optional[tuple[SolveOutcome, SolveStats, ShadowPath]]:
+    """solve's answer from the climb and phase 3 alone, for b > 0, verified;
+    None when the climb finds no vertex or the walk or the check raises."""
+    A, b, c = inst.A, inst.b, inst.c
+    tight = _climb(A, b, c)
+    if tight is None:
+        return None
+    try:
+        start = make_basis(A, b, tight)
+        # every multiplier of this objective is 1 at the start
+        outcome, path = phase3_solve(A, b, c, start, A.take(start.rows, axis=0).sum(axis=0))
+        verify_outcome(inst, outcome)
+    except ShadowLpError:
+        return None
+    return outcome, SolveStats(pivots_phase3=path.pivots), path
 
 
 def _max_row_sq(A: np.ndarray, b: np.ndarray) -> float:
@@ -437,8 +494,16 @@ def _row_scaled(inst: LPInstance) -> LPInstance:
     return LPInstance(np.ldexp(inst.A, -e), np.ldexp(inst.b, -e), np.ldexp(inst.c, -f))
 
 
-def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
-    """Run phases 1-3 and return (outcome, per-phase stats, phase-3 path).
+def solve(rng, inst, *, climb: bool = True
+          ) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
+    """Solve inst and return (outcome, per-phase stats, phase-3 path).
+
+    With `climb` and every b_i > 0, the origin is strictly feasible: the
+    solve climbs from it to a vertex (_climb) and walks phase 3 alone from
+    there, drawing nothing from rng.  A climb step that no row blocks, or a
+    walk or verification that raises ShadowLpError, falls back to the three
+    phases, which then run as they would with climb=False.  climb=False
+    always runs the paper's three phases.
 
     Only phase 3, starting at a feasible vertex, answers with a ray.  When
     phase 1 or 2 ends on one, phases 1-2 rerun once with z = A^T |g|,
@@ -452,7 +517,8 @@ def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
     ROW_NORM_RANGE, the phases and the verification run on a copy with
     (A, b), or c, divided by an exact power of two (_row_scaled).  The
     answer's x, ray and Farkas y hold for the input as they are; the
-    phase-3 path is that of the scaled copy.
+    phase-3 path is that of the scaled copy, and the climb's test b > 0 is
+    made on it too.
     """
     inst_lp = _row_scaled(inst)
     n, d = inst_lp.A.shape
@@ -460,6 +526,10 @@ def solve(rng, inst) -> tuple[SolveOutcome, SolveStats, Optional[ShadowPath]]:
         raise DimensionTooSmall(f"artificial basis construction needs d >= 3, got {d}")
     if n < d:
         raise NoVertex(f"n = {n} < d = {d}: the region has no vertex")
+    if climb and inst_lp.b.min() > 0.0:
+        climbed = _solve_climbed(inst_lp)
+        if climbed is not None:
+            return climbed
     # keep the artificial noise well below the simplex radius
     # 1/(10 sqrt(ln d)); near it the start construction rarely yields
     # nonnegative multipliers and the restart loop churns

@@ -75,7 +75,7 @@ def test_seeded_solve_is_pinned(monkeypatch, family, sigma, stream, kind, pivots
     monkeypatch.setattr(solver, "make_basis", recording)
 
     si, gen = family(sigma, stream)
-    outcome, stats, _ = solver.solve(gen, si)
+    outcome, stats, _ = solver.solve(gen, si, climb=False)
     assert outcome.kind == kind
     assert (stats.pivots_phase1, stats.pivots_phase2, stats.pivots_phase3) == pivots
     if kind == "optimal":

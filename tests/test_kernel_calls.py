@@ -57,7 +57,7 @@ def _count_calls(monkeypatch):
 def test_seeded_solve_calls_every_kernel_as_pinned(monkeypatch, family, kind, pivots, calls):
     si, gen = _instance(family)
     counts = _count_calls(monkeypatch)
-    outcome, stats, _ = solver.solve(gen, si)
+    outcome, stats, _ = solver.solve(gen, si, climb=False)
     assert outcome.kind == kind
     assert (stats.pivots_phase1, stats.pivots_phase2, stats.pivots_phase3) == pivots
     assert tuple(counts[name] for _, name in KERNELS) == calls

@@ -191,7 +191,7 @@ def _recorded_calls(d, n, family, seed):
             gen = RngStream(seed, k).generator()
             make = ball_instance if family == "ball" else mixed_instance
             inst = make(gen, d, n, 0.05).lp()
-            solver.solve(RngStream(seed, 100 + k), inst)
+            solver.solve(RngStream(seed, 100 + k), inst, climb=False)
     return calls
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from shadowlp import LPInstance, RngStream
 from shadowlp.errors import NonpositiveRhs, UncoveredCell
 from shadowlp.experiments import LOWERBOUND_SCHEMA, lowerbound_run, parse_config
-from shadowlp import experiments, lower_bound
+from shadowlp import experiments, lower_bound, solver
 from shadowlp.lower_bound import (
     _max_cos,
     build_lb_instance,
@@ -442,9 +442,11 @@ def test_lower_bound_runs_are_pinned(monkeypatch, sigma, stream, a_digest, b_dig
 
 
 def test_padded_run_holds_one_n_by_d_array():
-    # a padded sigma = 0.05 run (n = 512,000) keeps A and b, and besides
-    # them never holds as much as one more n x d array (11.7 MiB): A is
-    # perturbed in place and the perturbation measured as it is
+    # a padded sigma = 0.05 run (n = 512,000) keeps A, b and the row
+    # distances, and besides them never holds half an n-vector more (2 MiB):
+    # A is perturbed in place and the perturbation measured as it is, and
+    # the row norms, the distances' 160th smallest and the slacks of the
+    # rows that cut an optimum are taken _BLOCK rows at a time
     dense = dense_set_with_retry(0.05, 3)
     n = default_row_count(0.05, 3)
     tracemalloc.start()
@@ -454,7 +456,17 @@ def test_padded_run_holds_one_n_by_d_array():
     finally:
         tracemalloc.stop()
     assert rec.outcome == "optimal" and rec.n_rows == n
-    assert peak < 8 * (n * 3 + n + n * 3)
+    assert peak < 8 * (n * 3 + n + n + n // 2)
+
+
+@pytest.mark.parametrize("n", [1, 160, 161, 65536, 65537 + 100, 3 * 65536 + 160, 3 * 65536 + 161])
+def test_kth_smallest_matches_partition(n):
+    # the k-th smallest from each block's k + 1 smallest, with a last block
+    # of at most k + 1 rows taken whole, and ties among the values
+    x = np.round(RngStream(5, n).generator().standard_normal(n), 2)
+    k = min(159, n - 1)
+    got = lower_bound._kth_smallest(x, k)
+    assert np.float64(got).tobytes() == np.partition(x, k)[k].tobytes()
 
 
 def test_criterion_7_runs_share_one_packing():
@@ -806,35 +818,40 @@ def test_pruned_discovery_falls_back_to_every_row(monkeypatch):
 class _Try:
     by: str                # "climb" or "solve"
     A: np.ndarray          # the rows tried
-    part: object = None    # the LP that answered, once one did
+    part: object = None    # the LP tried
     outcome: object = None
+    climbed: object = None  # the climb's rows, None where it found no vertex
 
 
 def _counted_tries(monkeypatch):
-    """Wrap the two ways lower_bound tries an LP on a row set: the climb,
-    whose phase-3 walk then answers, and solve, which also solves every
-    row.  Returns the list of every try, the solve on every row included,
-    in order; a try that found no vertex or raised has no outcome."""
-    tries = []
-    climb, walk, full = lower_bound._climb, lower_bound.phase3_solve, lower_bound.solve
+    """Wrap solve, which lower_bound calls for the LP on each row set it
+    tries and on every row, and the climb inside it.  A try is "climb" when
+    solve answered from the climb and its phase-3 walk (restarts 0), and
+    "solve" when the three phases ran.  Returns the list of every try, the
+    solve on every row included, in order; a try that raised has no
+    outcome."""
+    tries, counting = [], [False]
+    climb, full = solver._climb, lower_bound.solve
 
     def climbed(A, b, c):
-        tries.append(_Try("climb", A))
-        return climb(A, b, c)
-
-    def walked(A, b, c, start, z):
-        out = walk(A, b, c, start, z)
-        tries[-1].part, tries[-1].outcome = LPInstance(A, b, c), out[0]
-        return out
+        tight = climb(A, b, c)
+        if counting[0]:  # not a reference solve made outside lower_bound
+            tries[-1].climbed = tight
+        return tight
 
     def solved(gen, inst):
         tries.append(_Try("solve", inst.A, inst))
-        out = full(gen, inst)
+        counting[0] = True
+        try:
+            out = full(gen, inst)
+        finally:
+            counting[0] = False
+        if out[1].restarts == 0:
+            tries[-1].by = "climb"
         tries[-1].outcome = out[0]
         return out
 
-    monkeypatch.setattr(lower_bound, "_climb", climbed)
-    monkeypatch.setattr(lower_bound, "phase3_solve", walked)
+    monkeypatch.setattr(solver, "_climb", climbed)
     monkeypatch.setattr(lower_bound, "solve", solved)
     return tries
 
@@ -849,9 +866,9 @@ def _state(gen):
 
 def _restricted_solves(monkeypatch, dense, sigma, seed, streams, n=None):
     """Each run's LP in diameter_experiment: its instance, _solve's outcome,
-    solve's on every row, the tries made, a copy of the generator on entry
-    to _solve, and the generator's state after _solve and after solve on
-    every row from that copy."""
+    the three phases' on every row, the tries made, a copy of the generator
+    on entry to _solve, and the generator's state after _solve and after
+    solve on every row from that copy."""
     seen = []
     restricted = lower_bound._solve
     tries = _counted_tries(monkeypatch)
@@ -860,8 +877,9 @@ def _restricted_solves(monkeypatch, dense, sigma, seed, streams, n=None):
         entry, first = copy.deepcopy(gen), len(tries)
         got = restricted(gen, inst, *args)
         verify_outcome(inst, got)
+        ref = solve(copy.deepcopy(entry), inst, climb=False)[0]
         twin = copy.deepcopy(entry)
-        ref = solve(twin, inst)[0]
+        solve(twin, inst)
         seen.append(_Run(inst, got, ref, tries[first:], entry, _state(gen), _state(twin)))
         return got
 
@@ -899,17 +917,18 @@ def test_restricted_solve_matches_the_full_solve(monkeypatch, d, sigma, eta, str
 def test_restricted_solve_of_a_lattice_solves_every_row(monkeypatch):
     # at sigma = 0 every row is at distance 1, so no row is nearer than the
     # 160th and every one is a candidate: one solve on every row, that of
-    # solve itself draw for draw
+    # solve itself draw for draw; every b_i is 1, so it climbs, and ends on
+    # the three phases' basis and x
     seen = _restricted_solves(monkeypatch, dense_set_with_retry(0.25, 3), 0.0, 0, range(2))
     assert len(seen) == 2
     for run in seen:
-        assert [(t.by, len(t.A)) for t in run.tries] == [("solve", 148)]
+        assert [(t.by, len(t.A)) for t in run.tries] == [("climb", 148)]
         assert _same_outcome(run.out, run.ref) and run.after == run.full
 
 
 @pytest.mark.parametrize("case,solves", [
     ("negative-radius", [("solve", 159), ("solve", 4096)]),
-    ("tied-objective", [("climb", 159), ("solve", 4096)])])
+    ("tied-objective", [("solve", 159), ("solve", 4096)])])
 def test_restricted_solve_falls_back_to_every_row(monkeypatch, case, solves):
     gen = RngStream(7007, 0).generator()
     inst, _ = build_lb_instance(gen, dense_set_with_retry(0.25, 3), 0.25,
@@ -924,9 +943,9 @@ def test_restricted_solve_falls_back_to_every_row(monkeypatch, case, solves):
     floor = float(np.sort(dist)[159])
     if case == "tied-objective":
         # c along the nearest row's normal: the climb's first step makes that
-        # row tight and leaves c in its span, so it finds no vertex; no row
-        # set makes the optimum on every row, with two zero multipliers, the
-        # only one
+        # row tight and leaves c in its span, so it finds no vertex and the
+        # three phases solve the 159 rows; no row set makes the optimum on
+        # every row, with two zero multipliers, the only one
         t = int(np.argmin(dist))
         inst = dataclasses.replace(inst, c=inst.A[t] / norms[t])
     made = _counted_tries(monkeypatch)
@@ -934,6 +953,8 @@ def test_restricted_solve_falls_back_to_every_row(monkeypatch, case, solves):
     out = lower_bound._solve(gen, inst, dist, floor)
     ref = solve(twin, inst)[0]
     assert [(t.by, len(t.A)) for t in made] == solves
+    if case == "tied-objective":
+        assert made[0].part.b.min() > 0.0 and made[0].climbed is None
     # the solve on every row starts where the first try did
     assert _same_outcome(out, ref) and out.kind == "optimal"
     assert gen.random() == twin.random()
@@ -975,9 +996,9 @@ def test_restricted_solve_grows_its_rows(monkeypatch):
 ], ids=["criterion-7", "d3-sigma0.05-padded", "d4-n65536-optimal"])
 def test_climb_answers_as_solve_on_its_rows(monkeypatch, d, sigma, eta, streams, n, by):
     # a try whose rows all have b_i > 0 climbs, and its walk ends on the
-    # basis and x that solve finds on those rows; a run answered by climbs
-    # alone draws nothing.  A try with a row of b_i <= 0, whose region the
-    # origin is outside, goes to solve
+    # basis and x that the three phases find on those rows; a run answered
+    # by climbs alone draws nothing.  A try with a row of b_i <= 0, whose
+    # region the origin is outside, takes the three phases
     seen = _restricted_solves(monkeypatch, dense_set_with_retry(eta, d), sigma, 7007,
                               streams, n)
     assert [[t.by for t in run.tries] for run in seen] == by
@@ -986,7 +1007,7 @@ def test_climb_answers_as_solve_on_its_rows(monkeypatch, d, sigma, eta, streams,
         for t in run.tries:
             assert (t.part.b.min() > 0.0) == (t.by == "climb")
             if t.by == "climb":
-                ref = solve(copy.deepcopy(run.entry), t.part)[0]
+                ref = solve(copy.deepcopy(run.entry), t.part, climb=False)[0]
                 assert _same_outcome(t.outcome, ref)
         if all(t.by == "climb" for t in run.tries):
             assert run.after == _state(run.entry)
@@ -1005,7 +1026,7 @@ def test_climb_starts_phase_3_at_a_feasible_vertex(seed, d, extra, sigma):
     b = np.concatenate([1.0 + sigma * gen.standard_normal(m), np.full(2 * d, 2.0)])
     assume(b.min() > 0.0)
     inst = LPInstance(A, b, uniform_sphere(gen, d))
-    tight = lower_bound._climb(A, b, inst.c)
+    tight = solver._climb(A, b, inst.c)
     assert tight is not None and len(set(tight)) == d
     start = make_basis(A, b, tight)
     assert (A @ start.x - b).max() <= 1e-9
@@ -1015,7 +1036,7 @@ def test_climb_starts_phase_3_at_a_feasible_vertex(seed, d, extra, sigma):
     slack[list(out.basis_indices)] = np.inf
     mu = np.linalg.solve(A[list(out.basis_indices)].T, inst.c)
     if slack.min() > 2.0 * lower_bound._DEGENERATE_SLACK and mu.min() > TOL_OPT:
-        assert _same_outcome(out, solve(RngStream(seed, 1), inst)[0])
+        assert _same_outcome(out, solve(RngStream(seed, 1), inst, climb=False)[0])
 
 
 def test_rel_diam_bound_formula():

@@ -13,6 +13,7 @@ from shadowlp.errors import (
     NoVertex,
     RerunRay,
     RestartLimitExceeded,
+    ShadowLpError,
 )
 from shadowlp.experiments import scaling_instance
 from shadowlp.oracle import enumerate_feasible_bases, lp_optimum_oracle
@@ -249,7 +250,7 @@ def test_solve_retry_accounting():
     # over both passes, with phase 3 from the rerun
     seen = {}
     for s in range(40):
-        out, stats, path = solve(RngStream(900 + s, 1), open_box_instance(s))
+        out, stats, path = solve(RngStream(900 + s, 1), open_box_instance(s), climb=False)
         if stats.retries:
             assert isinstance(out, Optimal)
             seen[s] = (stats.retries, stats.restarts, stats.pivots_phase1,
@@ -265,6 +266,96 @@ def test_solve_retry_accounting():
         33: (1, 6, 13, 0, 0), 34: (1, 3, 7, 0, 1), 35: (1, 3, 8, 0, 1),
         37: (1, 6, 12, 0, 1),
     }
+
+
+def _same_answer(out, ref):
+    """Same class and the same bits: basis set and x, or ray and x, or y."""
+    if out.kind != ref.kind:
+        return False
+    if out.kind == "optimal":
+        return out.basis_indices == ref.basis_indices and out.x.tobytes() == ref.x.tobytes()
+    if out.kind == "unbounded":
+        return out.ray.tobytes() == ref.ray.tobytes() and out.x.tobytes() == ref.x.tobytes()
+    return out.certificate.tobytes() == ref.certificate.tobytes()
+
+
+@pytest.mark.parametrize("d,n", [(3, 30), (4, 50), (10, 500), (20, 2000)])
+def test_climbed_solve_matches_the_three_phases(d, n):
+    # ball rows have b > 0, so the origin is interior: solve climbs from it,
+    # walks phase 3 alone and draws nothing, and ends on the basis and x of
+    # the paper's three phases
+    for s in range(6):
+        si = scaling_instance(RngStream(700 + s, 0).generator(), d, n, 0.05, "ball")
+        gen = RngStream(700 + s, 1).generator()
+        entry = repr(gen.bit_generator.state)
+        out, stats, path = solve(gen, si)
+        ref, ref_stats, _ = solve(RngStream(700 + s, 1), si, climb=False)
+        assert repr(gen.bit_generator.state) == entry
+        assert out.kind == "optimal" and _same_answer(out, ref)
+        assert (stats.restarts, stats.pivots_phase1, stats.pivots_phase2, stats.retries) == (0,) * 4
+        assert stats.pivots_phase3 == path.pivots
+        assert ref_stats.restarts >= 1
+
+
+@pytest.mark.parametrize("family", ["orthant", "unbounded-in-c"])
+def test_solve_falls_back_to_the_three_phases_when_the_climb_finds_no_vertex(family):
+    # b > 0, but c is unbounded on the region and no row blocks the climb:
+    # the three phases then run as with climb=False, draw for draw
+    for s in range(8):
+        if family == "orthant":
+            inst = orthant_instance(s)
+        else:
+            inst = unbounded_in_c_instance(RngStream(53 + s, 0).generator(), 4, 20)
+        assert inst.b.min() > 0.0 and solver._climb(inst.A, inst.b, inst.c) is None
+        gen, twin = RngStream(31, s).generator(), RngStream(31, s).generator()
+        out, stats, _ = solve(gen, inst)
+        ref, ref_stats, _ = solve(twin, inst, climb=False)
+        assert _same_answer(out, ref) and stats == ref_stats
+        assert gen.random() == twin.random()
+
+
+@pytest.mark.parametrize("b0", [0.0, -0.5])
+def test_solve_never_climbs_with_a_row_of_nonpositive_b(b0, monkeypatch):
+    # x_1 <= b0 leaves the origin outside the region, or on its boundary
+    def climb(*args):
+        raise AssertionError("climbed")
+
+    monkeypatch.setattr(solver, "_climb", climb)
+    inst = cube_instance(c=np.array([1.0, 0.3, -0.2]))
+    inst = LPInstance(inst.A, np.array([b0, 1, 1, 1, 1, 1]), inst.c)
+    out, stats, _ = solve(RngStream(51, 0), inst)
+    assert isinstance(out, Optimal) and np.allclose(out.x, [b0, 1.0, -1.0])
+    assert stats.restarts >= 1
+
+
+def _answer_or_error(inst, seed, climb):
+    try:
+        return solve(RngStream(seed, 0), inst, climb=climb)
+    except ShadowLpError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-11, 1e-12, 1e-14])
+def test_climb_answers_the_short_row_cube_as_the_three_phases(eps):
+    # the cube with its row x_1 <= 1 multiplied by eps, the same LP, whose
+    # optimum is 1.5: at 1e-9 the climb reaches a vertex and answers 1.5;
+    # below it no row blocks its first step along x_1, and the three phases
+    # answer as they do without the climb (ROADMAP item 1's wrong answers)
+    inst = cube_instance(c=np.array([1.0, 0.3, -0.2]))
+    A, b = inst.A.copy(), inst.b.copy()
+    A[0] *= eps
+    b[0] *= eps
+    inst = LPInstance(A, b, inst.c)
+    for seed in range(5):
+        got = _answer_or_error(inst, seed, True)
+        ref = _answer_or_error(inst, seed, False)
+        if isinstance(ref, str):
+            assert got == ref
+            continue
+        assert _same_answer(got[0], ref[0])
+        assert (got[1].restarts == 0) == (eps == 1e-9)
+        if eps == 1e-9:
+            assert got[0].kind == "optimal" and inst.c @ got[0].x == 1.5
 
 
 # family: (instance of seed s, the solve's stream for seed s)
