@@ -4,8 +4,10 @@
 Shows the phase structure (random-objective unit solve, interpolation lift,
 final sweep to the input objective), the per-phase pivot counts, and the
 certificate attached to each outcome kind.  Each instance is solved with
-climb=False, the paper's three phases; where every b_i > 0 the default
-solve's answer, from a climb out of the origin and phase 3 alone, follows.
+climb=False, the paper's three phases, phase 1 from artificial rows.  The
+default solve's answer follows: where every b_i > 0, from a climb out of
+the origin and phase 3 alone; otherwise, or where that climb finds no
+vertex, from the three phases with phase 1 climbing on A x <= 1.
 """
 
 import numpy as np
@@ -34,10 +36,12 @@ def report(name, inst, seed=0):
         ray = outcome.ray / np.linalg.norm(outcome.ray)
         print(f"recession ray {np.round(ray, 4)}, c.ray = {inst.c @ ray:.4f}, "
               f"from the feasible vertex {np.round(outcome.x, 4) + 0.0}")
-    if inst.b.min() > 0.0:
-        climbed, stats, _ = solve(RngStream(seed), inst)
-        how = "climbed from the origin" if stats.restarts == 0 else "the climb found no vertex"
-        print(f"default solve: {climbed.kind} ({how}; pivots phase3={stats.pivots_phase3})")
+    climbed, stats, _ = solve(RngStream(seed), inst)
+    how = "climbed from the origin" if stats.restarts == 0 else "three phases"
+    print(
+        f"default solve: {climbed.kind} ({how}; pivots phase1={stats.pivots_phase1} "
+        f"phase2={stats.pivots_phase2} phase3={stats.pivots_phase3}, restarts={stats.restarts})"
+    )
 
 
 # a box: |x_i| <= 1

@@ -1,28 +1,35 @@
-"""Shadow-vertex LP solver: a climb from an interior origin, or three phases.
+"""Shadow-vertex LP solver: climbs from an interior origin, and three phases.
 
 Phase 1 solves the unit system max z^T x, Ax <= 1 for a random Gaussian
-objective z, starting from a basis of d artificial constraints built around
-a randomly rotated simplex; construction or acceptance failures rebuild
-with fresh randomness.  Phase 2 lifts to the interpolation system
-Ax + (1-b)t <= 1, enters at the phase-1 basis edge, and walks the shadow
-path toward maximizing t until an edge crosses the t = 1 slice (whose
-tight rows form a z-optimal feasible basis of the input LP) or until the
-t-maximum proves the input infeasible, in which case the optimal basis
-multipliers convert into a Farkas certificate.  Phase 3 follows the
-shadow path from z to the input objective c.
+objective z.  The paper starts it from a basis of d artificial constraints
+built around a randomly rotated simplex; construction or acceptance
+failures rebuild with fresh randomness.  Phase 2 lifts to the interpolation
+system Ax + (1-b)t <= 1, enters at the phase-1 basis edge, and walks the
+shadow path toward maximizing t until an edge crosses the t = 1 slice
+(whose tight rows form a z-optimal feasible basis of the input LP) or until
+the t-maximum proves the input infeasible, in which case the optimal basis
+multipliers convert into a Farkas certificate.  Phase 3 follows the shadow
+path from z to the input objective c.
 
 Phases 1-2 exist only to find a vertex that is optimal for some objective.
-When every b_i > 0 the origin is strictly feasible, and `solve` finds one
-without them (_climb): step k moves from x = 0 along c projected onto the
-null space of the rows already tight, so they stay tight, and the first row
-to block joins them.  A row that blocks has a_i.g > 0 on a direction g
+When every b_i > 0 the origin is strictly feasible, and a climb finds a
+vertex (_climb): step k moves from x = 0 along the objective (c, or phase
+1's z) projected onto the null space of the rows already tight, so they
+stay tight, and the first row to block joins them.  A row that blocks has a_i.g > 0 on a direction g
 orthogonal to the rows before it, so the d rows are independent and tight
-at a vertex.  Phase 3 alone then walks from that vertex to c, from the
-objective z = the sum of the vertex's rows, whose multipliers there are all
-1.  The climb draws no random numbers.  A climb step that no row blocks (an
-unbounded ray, or c in the span of the tight rows, a tie), or a walk or
-verification that raises, falls back to the three phases, which then draw
-what they draw without the climb.
+at a vertex.  The objective z = the sum of the vertex's rows is optimal
+there, with every multiplier 1, and a shadow walk from z leads on.
+
+`solve` climbs twice over.  When the input's b > 0, it climbs on the input
+and walks phase 3 alone from the vertex to c, drawing no random numbers.
+Otherwise, or when that climb finds no vertex or its walk or verification
+raises, the three phases run, and phase 1 climbs on the unit system, whose
+b = 1 is always positive, and walks from there to its Gaussian z
+(_climbed_unit_basis) in place of the artificial start.  A phase-1 climb
+that finds no vertex, or whose walk raises, leaves phase 1 to the
+artificial start.
+`solve(..., climb=False)` runs the paper's three phases with the
+artificial start alone.
 
 All certificates are re-verified numerically before being returned.
 """
@@ -155,7 +162,47 @@ def verify_outcome(inst, outcome: SolveOutcome) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Phase 1: unit system with artificial starting constraints
+# The climb from an interior origin
+
+
+def _climb(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[list[int]]:
+    """The d rows tight at the vertex of {A x <= b} reached from x = 0, for
+    b > 0, by d ratio tests: step k moves along c projected onto the null
+    space of the rows already tight, and the first row to block joins them.
+    None when a step has no blocking row: an unbounded ray, or a direction
+    too short for any row to block, as where c lies in the tight rows' span.
+    """
+    d = A.shape[1]
+    x = np.zeros(d)
+    q = np.zeros((d, d))  # its first k rows: an orthonormal basis of the tight rows' span
+    tight: list[int] = []
+    for k in range(d):
+        g = c - (q @ c) @ q
+        step, row, _ = _blocking_row(A, b, x, -g, tight)
+        if row is None:
+            return None
+        x = x + step * g
+        tight.append(row)
+        u = A[row] - (q @ A[row]) @ q
+        q[k] = u / math.sqrt(u @ u)
+    return tight
+
+
+def _climbed_start(A: np.ndarray, b: np.ndarray, y: np.ndarray
+                   ) -> Optional[tuple[Basis, np.ndarray]]:
+    """The basis of the vertex that the climb along y reaches, for b > 0,
+    and the sum of its rows, an objective optimal there with every
+    multiplier 1: a start for the shadow walk to y.  None when the climb
+    finds no vertex."""
+    tight = _climb(A, b, y)
+    if tight is None:
+        return None
+    start = make_basis(A, b, tight)
+    return start, A.take(start.rows, axis=0).sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Phase 1: the unit system, from the climb or from artificial constraints
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,22 +270,36 @@ def phase1_solve(
     sigma: float,
     stats: SolveStats,
     z: Optional[np.ndarray] = None,
+    *,
+    climb: bool = False,
 ) -> Union[tuple[Basis, np.ndarray], Unbounded]:
     """Solve max z^T x, Ax <= 1 for `z`, or a fresh Gaussian z per attempt;
     returns (basis of Ax <= 1 optimal for z, z).
 
-    Rebuilds the artificial system with fresh randomness, at most
-    MAX_RESTARTS times in all, whenever the starting basis fails to
-    materialize or the optimum leans on an artificial row (the artificial
-    simplex cut off the true optimum).
+    With `climb`, the first attempt takes z (drawn first when None), climbs
+    from the origin, which b = 1 > 0 makes interior, and walks from the
+    vertex it reaches to z (_climbed_unit_basis).  A climb that finds no
+    vertex, or a walk that raises, leaves the solve to the artificial
+    attempts, as climb=False runs them from the start.  These rebuild the
+    artificial system with fresh randomness, at most MAX_RESTARTS times,
+    whenever the starting basis fails to materialize or the optimum leans
+    on an artificial row (the artificial simplex cut off the true optimum).
     An unbounded shadow run returns its ray, which says nothing about the
-    input LP: the unit system never reads b.  Every attempt adds to
-    `stats.restarts` and every walk to `stats.pivots_phase1`.
+    input LP: the unit system never reads b.  Every attempt, the climb
+    included, adds to `stats.restarts`, and every walk that returns adds
+    its pivots to `stats.pivots_phase1`; RestartLimitExceeded names each
+    failed attempt, a failed climb as "climb".
     """
     gen = as_generator(rng)
     A = np.asarray(A, dtype=float)
     n, d = A.shape
     reasons: list[str] = []
+    if climb:
+        stats.restarts += 1
+        climbed = _climbed_unit_basis(A, gen.standard_normal(d) if z is None else z, stats)
+        if climbed is not None:
+            return climbed
+        reasons.append("climb")
     for _ in range(MAX_RESTARTS):
         stats.restarts += 1
         A_art, objective, z_try = build_unit_lp_prime(gen, A, sigma, z)
@@ -259,8 +320,29 @@ def phase1_solve(
             continue
         return make_basis(A, np.ones(n), out.basis.indices), z_try
     raise RestartLimitExceeded(
-        f"phase 1 failed {MAX_RESTARTS} times; failure reasons: {reasons}"
+        f"phase 1 failed {len(reasons)} times; failure reasons: {reasons}"
     )
+
+
+def _climbed_unit_basis(
+    A: np.ndarray, z: np.ndarray, stats: SolveStats
+) -> Union[tuple[Basis, np.ndarray], Unbounded, None]:
+    """phase1_solve's answer for z from the walk to z that starts where the
+    climb on Ax <= 1 ends; None when the climb finds no vertex or the walk
+    raises."""
+    ones = np.ones(A.shape[0])
+    try:
+        climbed = _climbed_start(A, ones, z)
+        if climbed is None:
+            return None
+        start, y = climbed
+        path, out = run_shadow_path(A, ones, y, z, start)
+    except ShadowLpError:
+        return None
+    stats.pivots_phase1 += path.pivots
+    if isinstance(out, UnboundedRay):
+        return Unbounded(ray=out.ray)
+    return out.basis, z
 
 
 # ---------------------------------------------------------------------------
@@ -381,36 +463,14 @@ def phase3_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray, z_basis: Basis,
     return Unbounded(ray=out.ray, x=out.basis.x), path
 
 
-def _climb(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> Optional[list[int]]:
-    """The d rows tight at the vertex of {A x <= b} reached from x = 0, for
-    b > 0, by d ratio tests: step k moves along c projected onto the null
-    space of the rows already tight, and the first row to block joins them.
-    None when a step has no blocking row: an unbounded ray, or a direction
-    too short for any row to block, as where c lies in the tight rows' span.
-    """
-    d = A.shape[1]
-    x = np.zeros(d)
-    q = np.zeros((d, d))  # its first k rows: an orthonormal basis of the tight rows' span
-    tight: list[int] = []
-    for k in range(d):
-        g = c - (q @ c) @ q
-        step, row, _ = _blocking_row(A, b, x, -g, tight)
-        if row is None:
-            return None
-        x = x + step * g
-        tight.append(row)
-        u = A[row] - (q @ A[row]) @ q
-        q[k] = u / math.sqrt(u @ u)
-    return tight
-
-
 @dataclass
 class SolveStats:
-    """A solve's counts.  Restarts and phase 1-2 pivots add up over both
-    passes; `retries` is 1 when phases 1-2 were rerun.  A solve answered by
-    the climb and phase 3 alone has every count but `pivots_phase3` at 0:
-    `restarts == 0` marks it, since the three phases make at least one
-    phase-1 attempt."""
+    """A solve's counts.  `restarts` counts phase-1 attempts, a climb on the
+    unit system and each artificial start alike; restarts and phase 1-2
+    pivots add up over both passes, and `retries` is 1 when phases 1-2 were
+    rerun.  A solve answered by the climb on the input and phase 3 alone has
+    every count but `pivots_phase3` at 0: `restarts == 0` marks it, since
+    the three phases make at least one phase-1 attempt."""
 
     restarts: int = 0
     pivots_phase1: int = 0
@@ -423,8 +483,8 @@ class SolveStats:
         return self.pivots_phase1 + self.pivots_phase2 + self.pivots_phase3
 
 
-def _solve_once(gen, inst, art_sigma, stats, z=None):
-    p1 = phase1_solve(gen, inst.A, art_sigma, stats, z)
+def _solve_once(gen, inst, art_sigma, stats, climb, z=None):
+    p1 = phase1_solve(gen, inst.A, art_sigma, stats, z, climb=climb)
     if isinstance(p1, Unbounded):
         return p1, None
     unit_basis, z = p1
@@ -439,14 +499,11 @@ def _solve_once(gen, inst, art_sigma, stats, z=None):
 def _solve_climbed(inst) -> Optional[tuple[SolveOutcome, SolveStats, ShadowPath]]:
     """solve's answer from the climb and phase 3 alone, for b > 0, verified;
     None when the climb finds no vertex or the walk or the check raises."""
-    A, b, c = inst.A, inst.b, inst.c
-    tight = _climb(A, b, c)
-    if tight is None:
-        return None
     try:
-        start = make_basis(A, b, tight)
-        # every multiplier of this objective is 1 at the start
-        outcome, path = phase3_solve(A, b, c, start, A.take(start.rows, axis=0).sum(axis=0))
+        climbed = _climbed_start(inst.A, inst.b, inst.c)
+        if climbed is None:
+            return None
+        outcome, path = phase3_solve(inst.A, inst.b, inst.c, *climbed)
         verify_outcome(inst, outcome)
     except ShadowLpError:
         return None
@@ -502,8 +559,10 @@ def solve(rng, inst, *, climb: bool = True
     solve climbs from it to a vertex (_climb) and walks phase 3 alone from
     there, drawing nothing from rng.  A climb step that no row blocks, or a
     walk or verification that raises ShadowLpError, falls back to the three
-    phases, which then run as they would with climb=False.  climb=False
-    always runs the paper's three phases.
+    phases, which run as they do for any other b: with `climb`, phase 1
+    climbs on its unit system Ax <= 1 and walks to its z, and takes the
+    artificial start only when that climb finds no vertex.  climb=False
+    always runs the paper's three phases, phase 1 from the artificial start.
 
     Only phase 3, starting at a feasible vertex, answers with a ray.  When
     phase 1 or 2 ends on one, phases 1-2 rerun once with z = A^T |g|,
@@ -541,14 +600,14 @@ def solve(rng, inst, *, climb: bool = True
     art_sigma = cap if art_sigma is None or art_sigma <= 0 else min(art_sigma, cap)
     gen = as_generator(rng)
     stats = SolveStats()
-    outcome, path = _solve_once(gen, inst_lp, art_sigma, stats)
+    outcome, path = _solve_once(gen, inst_lp, art_sigma, stats, climb)
     if isinstance(outcome, Unbounded) and outcome.x is None:
         rank = int(np.linalg.matrix_rank(inst_lp.A))
         if rank < d:
             raise NoVertex(f"rank A = {rank} < d = {d}: the region has no vertex")
         stats.retries = 1
         z = inst_lp.A.T @ np.abs(gen.standard_normal(n))
-        outcome, path = _solve_once(gen, inst_lp, art_sigma, stats, z)
+        outcome, path = _solve_once(gen, inst_lp, art_sigma, stats, climb, z)
         if isinstance(outcome, Unbounded) and outcome.x is None:
             norms = np.hypot(np.linalg.norm(inst_lp.A, axis=1), inst_lp.b)
             raise RerunRay(

@@ -820,15 +820,17 @@ class _Try:
     A: np.ndarray          # the rows tried
     part: object = None    # the LP tried
     outcome: object = None
-    climbed: object = None  # the climb's rows, None where it found no vertex
+    # each climb's (b, rows) in order, rows None where it found no vertex:
+    # the climb on the LP when its b > 0, then those of phase 1 on Ax <= 1
+    climbs: list = dataclasses.field(default_factory=list)
 
 
 def _counted_tries(monkeypatch):
     """Wrap solve, which lower_bound calls for the LP on each row set it
-    tries and on every row, and the climb inside it.  A try is "climb" when
-    solve answered from the climb and its phase-3 walk (restarts 0), and
-    "solve" when the three phases ran.  Returns the list of every try, the
-    solve on every row included, in order; a try that raised has no
+    tries and on every row, and the climbs inside it.  A try is "climb"
+    when solve answered from the climb and its phase-3 walk (restarts 0),
+    and "solve" when the three phases ran.  Returns the list of every try,
+    the solve on every row included, in order; a try that raised has no
     outcome."""
     tries, counting = [], [False]
     climb, full = solver._climb, lower_bound.solve
@@ -836,7 +838,7 @@ def _counted_tries(monkeypatch):
     def climbed(A, b, c):
         tight = climb(A, b, c)
         if counting[0]:  # not a reference solve made outside lower_bound
-            tries[-1].climbed = tight
+            tries[-1].climbs.append((b, tight))
         return tight
 
     def solved(gen, inst):
@@ -944,8 +946,9 @@ def test_restricted_solve_falls_back_to_every_row(monkeypatch, case, solves):
     if case == "tied-objective":
         # c along the nearest row's normal: the climb's first step makes that
         # row tight and leaves c in its span, so it finds no vertex and the
-        # three phases solve the 159 rows; no row set makes the optimum on
-        # every row, with two zero multipliers, the only one
+        # three phases solve the 159 rows, phase 1 climbing on Ax <= 1 to a
+        # vertex; no row set makes the optimum on every row, with two zero
+        # multipliers, the only one
         t = int(np.argmin(dist))
         inst = dataclasses.replace(inst, c=inst.A[t] / norms[t])
     made = _counted_tries(monkeypatch)
@@ -954,7 +957,10 @@ def test_restricted_solve_falls_back_to_every_row(monkeypatch, case, solves):
     ref = solve(twin, inst)[0]
     assert [(t.by, len(t.A)) for t in made] == solves
     if case == "tied-objective":
-        assert made[0].part.b.min() > 0.0 and made[0].climbed is None
+        assert made[0].part.b.min() > 0.0
+        assert [(b is made[0].part.b, rows) for b, rows in made[0].climbs] == [
+            (True, None), (False, [85, 140, 21])]
+        assert (made[0].climbs[1][0] == 1.0).all()
     # the solve on every row starts where the first try did
     assert _same_outcome(out, ref) and out.kind == "optimal"
     assert gen.random() == twin.random()

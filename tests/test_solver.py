@@ -17,6 +17,7 @@ from shadowlp.errors import (
 )
 from shadowlp.experiments import scaling_instance
 from shadowlp.oracle import enumerate_feasible_bases, lp_optimum_oracle
+from shadowlp.rng import uniform_sphere
 from shadowlp.simplex import Basis, make_basis, multipliers
 from shadowlp.solver import (
     Infeasible,
@@ -34,10 +35,12 @@ from shadowlp.solver import (
 
 from helpers import (
     apex_instance,
+    ball_instance,
     bounded_mixed_instance,
     cube_instance,
     empty_slab_instance,
     infeasible_instance,
+    mixed_instance,
     open_box_instance,
     orthant_instance,
     rank_deficient_instance,
@@ -89,7 +92,6 @@ def test_unperturbed_artificial_start_is_valid():
 def test_start_construction_success_rate():
     # d=5, sigma=0.01, rows of norm <= 2: at least 85% of trials produce a
     # feasible, objective-optimal artificial basis
-    from shadowlp.rng import uniform_sphere
     from shadowlp.solver import _artificial_start
 
     gen = RngStream(42, 0).generator()
@@ -139,6 +141,62 @@ def test_phase1_handles_zero_row():
     basis, z = phase1_solve(gen, A, 0.01, SolveStats())
     oracle = lp_optimum_oracle(LPInstance(A, np.ones(7), z), z)
     assert np.allclose(basis.x, oracle.x, atol=1e-8)
+
+
+@pytest.mark.parametrize("family", ["ball", "mixed"])
+def test_phase1_climb_gives_a_feasible_z_optimal_unit_basis(family):
+    # one attempt: z is the generator's next d normals, and the walk from
+    # the climb's vertex ends on a basis of Ax <= 1 that is feasible and
+    # z-optimal, at HiGHS's optimum of max z^T x
+    make = ball_instance if family == "ball" else mixed_instance
+    for s in range(10):
+        A = make(RngStream(810 + s, 0).generator(), 6, 200, 0.05).A
+        gen, twin = RngStream(810 + s, 1).generator(), RngStream(810 + s, 1).generator()
+        stats = SolveStats()
+        basis, z = phase1_solve(gen, A, 0.01, stats, climb=True)
+        assert z.tobytes() == twin.standard_normal(6).tobytes()
+        assert gen.random() == twin.random()
+        assert (stats.restarts, stats.pivots_phase2, stats.pivots_phase3) == (1, 0, 0)
+        assert (A @ basis.x).max() <= 1.0 + 1e-12
+        assert multipliers(basis, z).min() >= -1e-12
+        ref = linprog(-z, A_ub=A, b_ub=np.ones(200), bounds=[(None, None)] * 6, method="highs")
+        assert ref.status == 0 and abs(z @ basis.x + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+
+
+def test_phase1_climb_that_finds_no_vertex_falls_back_to_the_artificial_start():
+    # on the orthant's rows most z are unbounded, and no row blocks the
+    # climb along them: the artificial attempts follow, as they run without
+    # the climb from the generator after z, and the climb adds one restart
+    fell = 0
+    for s in range(10):
+        A = orthant_instance(s).A
+        gen, twin = RngStream(77, s).generator(), RngStream(77, s).generator()
+        if solver._climb(A, np.ones(len(A)), twin.standard_normal(4)) is not None:
+            continue
+        fell += 1
+        stats, ref_stats = SolveStats(), SolveStats()
+        out = phase1_solve(gen, A, 0.01, stats, climb=True)
+        ref = phase1_solve(twin, A, 0.01, ref_stats)
+        ref_stats.restarts += 1
+        assert stats == ref_stats and gen.random() == twin.random()
+        if isinstance(ref, Unbounded):
+            assert out.ray.tobytes() == ref.ray.tobytes()
+        else:
+            assert out[0].indices == ref[0].indices and out[1].tobytes() == ref[1].tobytes()
+    assert fell == 3
+
+
+def test_phase1_restart_limit_counts_a_failed_climb(monkeypatch):
+    # no row blocks the climb along this z, and no artificial attempt is
+    # left: the error and the stats both count the climb as the one attempt
+    A = orthant_instance(0).A
+    z = np.ones(4)
+    assert solver._climb(A, np.ones(len(A)), z) is None
+    monkeypatch.setattr(solver, "MAX_RESTARTS", 0)
+    stats = SolveStats()
+    with pytest.raises(RestartLimitExceeded, match=r"failed 1 times; failure reasons: \['climb'\]"):
+        phase1_solve(RngStream(61, 0), A, 0.01, stats, z, climb=True)
+    assert stats == SolveStats(restarts=1)
 
 
 def test_phase2_all_ones_rhs_returns_unit_basis():
@@ -228,20 +286,23 @@ def test_solve_infeasible_reports_phase2_pivots():
 
 
 def test_solve_unbounded_in_phase1_reports_phase1_pivots():
-    # the first pass's phase 1 ends on a ray (after 3, 0, 4, 2, 20, 3, 4 and
-    # 4 pivots in 1, 1, 1, 1, 5, 1, 1 and 1 attempts), which is no answer;
-    # the rerun reaches phase 3, whose ray is, and the stats add both passes
-    pivots, restarts = [], []
+    # c is unbounded, so the climb on the LP finds no vertex and the three
+    # phases run.  In six solves the first pass ends on a phase 1-2 ray,
+    # which is no answer; the rerun reaches phase 3, whose ray is, and the
+    # stats add both passes.  In the other two the first pass reaches phase 3
+    pivots, restarts, retries = [], [], []
     for k in range(8):
         inst = unbounded_in_c_instance(RngStream(53 + k, 0).generator(), 4, 20)
         out, stats, path = solve(RngStream(53 + k, 1), inst)
-        assert isinstance(out, Unbounded) and stats.retries == 1
+        assert isinstance(out, Unbounded)
         assert path is not None and stats.pivots_phase3 == path.pivots > 0
         assert (inst.A @ out.x - inst.b).max() <= 1e-8
         pivots.append(stats.pivots_phase1)
         restarts.append(stats.restarts)
-    assert pivots == [18, 27, 16, 20, 35, 11, 14, 14]
-    assert restarts == [3, 5, 2, 3, 7, 2, 2, 2]
+        retries.append(stats.retries)
+    assert pivots == [14, 2, 9, 5, 5, 13, 6, 9]
+    assert restarts == [3, 1, 3, 3, 4, 3, 3, 3]
+    assert retries == [1, 0, 1, 1, 1, 1, 1, 0]
 
 
 def test_solve_retry_accounting():
@@ -297,10 +358,19 @@ def test_climbed_solve_matches_the_three_phases(d, n):
         assert ref_stats.restarts >= 1
 
 
+def _three_phases(rng, inst):
+    """solve(rng, inst) with the climb on the LP itself skipped: the three
+    phases, whose phase 1 climbs on its unit system."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_solve_climbed", lambda inst: None)
+        return solve(rng, inst)
+
+
 @pytest.mark.parametrize("family", ["orthant", "unbounded-in-c"])
 def test_solve_falls_back_to_the_three_phases_when_the_climb_finds_no_vertex(family):
     # b > 0, but c is unbounded on the region and no row blocks the climb:
-    # the three phases then run as with climb=False, draw for draw
+    # the three phases then run as they do when the climb is skipped, draw
+    # for draw, and the failed climb leaves nothing in the stats
     for s in range(8):
         if family == "orthant":
             inst = orthant_instance(s)
@@ -309,53 +379,106 @@ def test_solve_falls_back_to_the_three_phases_when_the_climb_finds_no_vertex(fam
         assert inst.b.min() > 0.0 and solver._climb(inst.A, inst.b, inst.c) is None
         gen, twin = RngStream(31, s).generator(), RngStream(31, s).generator()
         out, stats, _ = solve(gen, inst)
-        ref, ref_stats, _ = solve(twin, inst, climb=False)
-        assert _same_answer(out, ref) and stats == ref_stats
+        ref, ref_stats, _ = _three_phases(twin, inst)
+        assert _same_answer(out, ref) and stats == ref_stats and stats.restarts >= 1
         assert gen.random() == twin.random()
 
 
 @pytest.mark.parametrize("b0", [0.0, -0.5])
-def test_solve_never_climbs_with_a_row_of_nonpositive_b(b0, monkeypatch):
-    # x_1 <= b0 leaves the origin outside the region, or on its boundary
-    def climb(*args):
-        raise AssertionError("climbed")
+def test_solve_never_climbs_the_lp_with_a_row_of_nonpositive_b(b0, monkeypatch):
+    # x_1 <= b0 leaves the origin outside the region, or on its boundary, so
+    # the LP itself is never climbed: the one climb is phase 1's, on the
+    # unit system, and its walk to z takes no pivot
+    calls, climb = [], solver._climb
 
-    monkeypatch.setattr(solver, "_climb", climb)
+    def recorded(A, b, c):
+        calls.append((b.copy(), climb(A, b, c)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, "_climb", recorded)
     inst = cube_instance(c=np.array([1.0, 0.3, -0.2]))
     inst = LPInstance(inst.A, np.array([b0, 1, 1, 1, 1, 1]), inst.c)
     out, stats, _ = solve(RngStream(51, 0), inst)
     assert isinstance(out, Optimal) and np.allclose(out.x, [b0, 1.0, -1.0])
-    assert stats.restarts >= 1
+    assert [(b.tolist(), rows) for b, rows in calls] == [([1.0] * 6, [4, 5, 3])]
+    assert stats == SolveStats(restarts=1, pivots_phase3=2)
 
 
-def _answer_or_error(inst, seed, climb):
+def _answer_or_error(run, inst, seed):
     try:
-        return solve(RngStream(seed, 0), inst, climb=climb)
+        return run(RngStream(seed, 0), inst)
     except ShadowLpError as exc:
         return type(exc).__name__
 
 
-@pytest.mark.parametrize("eps", [1e-9, 1e-11, 1e-12, 1e-14])
+# eps: the short-row cube's answers at seeds 0-4
+SHORT_ROW_ANSWERS = {
+    1e-9: [1.5] * 5,
+    1e-11: ["NotOptimal", 1.5, "unbounded", 1.5, "unbounded"],
+    1e-12: ["unbounded"] * 5,
+    1e-14: ["unbounded"] * 5,
+}
+
+
+@pytest.mark.parametrize("eps", SHORT_ROW_ANSWERS)
 def test_climb_answers_the_short_row_cube_as_the_three_phases(eps):
     # the cube with its row x_1 <= 1 multiplied by eps, the same LP, whose
     # optimum is 1.5: at 1e-9 the climb reaches a vertex and answers 1.5;
     # below it no row blocks its first step along x_1, and the three phases
-    # answer as they do without the climb (ROADMAP item 1's wrong answers)
+    # answer as they do when the climb is skipped.  Their unbounded answers
+    # are wrong (ROADMAP item 1)
     inst = cube_instance(c=np.array([1.0, 0.3, -0.2]))
     A, b = inst.A.copy(), inst.b.copy()
     A[0] *= eps
     b[0] *= eps
     inst = LPInstance(A, b, inst.c)
+    seen = []
     for seed in range(5):
-        got = _answer_or_error(inst, seed, True)
-        ref = _answer_or_error(inst, seed, False)
-        if isinstance(ref, str):
-            assert got == ref
-            continue
-        assert _same_answer(got[0], ref[0])
-        assert (got[1].restarts == 0) == (eps == 1e-9)
+        got = _answer_or_error(solve, inst, seed)
         if eps == 1e-9:
-            assert got[0].kind == "optimal" and inst.c @ got[0].x == 1.5
+            assert got[1] == SolveStats(pivots_phase3=got[2].pivots)
+            ref = _answer_or_error(lambda r, i: solve(r, i, climb=False), inst, seed)
+            assert _same_answer(got[0], ref[0])
+        else:
+            ref = _answer_or_error(_three_phases, inst, seed)
+            assert got == ref if isinstance(ref, str) else (
+                _same_answer(got[0], ref[0]) and got[1] == ref[1] and got[1].restarts >= 1)
+        if isinstance(got, str):
+            seen.append(got)
+        elif got[0].kind == "optimal":
+            seen.append(float(inst.c @ got[0].x))
+        else:
+            seen.append(got[0].kind)
+    assert seen == SHORT_ROW_ANSWERS[eps]
+
+
+@pytest.mark.parametrize("d,n", [(4, 50), (10, 500), (20, 2000)])
+def test_climbed_phase1_solves_a_translated_ball_as_the_artificial_start(d, n):
+    # the ball moved by x0, |x0| = 2: rows b + A x0 with b_i < 0 leave the
+    # origin outside, so the three phases run, and phase 1's climb ends
+    # phase 3 on the basis and x bits of the paper's artificial start
+    for s in range(20):
+        gen = RngStream(4400 + s, 0).generator()
+        si = scaling_instance(gen, d, n, 0.05, "ball")
+        inst = LPInstance(si.A, si.b + si.A @ (2.0 * uniform_sphere(gen, d)), si.c)
+        assert inst.b.min() < 0.0
+        out, stats, _ = solve(RngStream(4400 + s, 1), inst)
+        ref, _, _ = solve(RngStream(4400 + s, 1), inst, climb=False)
+        assert out.kind == "optimal" and _same_answer(out, ref) and stats.restarts >= 1
+
+
+def test_solve_finds_mixed_d20_instances_infeasible():
+    # the solve_infeasible bench family: each is empty, with a Farkas
+    # certificate that verifies, as HiGHS finds; phase 1 climbs in one attempt
+    for s in range(4):
+        inst = mixed_instance(RngStream(2020 + s, 0).generator(), 20, 2000, 0.05).lp()
+        out, stats, path = solve(RngStream(2020 + s, 1), inst)
+        assert isinstance(out, Infeasible) and path is None
+        verify_outcome(inst, out)
+        assert stats.restarts == 1 and stats.pivots_phase2 > 0
+        ref = linprog(-inst.c, A_ub=inst.A, b_ub=inst.b, bounds=[(None, None)] * 20,
+                      method="highs")
+        assert ref.status == 2
 
 
 # family: (instance of seed s, the solve's stream for seed s)
